@@ -127,7 +127,11 @@ class FluctuationReport:
 
 def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
                 d: float = float("nan"), side: str = "") -> FluctuationReport:
-    """Peak-to-peak envelope excursion relative to its mean, in percent."""
+    """Peak-to-peak envelope excursion relative to its mean, in percent.
+
+    The percentage is NaN when the window mean is 0 (an all-zero envelope
+    has no relative excursion, and must not read as perfect suppression).
+    """
     t_arr = np.asarray(env_t, dtype=float)
     e_arr = np.asarray(env, dtype=float)
     mask = (t_arr > settle) & (t_arr <= settle + window)
@@ -137,7 +141,7 @@ def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
     i_max = float(sel.max())
     i_min = float(sel.min())
     i_mean = float(sel.mean())
-    pct = (i_max - i_min) / i_mean * 100.0 if i_mean != 0.0 else 0.0
+    pct = (i_max - i_min) / i_mean * 100.0 if i_mean != 0.0 else math.nan
     return FluctuationReport(d=d, side=side, i_max=i_max, i_min=i_min,
                              i_mean=i_mean, fluctuation_pct=pct)
 

@@ -56,6 +56,9 @@ def parse_density_grid(spec: str) -> tuple[float, ...]:
     grid = tuple(round(start + i * step, 3) for i in range(n))
     if any(not (0.0 <= d <= 1.0) for d in grid):
         raise ValueError("grid values must lie in [0, 1]")
+    if len(set(grid)) < n:
+        raise ValueError(f"grid spec {spec!r} repeats densities after rounding "
+                         "to 3 decimals")
     return grid
 
 
@@ -90,7 +93,6 @@ def run_sweep_point(params: PlantParams, preset: ExperimentPreset,
     cfg = SimConfig(steps_per_half_cycle=preset.steps_per_half_cycle,
                     duration=preset.duration,
                     blanking_fraction=preset.blanking_fraction,
-                    controlled_side=preset.side,
                     collect_samples=False)
     d1, d2 = (d, 1.0) if preset.side == "primary" else (1.0, d)
     trace = simulate(params, cfg, PulseDensityModulator(tf),
@@ -163,8 +165,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
         return 0.5 * math.sin(2.0 * math.pi * mod_freq * t) + 0.5
 
     cfg = SimConfig(steps_per_half_cycle=steps_per_half_cycle,
-                    duration=duration, controlled_side="secondary",
-                    collect_samples=False)
+                    duration=duration, collect_samples=False)
     trace = simulate(params, cfg, PulseDensityModulator(tf),
                      PulseDensityModulator(tf), 1.0, d2_fn)
 

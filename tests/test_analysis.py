@@ -155,6 +155,13 @@ def test_fluctuation_constant_envelope():
     assert rep.i_mean == pytest.approx(2.5)
 
 
+def test_fluctuation_of_all_zero_envelope_is_nan():
+    t = np.linspace(0, 6e-3, 1000)
+    rep = analysis.fluctuation(t, np.zeros(1000), d=0.0, side="i1")
+    assert math.isnan(rep.fluctuation_pct)
+    assert rep.i_max == rep.i_min == rep.i_mean == 0.0
+
+
 def test_fluctuation_cosine_envelope_is_sixty_percent():
     t = np.linspace(0, 6e-3, 20000)
     env = 1.0 + 0.3 * np.cos(2 * math.pi * 30e3 * t)

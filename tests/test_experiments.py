@@ -29,6 +29,12 @@ def test_parse_density_grid():
         experiments.parse_density_grid("0.8:0.2:1.4")
 
 
+def test_parse_density_grid_rejects_points_merged_by_rounding():
+    with pytest.raises(ValueError, match="0:0.0005:0.003"):
+        experiments.parse_density_grid("0:0.0005:0.003")
+    assert experiments.parse_density_grid("0:0.001:0.003") == (0.0, 0.001, 0.002, 0.003)
+
+
 def test_make_ntf():
     assert experiments.make_ntf("first").order == 1
     assert experiments.make_ntf("tse", rho=0.065).order == 3

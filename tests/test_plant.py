@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsepdm import plant
 from tsepdm.modulator import PulseDensityModulator
@@ -128,6 +130,45 @@ def test_affine_maps_equal_generic_rk4(prototype):
         u = rng.normal(scale=50.0, size=2)
         direct = plant.rk4_step(x, lambda s: A @ s + B @ u, h)
         assert np.allclose(M @ x + N @ u, direct, rtol=1e-12, atol=1e-12)
+
+
+_A, _B = plant.system_matrices(plant.DEFAULT_PARAMS)
+_H = 0.5 / plant.DEFAULT_PARAMS.fs / 256
+_PROP = plant._AffinePropagator(_A, _B, _H, 256)
+_V = plant.DEFAULT_PARAMS.Vg
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(*(st.floats(-lim, lim) for lim in (20.0, 20.0, 2000.0, 2000.0))),
+       u=st.tuples(*(st.sampled_from((-_V, 0.0, _V)),) * 2),
+       frac=st.floats(0.0, 1.0, exclude_min=True))
+def test_horner_split_equals_rk4_affine_maps(x, u, frac):
+    # Relative to the magnitude of the summed terms, the rounding scale of
+    # both evaluation orders; subnormal results carry no relative precision,
+    # hence the floor at the smallest normal float.
+    x, u, tau = np.array(x), np.array(u), frac * _H
+    M, N = plant.rk4_affine_maps(_A, _B, tau)
+    expected = M @ x + N @ u
+    scale = np.abs(M) @ np.abs(x) + np.abs(N) @ np.abs(u)
+    err = np.abs(_PROP.split(x, u, tau) - expected)
+    assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("kind", ["first", "tse"])
+@pytest.mark.parametrize("d1, d2", [(0.963, 1.0), (1.0, 0.963)])
+def test_no_sample_run_matches_sample_run(prototype, kind, d1, d2):
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    full, fast = [plant.simulate(prototype, plant.SimConfig(duration=1e-3, collect_samples=c),
+                                 *fresh_mods(tf), d1, d2)
+                  for c in (True, False)]
+    assert fast.states.shape == (0, 4)
+    assert [ev[:4] for ev in fast.events] == [ev[:4] for ev in full.events]
+    np.testing.assert_allclose([ev.t for ev in fast.events],
+                               [ev.t for ev in full.events], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
+    assert fast.diagnostics == full.diagnostics
 
 
 def test_zero_state_zero_drive_stays_zero(prototype):
