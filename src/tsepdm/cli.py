@@ -153,17 +153,17 @@ def cmd_ntf(args) -> int:
             raise datafiles.ConfigError("ntf design requires --out")
         num = tuple(tf.num) + (0.0,) * (len(tf.den) - len(tf.num))
         datafiles.write_rows(args.out, ["label"] + [f"z{len(tf.den)-1-i}" for i in range(len(tf.den))],
-                             [["num", *num], ["den", *tf.den]])
+                             zip(["num", *num], ["den", *tf.den], strict=True))
         if args.pz:
             zeros, poles = ntf.zeros_poles(tf)
             rows = [[z.real, z.imag, "zero"] for z in zeros]
             rows += [[pp.real, pp.imag, "pole"] for pp in poles]
-            datafiles.write_rows(args.pz, ["re", "im", "kind"], rows)
+            datafiles.write_rows(args.pz, ["re", "im", "kind"], zip(*rows, strict=True))
     elif args.action == "bode":
         if not args.out:
             raise datafiles.ConfigError("ntf bode requires --out")
-        rows = ntf.bode_data(tf, args.points)
-        datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"], rows)
+        datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"],
+                             ntf.bode_data(tf, args.points).T)
     else:  # check
         report = ntf.check_requirements(tf, spec)
         print(f"dc_gain_zero: {'pass' if report.dc_gain_zero else 'FAIL'} "
@@ -180,12 +180,12 @@ def cmd_modulate(args) -> int:
     tf = _make_ntf_from_args(args)
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     gates = modulator.gate_split(y)
-    rows = zip(gates.tick, np.full(args.ticks, args.d), y, e, gates.s)
-    datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"], rows)
+    datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"],
+                         (gates.tick, np.full(args.ticks, args.d), y, e, gates.s))
     if args.spectrum:
         spec = analysis.spectrum_of_sequence(y, window=args.window)
         datafiles.write_rows(args.spectrum, ["ratio", "magnitude"],
-                             zip(spec.ratios, spec.magnitudes))
+                             (spec.ratios, spec.magnitudes))
     _emit_summary(args, {
         "d": args.d, "ticks": args.ticks, "ntf": args.ntf,
         "mean_y": float(y.mean()),
@@ -204,11 +204,11 @@ def cmd_simulate(args) -> int:
                            modulator.PulseDensityModulator(tf),
                            modulator.PulseDensityModulator(tf),
                            args.d1, args.d2)
-    rows = np.column_stack([trace.t, trace.states, trace.u])
-    datafiles.write_rows(args.trace, ["t", "i1", "i2", "vC1", "vC2", "u1", "u2"], rows)
+    datafiles.write_rows(args.trace, ["t", "i1", "i2", "vC1", "vC2", "u1", "u2"],
+                         (trace.t, *trace.states.T, *trace.u.T))
     if args.events:
         datafiles.write_rows(args.events, ["tick", "side", "y", "s", "t_event"],
-                             [[ev.tick, ev.side, ev.y, ev.s, ev.t] for ev in trace.events])
+                             zip(*trace.events, strict=True))
     datafiles.write_manifest(args.trace, {
         **dataclasses.asdict(params),
         "d1": args.d1, "d2": args.d2, "ntf": args.ntf, "rho": args.rho, "r": args.r,
@@ -235,19 +235,24 @@ def cmd_sweep(args) -> int:
         settle=args.settle, window=args.window)
     reports = experiments.run_density_sweep(params, preset, workers=args.workers)
     datafiles.write_rows(args.out, ["d", "i_max", "i_min", "i_mean", "fluct_percent"],
-                         [[rep.d, rep.i_max, rep.i_min, rep.i_mean, rep.fluctuation_pct]
-                          for rep in reports])
+                         zip(*[[rep.d, rep.i_max, rep.i_min, rep.i_mean, rep.fluctuation_pct]
+                               for rep in reports], strict=True))
     datafiles.write_manifest(args.out, {
         **dataclasses.asdict(params),
         **{f"preset_{key}": val for key, val in dataclasses.asdict(preset).items()
            if key != "densities"},
         "grid": args.grid, "n_points": len(reports),
     })
-    worst = max(reports, key=lambda rep: rep.fluctuation_pct)
+    # A zero-mean envelope reports NaN; such points are neither the worst
+    # nor part of the mean, and with none finite the summary holds nulls.
+    finite = [rep for rep in reports if math.isfinite(rep.fluctuation_pct)]
+    worst = max(finite, key=lambda rep: rep.fluctuation_pct, default=None)
     _emit_summary(args, {
         "side": args.side, "ntf": args.ntf, "n_points": len(reports),
-        "worst_d": worst.d, "worst_fluct_pct": worst.fluctuation_pct,
-        "mean_fluct_pct": float(np.mean([rep.fluctuation_pct for rep in reports])),
+        "worst_d": None if worst is None else worst.d,
+        "worst_fluct_pct": None if worst is None else worst.fluctuation_pct,
+        "mean_fluct_pct": (float(np.mean([rep.fluctuation_pct for rep in finite]))
+                           if finite else None),
     })
     return 0
 
@@ -260,8 +265,8 @@ def cmd_gssa(args) -> int:
         raise datafiles.ConfigError("require 0 < fmin < fmax")
     dw = np.linspace(args.fmin, args.fmax, args.points) * params.ws
     channel = _CHANNEL_FLAGS[args.channel]
-    rows = gssa.amplitude_bode(model, channel, dw)
-    datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"], rows)
+    datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"],
+                         gssa.amplitude_bode(model, channel, dw).T)
     datafiles.write_manifest(args.out, {
         **dataclasses.asdict(params), "channel": args.channel,
         "fmin": args.fmin, "fmax": args.fmax, "points": args.points,
@@ -312,7 +317,7 @@ def cmd_stability(args) -> int:
 
     datafiles.write_rows(args.out,
                          ["probe", "d", "e_min", "e_max", "violations",
-                          "mean_density_error"], rows)
+                          "mean_density_error"], zip(*rows, strict=True))
     datafiles.write_manifest(args.out, {
         "ntf": args.ntf, "rho": args.rho, "r": args.r,
         "probe": args.probe, "ticks": args.ticks, "grid": args.grid,
@@ -333,7 +338,7 @@ def cmd_dynamic(args) -> int:
                                             steps_per_half_cycle=args.steps)
     d_ref = 0.5 * np.sin(2.0 * math.pi * args.freq * resp.env_t) + 0.5
     datafiles.write_rows(args.out, ["t", "d2", "i1_envelope", "i2_envelope"],
-                         np.column_stack([resp.env_t, d_ref, resp.env_i1, resp.env_i2]))
+                         (resp.env_t, d_ref, resp.env_i1, resp.env_i2))
     datafiles.write_manifest(args.out, {
         **dataclasses.asdict(params), "ntf": args.ntf, "rho": args.rho, "r": args.r,
         "duration": args.duration, "mod_freq": args.freq,

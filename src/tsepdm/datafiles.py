@@ -2,7 +2,9 @@
 
 All output files use a comma delimiter with a single header row. Floats
 are written with repr (shortest round-trip form), so identical inputs
-produce byte-identical files.
+produce byte-identical files. `format_value` defines a cell's text; the
+table writer formats integer and float ndarray columns a chunk at a time
+with ``str``/``repr``, which give the same text.
 """
 
 from __future__ import annotations
@@ -34,11 +36,42 @@ def format_value(v) -> str:
         return str(v)
 
 
-def write_rows(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+# Rows formatted and written per chunk: large enough to amortise the per-chunk
+# calls, small enough that a long trace never holds all its cell strings.
+CHUNK_ROWS = 1024
+
+
+def _cell_formatter(column):
+    """Formatter for slices of a column, chosen once per column: one
+    ``tolist`` call per slice for integer and float ndarrays, `format_value`
+    per element for everything else (bool, str, complex, lists, objects)."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu":
+            return lambda part: map(str, part.tolist())
+        if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
+            return lambda part: map(repr, part.tolist())
+    return lambda part: map(format_value, part)
+
+
+def write_rows(path, header: list[str], columns) -> None:
+    """Write a table given as columns, one per header field.
+
+    Each column is an ndarray or a sequence of cells. Row tables pass
+    ``zip(*rows, strict=True)``; no columns at all writes the header only.
+    Raises ValueError, before anything is written, for a ragged table.
+    """
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if columns and len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"ragged table: column lengths {[len(c) for c in columns]}")
+    formatters = [_cell_formatter(c) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CHUNK_ROWS):
+            cells = [fmt(c[lo:lo + CHUNK_ROWS]) for fmt, c in zip(formatters, columns)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_manifest(out_path, resolved: dict) -> Path:
@@ -55,6 +88,7 @@ def default_config_text() -> str:
 
 def parse_config_text(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,6 +100,10 @@ def parse_config_text(text: str) -> dict[str, float]:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown symbol {key!r} "
                               f"(expected one of {', '.join(CONFIG_KEYS)})")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate symbol {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             values[key] = float(val.strip())
         except ValueError as exc:

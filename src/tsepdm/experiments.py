@@ -50,9 +50,14 @@ def parse_density_grid(spec: str) -> tuple[float, ...]:
         start, step, stop = float(start_s), float(step_s), float(stop_s)
     except ValueError as exc:
         raise ValueError(f"bad grid spec {spec!r}; use 'standard' or start:step:stop") from exc
-    if step <= 0.0 or stop < start:
+    if not (step > 0.0 and stop >= start):      # also rejects NaN
         raise ValueError(f"bad grid spec {spec!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step + 1e-9
+    # [0, 1] holds 1001 densities at 3 decimals; more points must repeat or
+    # leave the range, and an unbounded count would never finish building.
+    if not count < 1001.0:
+        raise ValueError(f"grid spec {spec!r} has more than 1001 points")
+    n = int(math.floor(count)) + 1
     grid = tuple(round(start + i * step, 3) for i in range(n))
     if any(not (0.0 <= d <= 1.0) for d in grid):
         raise ValueError("grid values must lie in [0, 1]")

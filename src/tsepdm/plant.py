@@ -46,6 +46,7 @@ The one half-cycle loop propagates in one of two modes, chosen by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -219,6 +220,14 @@ def rk4_step(state, deriv: Callable[[np.ndarray], np.ndarray], h: float) -> np.n
     return out
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``np.eye(n)``, built once per size; callers only read it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Collapse one RK4 step of dx/dt = A x + B u (u constant) to x -> M x + N u.
@@ -229,13 +238,10 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h: float
     """
     n = A.shape[0]
     hA = h * A
-    M = np.eye(n)
-    term = np.eye(n)
+    M = term = S = acc = _identity(n)
     for kk in range(1, 5):
         term = term @ hA / kk
         M = M + term
-    S = np.eye(n)
-    acc = np.eye(n)
     for kk in range(1, 4):
         acc = acc @ hA / (kk + 1)
         S = S + acc

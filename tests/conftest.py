@@ -1,6 +1,27 @@
+import tempfile
+
 import pytest
+from hypothesis import configuration, settings
 
 from tsepdm import plant
+
+# Property tests draw the same examples on every run and keep no example
+# database; per-test max_examples still apply.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants read from the source at collection time;
+    # keep that cache in a temporary directory, not ``.hypothesis/``.
+    config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME].name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

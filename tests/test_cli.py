@@ -41,6 +41,20 @@ def test_config_rejects_bad_value(tmp_path):
         datafiles.params_from_config(cfg)
 
 
+def test_config_rejects_duplicate_symbol():
+    with pytest.raises(datafiles.ConfigError, match=r"line 3: duplicate symbol 'k'.*line 1"):
+        datafiles.parse_config_text("k = 0.15\nL1 = 24e-6\nk = 0.13\n")
+
+
+def test_simulate_duplicate_config_symbol_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(datafiles.default_config_text() + "fs = 250e3\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--trace", str(tmp_path / "t.csv")]) == 2
+    assert "duplicate symbol 'fs'" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_ntf_design_writes_expected_coefficients(tmp_path):
     out = tmp_path / "coeffs.csv"
     pz = tmp_path / "pz.csv"
@@ -166,6 +180,29 @@ def test_sweep_rows_ordered_with_manifest_and_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["n_points"] == 3
     assert 0 <= summary["worst_fluct_pct"] < 200
+
+
+def test_sweep_summary_skips_nan_points(tmp_path, capsys):
+    # d = 0 never drives the tank: its zero-mean envelope reports NaN.
+    short = ["--duration", "0.001", "--settle", "0.0004", "--window", "0.0006"]
+    assert main(["sweep", "--side", "primary", "--ntf", "first", "--grid", "0:0.5:0.5",
+                 *short, "--out", str(tmp_path / "a.csv"), "--json-summary"]) == 0
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    summary = json.loads(out)
+    _, rows = read_rows(tmp_path / "a.csv")
+    assert rows[0][4] == "nan"
+    assert summary["worst_d"] == 0.5
+    assert summary["worst_fluct_pct"] == float(rows[1][4])
+    assert summary["mean_fluct_pct"] == float(rows[1][4])
+
+    assert main(["sweep", "--side", "primary", "--ntf", "first", "--grid", "0:0.5:0",
+                 *short, "--out", str(tmp_path / "b.csv"), "--json-summary"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_points"] == 1
+    assert summary["worst_d"] is None
+    assert summary["worst_fluct_pct"] is None
+    assert summary["mean_fluct_pct"] is None
 
 
 @pytest.mark.slow

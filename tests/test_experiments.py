@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsepdm import experiments
 
@@ -33,6 +35,29 @@ def test_parse_density_grid_rejects_points_merged_by_rounding():
     with pytest.raises(ValueError, match="0:0.0005:0.003"):
         experiments.parse_density_grid("0:0.0005:0.003")
     assert experiments.parse_density_grid("0:0.001:0.003") == (0.0, 0.001, 0.002, 0.003)
+
+
+_GRID_NUMBERS = st.one_of(st.floats(), st.floats(-0.2, 1.2), st.floats(0.0, 0.1),
+                          st.decimals(0, 1, places=3).map(float))
+
+
+@given(spec=st.one_of(st.tuples(_GRID_NUMBERS, _GRID_NUMBERS, _GRID_NUMBERS)
+                      .map(lambda t: ":".join(map(repr, t))),
+                      st.text(max_size=12)))
+def test_parse_density_grid_is_unique_sorted_in_range_or_raises(spec):
+    try:
+        grid = experiments.parse_density_grid(spec)
+    except ValueError:
+        return
+    assert all(0.0 <= d <= 1.0 for d in grid)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+def test_parse_density_grid_rejects_unbounded_point_counts():
+    for spec in ("0:1e-300:1", "0:0.0001:1", "-1e308:1:1e308", "0:1:inf", "nan:0.1:1"):
+        with pytest.raises(ValueError):
+            experiments.parse_density_grid(spec)
+    assert len(experiments.parse_density_grid("0:0.001:1")) == 1001
 
 
 def test_make_ntf():

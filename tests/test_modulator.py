@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import signal
 
 from tsepdm import modulator as mod
@@ -149,6 +151,13 @@ def test_first_order_error_stays_in_band():
         assert e.max() <= 1e-12
 
 
+@given(d=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400))
+def test_first_order_error_band_for_any_density_sequence(d):
+    _, e = mod.run(NTF1, d)
+    assert e.min() >= -1.0 - mod.STABILITY_TOL
+    assert e.max() <= mod.STABILITY_TOL
+
+
 def test_stability_probe_third_order_sinusoid():
     d = mod.sinusoid_density(20_000)
     report = mod.stability_probe(NTF3, d)
@@ -176,6 +185,16 @@ def test_const_grid_batch_matches_scalar_runs():
             y_s, e_s = mod.run(tf, d, n_ticks=400)
             assert np.array_equal(y_b[:, j], y_s)
             assert np.array_equal(e_b[:, j], e_s)
+
+
+@given(d_values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True),
+       n_ticks=st.integers(1, 300), tf=st.sampled_from([NTF1, NTF3]))
+def test_const_grid_batch_matches_scalar_runs_for_any_densities(d_values, n_ticks, tf):
+    y_b, e_b = mod.run_const_grid(tf, d_values, n_ticks)
+    for j, d in enumerate(d_values):
+        y_s, e_s = mod.run(tf, d, n_ticks=n_ticks)
+        assert np.array_equal(y_b[:, j], y_s)
+        assert np.array_equal(e_b[:, j], e_s)
 
 
 def test_determinism_bit_identical():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tsepdm import plant
 from tsepdm.modulator import PulseDensityModulator
@@ -132,10 +133,49 @@ def test_affine_maps_equal_generic_rk4(prototype):
         assert np.allclose(M @ x + N @ u, direct, rtol=1e-12, atol=1e-12)
 
 
+def eye_rk4_affine_maps(A, B, h):
+    """`rk4_affine_maps` as written with a fresh ``np.eye`` per term."""
+    n = A.shape[0]
+    hA = h * A
+    M = np.eye(n)
+    term = np.eye(n)
+    for kk in range(1, 5):
+        term = term @ hA / kk
+        M = M + term
+    S = np.eye(n)
+    acc = np.eye(n)
+    for kk in range(1, 4):
+        acc = acc @ hA / (kk + 1)
+        S = S + acc
+    N = h * (S @ B)
+    return M, N
+
+
+@given(data=st.data(), n=st.integers(1, 6), h=st.floats(1e-12, 1e-5))
+def test_rk4_affine_maps_equal_eye_oracle_bit_for_bit(data, n, h):
+    entries = st.floats(-1e7, 1e7)
+    A = data.draw(hnp.arrays(float, (n, n), elements=entries))
+    B = data.draw(hnp.arrays(float, (n, 2), elements=entries))
+    M, N = plant.rk4_affine_maps(A, B, h)
+    M_ref, N_ref = eye_rk4_affine_maps(A, B, h)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(N, N_ref)
+
+
 _A, _B = plant.system_matrices(plant.DEFAULT_PARAMS)
 _H = 0.5 / plant.DEFAULT_PARAMS.fs / 256
 _PROP = plant._AffinePropagator(_A, _B, _H, 256)
 _V = plant.DEFAULT_PARAMS.Vg
+
+
+def test_cached_identity_is_read_only():
+    eye = plant._identity(4)
+    assert eye is plant._identity(4)
+    assert np.array_equal(eye, np.eye(4))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+    plant.rk4_affine_maps(_A, _B, _H)
+    assert np.array_equal(eye, np.eye(4))
 
 
 @settings(max_examples=300, deadline=None)
