@@ -141,12 +141,8 @@ def _emit_summary(args, summary: dict):
 
 
 def cmd_ntf(args) -> int:
-    if args.order == 1:
-        tf = ntf.build_first_order()
-        spec = ntf.NtfDesignSpec(notch_ratio=args.rho, pole_radius=args.r)
-    else:
-        spec = ntf.NtfDesignSpec(notch_ratio=args.rho, pole_radius=args.r)
-        tf = ntf.build_third_order(spec)
+    spec = ntf.NtfDesignSpec(notch_ratio=args.rho, pole_radius=args.r)
+    tf = ntf.build_first_order() if args.order == 1 else ntf.build_third_order(spec)
 
     if args.action == "design":
         if not args.out:
@@ -176,7 +172,13 @@ def cmd_ntf(args) -> int:
     return 0
 
 
+def _check_ticks(args):
+    if args.ticks < 1:
+        raise datafiles.ConfigError(f"--ticks must be at least 1, got {args.ticks}")
+
+
 def cmd_modulate(args) -> int:
+    _check_ticks(args)
     tf = _make_ntf_from_args(args)
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     gates = modulator.gate_split(y)
@@ -282,38 +284,28 @@ def cmd_gssa(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_ticks(args)
     tf = _make_ntf_from_args(args)
-    rows = []
-    total_violations = 0
-    e_min, e_max = math.inf, -math.inf
-
+    probes = []  # (probe, d, StabilityReport)
     if args.probe in ("grid", "all"):
         grid = experiments.parse_density_grid(args.grid)
         y_all, e_all = modulator.run_const_grid(tf, grid, args.ticks)
-        for j, d in enumerate(grid):
-            v = modulator.count_violations(e_all[:, j])
-            total_violations += v
-            e_min = min(e_min, float(e_all[:, j].min()))
-            e_max = max(e_max, float(e_all[:, j].max()))
-            rows.append(["const", d, float(e_all[:, j].min()),
-                         float(e_all[:, j].max()), v,
-                         float(abs(y_all[:, j].mean() - d))])
+        for d, y, e in zip(grid, y_all.T, e_all.T):
+            probes.append(("const", d, modulator.StabilityReport(
+                e_min=float(e.min()), e_max=float(e.max()),
+                violation_count=modulator.count_violations(e),
+                mean_density_error=float(abs(y.mean() - d)))))
     if args.probe in ("sin", "all"):
-        d = modulator.sinusoid_density(args.ticks)
-        y, e = modulator.run(tf, d)
-        rows.append(["sin", 0.5, float(e.min()), float(e.max()),
-                     modulator.count_violations(e), float(abs(y.mean() - d.mean()))])
-        total_violations += modulator.count_violations(e)
-        e_min = min(e_min, float(e.min()))
-        e_max = max(e_max, float(e.max()))
+        probes.append(("sin", 0.5, modulator.stability_probe(
+            tf, modulator.sinusoid_density(args.ticks))))
     if args.probe in ("ramp", "all"):
-        d = modulator.ramp_density(args.ticks)
-        y, e = modulator.run(tf, d)
-        rows.append(["ramp", 0.5, float(e.min()), float(e.max()),
-                     modulator.count_violations(e), float(abs(y.mean() - d.mean()))])
-        total_violations += modulator.count_violations(e)
-        e_min = min(e_min, float(e.min()))
-        e_max = max(e_max, float(e.max()))
+        probes.append(("ramp", 0.5, modulator.stability_probe(
+            tf, modulator.ramp_density(args.ticks))))
+    rows = [[probe, d, rep.e_min, rep.e_max, rep.violation_count, rep.mean_density_error]
+            for probe, d, rep in probes]
+    total_violations = sum(rep.violation_count for _, _, rep in probes)
+    e_min = min(rep.e_min for _, _, rep in probes)
+    e_max = max(rep.e_max for _, _, rep in probes)
 
     datafiles.write_rows(args.out,
                          ["probe", "d", "e_min", "e_max", "violations",

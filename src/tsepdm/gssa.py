@@ -45,14 +45,12 @@ class EnvelopeModel:
     """Linearized 8-real-state envelope dynamics around full power.
 
     State layout: (Re z_i1, Re z_i2, Re z_vC1, Re z_vC2, Im z_i1, ...).
-    ``output_harmonics`` picks the real/imag parts of the current
-    envelopes; ``output_amplitudes`` projects onto the equilibrium phasor
-    directions, yielding peak-amplitude perturbations.
+    ``output_amplitudes`` projects onto the equilibrium phasor directions,
+    yielding peak-amplitude perturbations.
     """
 
     state_matrix: np.ndarray       # (8, 8)
     input_matrix: np.ndarray       # (8, 2) amplitude channels (V)
-    output_harmonics: np.ndarray   # (4, 8) Re/Im of <i1>_1, <i2>_1
     output_amplitudes: np.ndarray  # (2, 8) peak |i1|, |i2| sensitivities
     equilibrium: np.ndarray        # (8,)
     i1_amp: float                  # peak |i1| at the operating point (A)
@@ -138,12 +136,6 @@ def build_envelope_model(params: PlantParams,
         eps = FD_RELATIVE_STEP * (a1 if j == 0 else a2)
         b_mat[:, j] = (f(x0, *up) - f(x0, *um)) / (2.0 * eps)
 
-    c_harm = np.zeros((4, 8))
-    c_harm[0, 0] = 1.0  # Re <i1>
-    c_harm[1, 4] = 1.0  # Im <i1>
-    c_harm[2, 1] = 1.0  # Re <i2>
-    c_harm[3, 5] = 1.0  # Im <i2>
-
     z1 = complex(x0[0], x0[4])
     z2 = complex(x0[1], x0[5])
     c_amp = np.zeros((2, 8))
@@ -153,7 +145,7 @@ def build_envelope_model(params: PlantParams,
     c_amp[1, 5] = 2.0 * z2.imag / abs(z2)
 
     return EnvelopeModel(state_matrix=a_mat, input_matrix=b_mat,
-                         output_harmonics=c_harm, output_amplitudes=c_amp,
+                         output_amplitudes=c_amp,
                          equilibrium=x0, i1_amp=2.0 * abs(z1),
                          i2_amp=2.0 * abs(z2), params=params,
                          drive_amps=(a1, a2))

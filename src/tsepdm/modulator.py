@@ -9,10 +9,17 @@ the commanded density d, and quantizes:
     y[n] = 1 if v[n] >= 1 else 0
     e[n] = y[n] - v[n]
 
-which realizes Y(z) = D(z) + E(z) NTF(z). With this quantizer convention
-(threshold 1, output levels {0, 1}) a stable modulator keeps e inside
+which realizes Y(z) = D(z) + E(z) NTF(z) (the error-feedback structure of
+Schreier & Temes, *Understanding Delta-Sigma Data Converters*, ch. 4). With
+threshold 1 and output levels {0, 1} a stable modulator keeps e inside
 [-1, 0]; the first-order loop provably never leaves that band, high-order
 loops are probed empirically with `stability_probe`.
+
+The recurrence is written once, in `_tick`, with plain arithmetic so that
+the same code advances one modulator (``d`` a float) or many modulators in
+lockstep (``d`` an ndarray of lanes). `PulseDensityModulator.step` ticks one
+modulator inside the co-simulation, `run` runs a fresh one over a waveform
+and `run_const_grid` runs one lane per constant density.
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into leading-leg / lagging-leg
@@ -22,7 +29,7 @@ drive signals and the signed modulated-wave samples s = y * carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,106 +40,50 @@ from .ntf import RationalTransferFunction, to_error_filter
 STABILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuantizerConvention:
-    """1-bit quantizer: y = 1 iff the shaped input reaches the threshold."""
+def _coefficients(ntf: RationalTransferFunction) -> tuple[tuple, tuple]:
+    """Direct-form coefficients (b, a) of the error filter H = 1 - NTF.
 
-    threshold: float = 1.0
-    levels: tuple[int, int] = (0, 1)
-
-
-@dataclass
-class ModulatorState:
-    """Error-feedback filter memory plus tick counter.
-
-    ``e_history``/``w_history`` hold the last ``order`` error and filter
-    output samples, newest first, zero-initialized.
+    ``b`` is zero-padded so that both hold exactly ``order`` taps:
+    w[n] = sum b_j e[n-1-j] - sum a_j w[n-1-j].
     """
+    h = to_error_filter(ntf)
+    b = (0.0,) * (h.order - len(h.num)) + h.num if h.order else ()
+    return b, h.den[1:]
 
-    error_filter: RationalTransferFunction
-    e_history: list[float] = field(default_factory=list)
-    w_history: list[float] = field(default_factory=list)
-    tick: int = 0
 
-    def __post_init__(self):
-        n = self.error_filter.order
-        if not self.e_history:
-            self.e_history = [0.0] * n
-        if not self.w_history:
-            self.w_history = [0.0] * n
+def _tick(b, a, eh, wh, d):
+    """One tick of the recurrence; histories are lists, newest first.
+
+    ``d`` and the history entries are floats (one modulator) or ``(m,)``
+    arrays (m lanes); both see the same summation order, all b terms first,
+    so lanes are bit-identical to single runs. Returns (y, e, eh, wh).
+    """
+    w = 0.0
+    for b_j, e_j in zip(b, eh):
+        w = w + b_j * e_j
+    for a_j, w_j in zip(a, wh):
+        w = w - a_j * w_j
+    v = d - w
+    y = v >= 1.0
+    e = y - v
+    return y, e, [e] + eh[:-1], [w] + wh[:-1]
 
 
 class PulseDensityModulator:
     """Stateful modulator for one bridge; tick once per half cycle."""
 
-    def __init__(self, ntf: RationalTransferFunction,
-                 quantizer: QuantizerConvention = QuantizerConvention()):
-        h = to_error_filter(ntf)
-        self.ntf = ntf
-        self.quantizer = quantizer
-        # Direct-form coefficients, zero-padded so w[n] uses exactly `order`
-        # past e and w samples: w[n] = sum b_i e[n-i] - sum a_i w[n-i].
-        order = h.order
-        self._b = (0.0,) * (order - len(h.num)) + h.num if order else ()
-        self._a = tuple(h.den[1:])
-        self.state = ModulatorState(error_filter=h)
-
-    def reset(self):
-        n = self.state.error_filter.order
-        self.state.e_history = [0.0] * n
-        self.state.w_history = [0.0] * n
-        self.state.tick = 0
+    def __init__(self, ntf: RationalTransferFunction):
+        self._b, self._a = _coefficients(ntf)
+        self.e_history = [0.0] * len(self._a)
+        self.w_history = [0.0] * len(self._a)
 
     def step(self, d: float) -> int:
         """Advance one half cycle with commanded density ``d``; return y."""
         if not math.isfinite(d):
             raise ValueError(f"pulse density must be finite, got {d}")
-        st = self.state
-        w = 0.0
-        for b_i, e_i in zip(self._b, st.e_history):
-            w += b_i * e_i
-        for a_i, w_i in zip(self._a, st.w_history):
-            w -= a_i * w_i
-        v = d - w
-        y = 1 if v >= self.quantizer.threshold else 0
-        e = y - v
-        if st.e_history:
-            st.e_history = [e] + st.e_history[:-1]
-            st.w_history = [w] + st.w_history[:-1]
-        st.tick += 1
-        return y
-
-    def run(self, densities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch `step` over a density waveform; returns (y, e) arrays."""
-        d_arr = np.asarray(densities, dtype=float)
-        _check_densities(d_arr)
-        n = d_arr.shape[0]
-        y_out = np.empty(n, dtype=np.int8)
-        e_out = np.empty(n)
-        # Local-variable unroll of step(); identical arithmetic, much faster.
-        b = self._b
-        a = self._a
-        eh = list(self.state.e_history)
-        wh = list(self.state.w_history)
-        threshold = self.quantizer.threshold
-        for i in range(n):
-            w = 0.0
-            for j in range(len(b)):
-                w += b[j] * eh[j]
-            for j in range(len(a)):
-                w -= a[j] * wh[j]
-            v = d_arr[i] - w
-            y = 1 if v >= threshold else 0
-            e = y - v
-            if eh:
-                eh = [e] + eh[:-1]
-                wh = [w] + wh[:-1]
-            y_out[i] = y
-            e_out[i] = e
-        self.state.e_history = eh
-        self.state.w_history = wh
-        self.state.tick += n
-        return y_out, e_out
+        y, _, self.e_history, self.w_history = _tick(
+            self._b, self._a, self.e_history, self.w_history, d)
+        return 1 if y else 0
 
 
 def _check_densities(d: np.ndarray):
@@ -157,12 +108,19 @@ def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         d_arr = np.asarray(d_waveform, dtype=float)
         if n_ticks is not None:
             d_arr = d_arr[:n_ticks]
-    return PulseDensityModulator(ntf).run(d_arr)
+    _check_densities(d_arr)
+    b, a = _coefficients(ntf)
+    eh = wh = [0.0] * len(a)
+    y_out = np.empty(d_arr.shape[0], dtype=np.int8)
+    e_out = np.empty(d_arr.shape[0])
+    for i, d in enumerate(d_arr.tolist()):
+        y_out[i], e_out[i], eh, wh = _tick(b, a, eh, wh, d)
+    return y_out, e_out
 
 
 def run_const_grid(ntf: RationalTransferFunction, d_values,
                    n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run many constant-density modulators in lockstep (vectorized).
+    """Run many constant-density modulators in lockstep, one lane each.
 
     Returns (y, e) arrays of shape (n_ticks, len(d_values)). Bit-identical
     to running `run` per density; used for the long stability and
@@ -170,36 +128,12 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     """
     d_arr = np.asarray(d_values, dtype=float)
     _check_densities(d_arr)
-    h = to_error_filter(ntf)
-    order = h.order
-    b = np.zeros(order)
-    if order and len(h.num) <= order:
-        b[order - len(h.num):] = h.num
-    a = np.array(h.den[1:])
-    m = d_arr.shape[0]
-    eh = np.zeros((order, m))
-    wh = np.zeros((order, m))
-    y_out = np.empty((n_ticks, m), dtype=np.int8)
-    e_out = np.empty((n_ticks, m))
-    threshold = QuantizerConvention().threshold
+    b, a = _coefficients(ntf)
+    eh = wh = [np.zeros(d_arr.shape[0])] * len(a)
+    y_out = np.empty((n_ticks, d_arr.shape[0]), dtype=np.int8)
+    e_out = np.empty((n_ticks, d_arr.shape[0]))
     for i in range(n_ticks):
-        # Same summation order as the scalar path so results stay
-        # bit-identical: all b terms first, then all a terms.
-        w = np.zeros(m)
-        for j in range(order):
-            w += b[j] * eh[j]
-        for j in range(order):
-            w -= a[j] * wh[j]
-        v = d_arr - w
-        y = v >= threshold
-        e = y - v
-        if order:
-            eh[1:] = eh[:-1]
-            eh[0] = e
-            wh[1:] = wh[:-1]
-            wh[0] = w
-        y_out[i] = y
-        e_out[i] = e
+        y_out[i], e_out[i], eh, wh = _tick(b, a, eh, wh, d_arr)
     return y_out, e_out
 
 
@@ -271,10 +205,6 @@ def stability_probe(ntf: RationalTransferFunction, d_waveform,
         violation_count=count_violations(e),
         mean_density_error=float(abs(y.mean() - d_arr.mean())),
     )
-
-
-def constant_density(value: float, n_ticks: int) -> np.ndarray:
-    return np.full(n_ticks, float(value))
 
 
 def sinusoid_density(n_ticks: int, offset: float = 0.5, amplitude: float = 0.5,

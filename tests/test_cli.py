@@ -127,6 +127,15 @@ def test_modulate_spectrum_and_summary(tmp_path, capsys):
     assert len(rows) == 4096 // 2 + 1
 
 
+@pytest.mark.parametrize("ticks", ["0", "-3"])
+def test_modulate_rejects_nonpositive_ticks(tmp_path, capsys, ticks):
+    out = tmp_path / "mod.csv"
+    assert main(["modulate", "--d", "0.5", "--ticks", ticks, "--out", str(out),
+                 "--spectrum", str(tmp_path / "spec.csv")]) == 2
+    assert "--ticks" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_trace_events_manifest(tmp_path, capsys):
     trace = tmp_path / "tr.csv"
     events = tmp_path / "ev.csv"
@@ -254,6 +263,13 @@ def test_stability_grid_zero_violations(tmp_path, capsys):
     _, rows = read_rows(out)
     probes = {r[0] for r in rows}
     assert probes == {"const", "sin", "ramp"}
+
+
+@pytest.mark.parametrize("ticks", ["0", "-3"])
+def test_stability_rejects_nonpositive_ticks(tmp_path, capsys, ticks):
+    assert main(["stability", "--ticks", ticks, "--out", str(tmp_path / "stab.csv")]) == 2
+    assert "--ticks" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow

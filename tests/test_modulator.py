@@ -131,6 +131,13 @@ def test_exact_reconstruction_identity():
             assert np.max(np.abs(d_hat - dens)) <= 1e-9
 
 
+@given(d=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400),
+       tf=st.sampled_from([NTF1, NTF3]))
+def test_reconstruction_identity_for_any_density_sequence(d, tf):
+    y, e = mod.run(tf, d)
+    assert np.max(np.abs(reconstruct_density(tf, y, e) - np.asarray(d))) <= 1e-9
+
+
 def test_step_rejects_non_finite_density():
     m = mod.PulseDensityModulator(NTF1)
     with pytest.raises(ValueError):
@@ -237,13 +244,12 @@ def test_gate_split_rejects_bad_phase():
         mod.gate_split([1, 0], carrier_phase0=0)
 
 
-def test_state_initialization_and_reset():
-    m = mod.PulseDensityModulator(NTF3)
-    assert m.state.e_history == [0.0, 0.0, 0.0]
-    assert m.state.w_history == [0.0, 0.0, 0.0]
-    first_run, _ = m.run(np.full(100, 0.7))
-    assert m.state.tick == 100
-    m.reset()
-    assert m.state.tick == 0
-    rerun, _ = m.run(np.full(100, 0.7))
-    assert np.array_equal(first_run, rerun)
+@given(d=st.lists(st.floats(0.0, 1.0), max_size=300), tf=st.sampled_from([NTF1, NTF3]))
+def test_fresh_modulator_steps_match_run(d, tf):
+    m = mod.PulseDensityModulator(tf)
+    assert m.e_history == [0.0] * tf.order
+    assert m.w_history == [0.0] * tf.order
+    stepped = [m.step(x) for x in d]
+    assert all(type(y) is int for y in stepped)
+    y, _ = mod.run(tf, d)
+    assert np.array_equal(np.array(stepped, dtype=np.int8), y)
