@@ -181,11 +181,12 @@ def cmd_modulate(args) -> int:
     _check_ticks(args)
     tf = _make_ntf_from_args(args)
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
+    # the spectrum validates length and window before any file is written
+    spec = analysis.spectrum_of_sequence(y, window=args.window) if args.spectrum else None
     gates = modulator.gate_split(y)
     datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"],
                          (gates.tick, np.full(args.ticks, args.d), y, e, gates.s))
-    if args.spectrum:
-        spec = analysis.spectrum_of_sequence(y, window=args.window)
+    if spec is not None:
         datafiles.write_rows(args.spectrum, ["ratio", "magnitude"],
                              (spec.ratios, spec.magnitudes))
     _emit_summary(args, {
@@ -262,9 +263,11 @@ def cmd_sweep(args) -> int:
 def cmd_gssa(args) -> int:
     overrides = {"k": args.k} if args.k is not None else {}
     params = _params_from_args(args, **overrides)
-    model = gssa.build_envelope_model(params)
     if not (0.0 < args.fmin < args.fmax):
         raise datafiles.ConfigError("require 0 < fmin < fmax")
+    if args.points < 1:
+        raise datafiles.ConfigError(f"--points must be at least 1, got {args.points}")
+    model = gssa.build_envelope_model(params)
     dw = np.linspace(args.fmin, args.fmax, args.points) * params.ws
     channel = _CHANNEL_FLAGS[args.channel]
     datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"],
@@ -357,6 +360,3 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 
-
-if __name__ == "__main__":
-    sys.exit(main())

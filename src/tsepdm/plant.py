@@ -36,12 +36,17 @@ The one half-cycle loop propagates in one of two modes, chosen by
   between versions; any reordering of the sums changes their last digits.
 - Runs without samples (sweep points, dynamic tracking) read only the
   currents. Each segment is one matrix-vector product of the stacked i1/i2
-  rows of ``G[i] = [CM[i] | CN[i]]`` with z = (x, u); the full state is
-  formed only before a split and at the half-cycle end. A step is split by
-  Horner's rule in the sub-step on the precomputed powers of the augmented
-  generator [[A, B], [0, 0]], the same degree-4 polynomial that
-  `rk4_affine_maps` builds. Event times and envelopes agree with the
+  rows of ``G[i] = [CM[i] | CN[i]]`` with z = (x, u), written in place into
+  the half cycle's row of a (CHUNK, 2 steps + 2) buffer; the next segment
+  overwrites the tail from its own start. The state is kept as Python
+  floats and formed only before a split and at the half-cycle end. A step
+  is split by Horner's rule in the sub-step on the precomputed powers of
+  the augmented generator [[A, B], [0, 0]], the same degree-4 polynomial
+  that `rk4_affine_maps` builds. Event times and envelopes agree with the
   sample-collecting mode to rounding.
+
+Both modes take the envelope peaks (max |i1|, |i2| over the samples of each
+half cycle) once per CHUNK half cycles, from the buffer or from the samples.
 """
 
 from __future__ import annotations
@@ -52,8 +57,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .modulator import PulseDensityModulator
+
+
+# Half cycles whose envelope peaks are reduced together; the no-sample
+# current buffer holds CHUNK x (2 steps + 2) floats.
+CHUNK = 64
 
 
 class SimulationDiverged(ArithmeticError):
@@ -190,21 +201,6 @@ def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def derivatives(state, u1: float, u2: float, params: PlantParams) -> np.ndarray:
-    """State rates for drive voltages (u1, u2)."""
-    A, B = system_matrices(params)
-    x = np.asarray(state, dtype=float)
-    return A @ x + B @ np.array([u1, u2])
-
-
-def stored_energy(state, params: PlantParams) -> float:
-    """Total magnetic plus electric energy of the tank."""
-    i1, i2, v1, v2 = np.asarray(state, dtype=float)
-    return 0.5 * (params.L1 * i1 * i1 + 2.0 * params.M * i1 * i2
-                  + params.L2 * i2 * i2
-                  + params.C1 * v1 * v1 + params.C2 * v2 * v2)
-
-
 def rk4_step(state, deriv: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of an autonomous system."""
     if h <= 0.0:
@@ -295,17 +291,13 @@ class _AffinePropagator:
         M, N = rk4_affine_maps(self.A, self.B, dt)
         return M @ x + N @ u
 
-    def currents(self, z, n):
-        """(i1, i2) at samples 0..n from z = (x, u), as an (n + 1, 2) array."""
-        return (self.G12[:2 * n + 2] @ z).reshape(n + 1, 2)
-
     def split(self, x, u, dt):
-        """`partial` evaluated by Horner's rule in dt on the stored powers."""
+        """`partial` by Horner's rule in dt on the stored powers, as a list."""
         # Python floats: the same IEEE operations as numpy, at a fraction of
         # the per-call cost on four-element vectors.
-        coef = (self.P @ np.concatenate((x, u))).tolist()
-        return np.array([(((c4 * dt + c3) * dt + c2) * dt + c1) * dt + c0
-                         for c0, c1, c2, c3, c4 in coef])
+        coef = (self.P @ np.array([*x, *u])).tolist()
+        return [(((c4 * dt + c3) * dt + c2) * dt + c1) * dt + c0
+                for c0, c1, c2, c3, c4 in coef]
 
 
 def _as_waveform(d) -> Callable[[float], float]:
@@ -350,16 +342,19 @@ def simulate(params: PlantParams, config: SimConfig,
         samples = np.empty((n_samples, 4))
         u_log = np.zeros((n_samples, 2))
         samples[0] = x
+        split = prop.partial
     else:
         samples = np.empty((0, 4))
         u_log = np.empty((0, 2))
+        buf = np.empty((CHUNK, 2 * steps + 2))  # row: (i1, i2) at samples 0..steps
+        x = x.tolist()
+        split = prop.split
 
     env_t = np.empty(n_half)
     env1 = np.empty(n_half)
     env2 = np.empty(n_half)
     events: list[GateEvent] = []
     diagnostics: list[str] = []
-    split = prop.partial if collect else prop.split
 
     c2 = 1
     blanking_until = -math.inf
@@ -385,33 +380,26 @@ def simulate(params: PlantParams, config: SimConfig,
             u_log[0] = (u1, u2)
 
         base = hc * steps
+        if not collect:
+            row = buf[hc % CHUNK]
         pos = 0
-        hc_max1 = abs(x[0])
-        hc_max2 = abs(x[1])
         while pos < steps:
             n_rem = steps - pos
-            u_vec = np.array([u1, u2])
-            # X holds samples 1..n_rem of the segment: all four states when
-            # collecting, else only (i1, i2), with the state formed from z.
+            # i2 at samples pos..steps: collecting runs keep all four states
+            # of samples pos+1.. in X, the others write the currents into row.
             if collect:
-                X = prop.segment(x, u_vec, n_rem)
-                i2_seq = X[:, 1]
-                left = np.empty(n_rem)
-                left[0] = x[1]
-                left[1:] = i2_seq[:-1]
+                X = prop.segment(x, (u1, u2), n_rem)
+                i2 = np.concatenate(([x[1]], X[:, 1]))
             else:
-                z = np.concatenate((x, u_vec))
-                cur = prop.currents(z, n_rem)
-                X = cur[1:]
-                i2_seq = X[:, 1]
-                left = cur[:-1, 1]
+                z = np.array(x + [u1, u2])
+                np.matmul(prop.G12[:2 * n_rem + 2], z, out=row[2 * pos:])
+                i2 = row[2 * pos + 1::2]
+            left, i2_seq = i2[:-1], i2[1:]
             cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
             accept = -1
             alpha = 0.0
             for j in cross_candidates.tolist():
-                a_val = left[j]
-                b_val = i2_seq[j]
-                alpha_j = a_val / (a_val - b_val)
+                alpha_j = left[j] / (left[j] - i2_seq[j])
                 if t0 + (pos + j + alpha_j) * h >= blanking_until:
                     accept = j
                     alpha = float(alpha_j)
@@ -421,17 +409,15 @@ def simulate(params: PlantParams, config: SimConfig,
             if j > 0:
                 if collect:
                     samples[base + pos + 1: base + pos + 1 + j] = X[:j]
-                    u_log[base + pos + 1: base + pos + 1 + j] = u_vec
+                    u_log[base + pos + 1: base + pos + 1 + j] = (u1, u2)
                     x = X[j - 1]
                 else:
-                    x = prop.G[j - 1] @ z
-                hc_max1 = max(hc_max1, float(np.abs(X[:j, 0]).max()))
-                hc_max2 = max(hc_max2, float(np.abs(i2_seq[:j]).max()))
+                    x = (prop.G[j - 1] @ z).tolist()
             if accept < 0:
                 break
 
             t_x = t0 + (pos + j + alpha) * h
-            x = split(x, u_vec, alpha * h)
+            x = split(x, (u1, u2), alpha * h)
             c2 = 1 if i2_seq[j] > left[j] else -1
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
@@ -444,21 +430,20 @@ def simulate(params: PlantParams, config: SimConfig,
             u2 = rail2 * s2
             events.append(GateEvent(tick2, "secondary", y2, s2, t_x))
             tick2 += 1
-            x = split(x, np.array([u1, u2]), (1.0 - alpha) * h)
-            if collect:
-                samples[base + pos + j + 1] = x
-                u_log[base + pos + j + 1] = (u1, u2)
-            hc_max1 = max(hc_max1, abs(float(x[0])))
-            hc_max2 = max(hc_max2, abs(float(x[1])))
+            x = split(x, (u1, u2), (1.0 - alpha) * h)
             pos += j + 1
+            # x is sample pos; a next segment writes its currents into row
+            if collect:
+                samples[base + pos] = x
+                u_log[base + pos] = (u1, u2)
+            elif pos == steps:
+                row[-2:] = x[:2]
 
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x)):
             raise SimulationDiverged(
                 f"non-finite state at t={t0 + half:.6e}s (half cycle {hc})")
         t_end = (hc + 1) * half
         env_t[hc] = t_end
-        env1[hc] = hc_max1
-        env2[hc] = hc_max2
         if (not starved and (t_end - last_crossing) > 3.0 * Tsw
                 and float(d2_fn(t_end)) < 1.0):
             diagnostics.append(
@@ -466,6 +451,15 @@ def simulate(params: PlantParams, config: SimConfig,
                 f"periods before t={t_end:.6e}s; c2 frozen")
             starved = True
         c1 = -c1
+
+        # envelope peaks: max |i| over samples 0..steps of each half cycle
+        if hc % CHUNK == CHUNK - 1 or hc == n_half - 1:
+            lo = hc - hc % CHUNK
+            for env, col in ((env1, 0), (env2, 1)):
+                w = (sliding_window_view(samples[lo * steps: base + steps + 1, col],
+                                         steps + 1)[::steps]
+                     if collect else buf[:hc + 1 - lo, col::2])
+                env[lo:hc + 1] = np.abs(w).max(axis=1)
 
     t_axis = np.arange(n_samples) * h if collect else np.empty(0)
     return Trace(t=t_axis, states=samples, u=u_log, events=events,

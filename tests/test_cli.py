@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsepdm
 from tsepdm import datafiles, plant
 from tsepdm.cli import main
 
@@ -136,6 +141,14 @@ def test_modulate_rejects_nonpositive_ticks(tmp_path, capsys, ticks):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_modulate_short_spectrum_writes_nothing(tmp_path, capsys):
+    out, spec = tmp_path / "mod.csv", tmp_path / "spec.csv"
+    assert main(["modulate", "--d", "0.5", "--ticks", "1023", "--out", str(out),
+                 "--spectrum", str(spec)]) == 2
+    assert "too short" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_writes_trace_events_manifest(tmp_path, capsys):
     trace = tmp_path / "tr.csv"
     events = tmp_path / "ev.csv"
@@ -232,6 +245,14 @@ def test_gssa_rejects_bad_frequency_range(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_gssa_rejects_nonpositive_points_before_writing(tmp_path, capsys, points):
+    out = tmp_path / "x.csv"
+    assert main(["gssa", "--points", points, "--out", str(out)]) == 2
+    assert "--points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither <out> nor <out>.manifest
+
+
 def test_numeric_failure_exits_3(tmp_path):
     # damping so heavy the rectifier operating point vanishes
     cfg = tmp_path / "heavy.cfg"
@@ -282,3 +303,13 @@ def test_dynamic_summary(tmp_path, capsys):
     assert summary["corr_i1"] > 0.9
     header, _ = read_rows(out)
     assert header == ["t", "d2", "i1_envelope", "i2_envelope"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(tsepdm.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tsepdm", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tsepdm")

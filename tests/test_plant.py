@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -37,10 +37,16 @@ def test_params_validation():
         plant.PlantParams(L1=-1e-6)
 
 
+def derivatives(state, u1, u2, params):
+    """State rates A x + B (u1, u2) of the network equations."""
+    A, B = plant.system_matrices(params)
+    return A @ np.asarray(state, dtype=float) + B @ np.array([u1, u2])
+
+
 def test_derivatives_closed_form_from_rest(prototype):
     # independent oracle: hand-inverted 2x2 inductance matrix
     det = prototype.L1 * prototype.L2 - prototype.M ** 2
-    rates = plant.derivatives([0.0, 0.0, 0.0, 0.0], 50.0, 0.0, prototype)
+    rates = derivatives([0.0, 0.0, 0.0, 0.0], 50.0, 0.0, prototype)
     assert rates[0] == pytest.approx(prototype.L2 * 50.0 / det, rel=1e-12)
     assert rates[1] == pytest.approx(-prototype.M * 50.0 / det, rel=1e-12)
     assert rates[2] == 0.0 and rates[3] == 0.0
@@ -52,7 +58,7 @@ def test_derivatives_dissipation_identity(prototype):
     for _ in range(20):
         x = rng.normal(scale=[5.0, 5.0, 300.0, 300.0])
         u1, u2 = rng.normal(scale=50.0, size=2)
-        f = plant.derivatives(x, u1, u2, prototype)
+        f = derivatives(x, u1, u2, prototype)
         grad = np.array([
             prototype.L1 * x[0] + prototype.M * x[1],
             prototype.M * x[0] + prototype.L2 * x[1],
@@ -69,7 +75,7 @@ def test_derivatives_decouple_as_k_vanishes(prototype):
     import dataclasses
     weak = dataclasses.replace(prototype, k=1e-9)
     x = [2.0, -3.0, 100.0, -50.0]
-    f = plant.derivatives(x, 40.0, 10.0, weak)
+    f = derivatives(x, 40.0, 10.0, weak)
     assert f[0] == pytest.approx((40.0 - weak.R1 * 2.0 - 100.0) / weak.L1, rel=1e-6)
     assert f[1] == pytest.approx((-10.0 + weak.R2 * 3.0 + 50.0) / weak.L2, rel=1e-6)
 
@@ -209,6 +215,57 @@ def test_no_sample_run_matches_sample_run(prototype, kind, d1, d2):
     np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
     assert fast.diagnostics == full.diagnostics
+
+
+@pytest.mark.parametrize("n_half", [1, plant.CHUNK - 1, plant.CHUNK, plant.CHUNK + 1,
+                                    2 * plant.CHUNK + 3])
+@settings(max_examples=8, deadline=None)
+@given(x0=st.tuples(*(st.floats(-lim, lim) for lim in (20.0, 20.0, 2000.0, 2000.0))),
+       kind=st.sampled_from(["first", "tse"]),
+       d1=st.sampled_from([0.5, 0.963, 1.0]), d2=st.sampled_from([0.6, 0.963, 1.0]))
+# i2 crosses in the last step of half cycle 0, where |i1| peaks
+@example(x0=(-0.4, -1.7, 117.1, -1900.3), kind="first", d1=1.0, d2=1.0)
+def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d2):
+    # The no-sample run reduces envelope peaks per CHUNK half cycles; runs
+    # ending before, on and after a chunk boundary must agree with the
+    # sample-collecting run.
+    params = plant.DEFAULT_PARAMS
+    half = 0.5 / params.fs
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    full, fast = [plant.simulate(params, plant.SimConfig(duration=n_half * half,
+                                                         initial_state=x0,
+                                                         collect_samples=c),
+                                 *fresh_mods(tf), d1, d2)
+                  for c in (True, False)]
+    assert [ev[:4] for ev in fast.events] == [ev[:4] for ev in full.events]
+    np.testing.assert_allclose([ev.t for ev in fast.events],
+                               [ev.t for ev in full.events], rtol=1e-12, atol=0.0)
+    expected_t = [(hc + 1) * half for hc in range(n_half)]
+    assert np.array_equal(full.envelope_t, expected_t)
+    assert np.array_equal(fast.envelope_t, expected_t)
+    np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
+    # each envelope peak is the largest |current| over the half cycle's samples
+    steps = full.steps_per_half_cycle
+    for hc in (0, n_half - 1):
+        window = np.abs(full.states[hc * steps:(hc + 1) * steps + 1, :2])
+        assert np.array_equal(window.max(axis=0),
+                              [full.envelope_i1[hc], full.envelope_i2[hc]])
+
+
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("k", [0, plant.CHUNK + 5])
+def test_divergence_names_the_first_non_finite_half_cycle(prototype, collect, k):
+    half = 0.5 / prototype.fs
+    cfg = plant.SimConfig(duration=(k + 3) * half, collect_samples=collect)
+
+    def rail(t):  # the primary rail blows up from half cycle k on
+        return math.inf if t >= (k - 0.5) * half else prototype.Vg
+
+    with np.errstate(all="ignore"), pytest.raises(
+            plant.SimulationDiverged, match=rf"\(half cycle {k}\)$"):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg_of_t=rail)
 
 
 def test_zero_state_zero_drive_stays_zero(prototype):
