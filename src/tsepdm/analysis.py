@@ -124,6 +124,11 @@ class FluctuationReport:
     i_mean: float
     fluctuation_pct: float
 
+    @property
+    def degenerate(self) -> bool:
+        """True when the percentage is not finite, as for an all-zero envelope."""
+        return not math.isfinite(self.fluctuation_pct)
+
 
 def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
                 d: float = float("nan"), side: str = "") -> FluctuationReport:

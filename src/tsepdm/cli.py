@@ -246,9 +246,9 @@ def cmd_sweep(args) -> int:
            if key != "densities"},
         "grid": args.grid, "n_points": len(reports),
     })
-    # A zero-mean envelope reports NaN; such points are neither the worst
-    # nor part of the mean, and with none finite the summary holds nulls.
-    finite = [rep for rep in reports if math.isfinite(rep.fluctuation_pct)]
+    # A degenerate (zero-mean, NaN) point is neither the worst nor part of
+    # the mean, and with none finite the summary holds nulls.
+    finite = [rep for rep in reports if not rep.degenerate]
     worst = max(finite, key=lambda rep: rep.fluctuation_pct, default=None)
     _emit_summary(args, {
         "side": args.side, "ntf": args.ntf, "n_points": len(reports),

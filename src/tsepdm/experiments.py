@@ -136,12 +136,12 @@ class DynamicResponse:
     the secondary drive amplitude (|I1| ~ d2 * 4 Vo / (pi w M)) while |I2|
     is density-flat (~ U1 / (w M)), so ``corr_i1`` is the meaningful
     tracking figure; ``corr_i2`` is reported alongside for completeness.
+    The commanded density is the known sinusoid d2(t), so no field holds it.
     """
 
     mod_freq: float
     tick_t: np.ndarray             # secondary tick instants (s)
     tick_y: np.ndarray             # quantizer outputs at those ticks
-    tick_d: np.ndarray             # commanded density at those ticks
     env_t: np.ndarray
     env_i1: np.ndarray
     env_i2: np.ndarray
@@ -177,7 +177,6 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     tick_t = np.array([ev.t for ev in trace.events if ev.side == "secondary"])
     tick_y = np.array([ev.y for ev in trace.events if ev.side == "secondary"],
                       dtype=float)
-    tick_d = np.array([d2_fn(t) for t in tick_t])
 
     n_periods = int(math.floor((duration - settle) * mod_freq))
     if n_periods < 1:
@@ -199,8 +198,6 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     corr_i2 = float(np.corrcoef(trace.envelope_i2[env_sel], d_ref)[0, 1])
 
     return DynamicResponse(mod_freq=mod_freq, tick_t=tick_t, tick_y=tick_y,
-                           tick_d=tick_d, env_t=trace.envelope_t,
-                           env_i1=trace.envelope_i1, env_i2=trace.envelope_i2,
-                           density_amplitude=amp,
-                           amplitude_error_pct=amp_err,
-                           corr_i1=corr_i1, corr_i2=corr_i2)
+                           env_t=trace.envelope_t, env_i1=trace.envelope_i1,
+                           env_i2=trace.envelope_i2, density_amplitude=amp,
+                           amplitude_error_pct=amp_err, corr_i1=corr_i1, corr_i2=corr_i2)

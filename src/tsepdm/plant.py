@@ -29,11 +29,14 @@ order intact.
 The one half-cycle loop propagates in one of two modes, chosen by
 ``SimConfig.collect_samples``:
 
-- Sample-collecting runs propagate all four states of a segment as
-  ``CM[:n] @ x + CN[:n] @ u`` and split a step with maps rebuilt by
-  `rk4_affine_maps`. This arithmetic is kept as it is because the
-  ``simulate --trace/--events`` CSV files are compared byte for byte
-  between versions; any reordering of the sums changes their last digits.
+- Sample-collecting runs write all four states of a segment in place into
+  its rows of the samples as ``CM[:n] @ x + CN[:n] @ u`` (one product on the
+  flat stack of maps, the drive term added in place; the next segment
+  overwrites the rows after a crossing) and split a crossing step with both
+  sub-step maps from one stacked `rk4_affine_maps` call. These are the sums
+  of one product per step and one map build per sub-step, bit for bit; they
+  are kept because the ``simulate --trace/--events`` CSV files are compared
+  byte for byte between versions.
 - Runs without samples (sweep points, dynamic tracking) read only the
   currents. Each segment is one matrix-vector product of the stacked i1/i2
   rows of ``G[i] = [CM[i] | CN[i]]`` with z = (x, u), written in place into
@@ -224,13 +227,14 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h: float
+def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Collapse one RK4 step of dx/dt = A x + B u (u constant) to x -> M x + N u.
 
     M is the degree-4 Taylor truncation of expm(h A); N the matching input
     integral. Equals the four-stage RK4 update up to floating-point
-    rounding (same polynomial, different evaluation order).
+    rounding (same polynomial, different evaluation order). An (m, 1, 1)
+    stack ``h`` gives stacks of M and N, bit-identical to m scalar calls.
     """
     n = A.shape[0]
     hA = h * A
@@ -248,8 +252,8 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h: float
 class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
-    ``CM[i]``, ``CN[i]`` map the state and drive at a segment start to the
-    state i + 1 steps later. ``G[i] = [CM[i] | CN[i]]`` acts on z = (x, u).
+    Rows 4i..4i+3 of the flat ``CM``/``CN`` map the state/drive at a segment
+    start to the state i + 1 steps on; ``G[i] = [CM_i | CN_i]`` acts on (x, u).
     ``G12`` holds just the i1/i2 rows of the identity followed by those of
     every ``G[i]``, as one contiguous (2 (steps + 1), 6) matrix. ``P[r, k]``
     is row r of Abar^k / k!, k = 0..4, for the augmented generator
@@ -268,8 +272,8 @@ class _AffinePropagator:
         for i in range(1, steps):
             CM[i] = M @ CM[i - 1]
             CN[i] = M @ CN[i - 1] + N
-        self.CM = CM
-        self.CN = CN
+        self.CM = CM.reshape(4 * steps, 4)
+        self.CN = CN.reshape(4 * steps, 2)
         self.G = np.concatenate((CM, CN), axis=2)
         self.G12 = np.concatenate((np.eye(2, 6), self.G[:, :2, :].reshape(2 * steps, 6)))
         Abar = np.zeros((6, 6))
@@ -282,17 +286,14 @@ class _AffinePropagator:
             powers.append(term[:4])
         self.P = np.stack(powers, axis=1)
 
-    def segment(self, x, u, n):
-        """Samples 1..n of the trajectory from x under constant drive u."""
-        return self.CM[:n] @ x + self.CN[:n] @ u
-
-    def partial(self, x, u, dt):
-        """Single RK4 step of width dt (used to split a step at a crossing)."""
-        M, N = rk4_affine_maps(self.A, self.B, dt)
-        return M @ x + N @ u
+    def cross(self, x, u_old, u_new, alpha):
+        """The step split at fraction alpha: RK4 under u_old, then under u_new."""
+        widths = np.array((alpha * self.h, (1.0 - alpha) * self.h)).reshape(2, 1, 1)
+        (Ma, Mb), (Na, Nb) = rk4_affine_maps(self.A, self.B, widths)
+        return Mb @ (Ma @ x + Na @ u_old) + Nb @ u_new
 
     def split(self, x, u, dt):
-        """`partial` by Horner's rule in dt on the stored powers, as a list."""
+        """RK4 step of width dt by Horner's rule on the stored powers, as a list."""
         # Python floats: the same IEEE operations as numpy, at a fraction of
         # the per-call cost on four-element vectors.
         coef = (self.P @ np.array([*x, *u])).tolist()
@@ -339,16 +340,16 @@ def simulate(params: PlantParams, config: SimConfig,
     collect = config.collect_samples
     n_samples = n_half * steps + 1
     if collect:
-        samples = np.empty((n_samples, 4))
+        flat = np.empty(4 * n_samples)  # samples row-major; segments write here
+        samples = flat.reshape(n_samples, 4)
         u_log = np.zeros((n_samples, 2))
+        cn_u = np.empty(4 * steps)  # the drive term of one segment
         samples[0] = x
-        split = prop.partial
     else:
         samples = np.empty((0, 4))
         u_log = np.empty((0, 2))
         buf = np.empty((CHUNK, 2 * steps + 2))  # row: (i1, i2) at samples 0..steps
         x = x.tolist()
-        split = prop.split
 
     env_t = np.empty(n_half)
     env1 = np.empty(n_half)
@@ -361,8 +362,6 @@ def simulate(params: PlantParams, config: SimConfig,
     last_crossing = 0.0
     starved = False
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
-    c1 = 1
-    tick1 = 0
     tick2 = 0
 
     for hc in range(n_half):
@@ -371,11 +370,10 @@ def simulate(params: PlantParams, config: SimConfig,
         if not (0.0 <= dv1 <= 1.0):
             raise ValueError(f"d1({t0}) = {dv1} outside [0, 1]")
         y1 = primary_modulator.step(dv1)
-        s1 = y1 * c1
+        s1 = -y1 if hc % 2 else y1  # the carrier alternates every half cycle
         rail1 = params.Vg if vg_of_t is None else float(vg_of_t(t0))
         u1 = rail1 * s1
-        events.append(GateEvent(tick1, "primary", y1, s1, t0))
-        tick1 += 1
+        events.append(GateEvent(hc, "primary", y1, s1, t0))
         if collect and hc == 0:
             u_log[0] = (u1, u2)
 
@@ -385,11 +383,14 @@ def simulate(params: PlantParams, config: SimConfig,
         pos = 0
         while pos < steps:
             n_rem = steps - pos
-            # i2 at samples pos..steps: collecting runs keep all four states
-            # of samples pos+1.. in X, the others write the currents into row.
+            # i2 at samples pos..steps: collecting runs write all four states
+            # of samples pos+1..steps in place, the others the currents into row.
             if collect:
-                X = prop.segment(x, (u1, u2), n_rem)
-                i2 = np.concatenate(([x[1]], X[:, 1]))
+                seg = flat[4 * (base + pos + 1): 4 * (base + steps + 1)]
+                np.matmul(prop.CM[:4 * n_rem], x, out=seg)
+                seg += np.matmul(prop.CN[:4 * n_rem], (u1, u2), out=cn_u[:4 * n_rem])
+                u_log[base + pos + 1: base + steps + 1] = (u1, u2)
+                i2 = samples[base + pos: base + steps + 1, 1]
             else:
                 z = np.array(x + [u1, u2])
                 np.matmul(prop.G12[:2 * n_rem + 2], z, out=row[2 * pos:])
@@ -397,7 +398,6 @@ def simulate(params: PlantParams, config: SimConfig,
             left, i2_seq = i2[:-1], i2[1:]
             cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
             accept = -1
-            alpha = 0.0
             for j in cross_candidates.tolist():
                 alpha_j = left[j] / (left[j] - i2_seq[j])
                 if t0 + (pos + j + alpha_j) * h >= blanking_until:
@@ -406,18 +406,15 @@ def simulate(params: PlantParams, config: SimConfig,
                     break
             # samples before the accepted crossing (the whole rest if none)
             j = n_rem if accept < 0 else accept
-            if j > 0:
-                if collect:
-                    samples[base + pos + 1: base + pos + 1 + j] = X[:j]
-                    u_log[base + pos + 1: base + pos + 1 + j] = (u1, u2)
-                    x = X[j - 1]
-                else:
-                    x = (prop.G[j - 1] @ z).tolist()
+            if collect:
+                x = samples[base + pos + j]
+            elif j > 0:
+                x = (prop.G[j - 1] @ z).tolist()
             if accept < 0:
                 break
 
             t_x = t0 + (pos + j + alpha) * h
-            x = split(x, (u1, u2), alpha * h)
+            u_old = (u1, u2)
             c2 = 1 if i2_seq[j] > left[j] else -1
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
@@ -430,9 +427,10 @@ def simulate(params: PlantParams, config: SimConfig,
             u2 = rail2 * s2
             events.append(GateEvent(tick2, "secondary", y2, s2, t_x))
             tick2 += 1
-            x = split(x, (u1, u2), (1.0 - alpha) * h)
+            x = (prop.cross(x, u_old, (u1, u2), alpha) if collect else
+                 prop.split(prop.split(x, u_old, alpha * h), (u1, u2), (1.0 - alpha) * h))
             pos += j + 1
-            # x is sample pos; a next segment writes its currents into row
+            # x is sample pos; a next segment overwrites the rows after it
             if collect:
                 samples[base + pos] = x
                 u_log[base + pos] = (u1, u2)
@@ -450,7 +448,6 @@ def simulate(params: PlantParams, config: SimConfig,
                 f"secondary sync starved: no i2 crossing in 3 switching "
                 f"periods before t={t_end:.6e}s; c2 frozen")
             starved = True
-        c1 = -c1
 
         # envelope peaks: max |i| over samples 0..steps of each half cycle
         if hc % CHUNK == CHUNK - 1 or hc == n_half - 1:
@@ -461,7 +458,8 @@ def simulate(params: PlantParams, config: SimConfig,
                      if collect else buf[:hc + 1 - lo, col::2])
                 env[lo:hc + 1] = np.abs(w).max(axis=1)
 
-    t_axis = np.arange(n_samples) * h if collect else np.empty(0)
+    t_axis = np.arange(n_samples if collect else 0, dtype=float)
+    t_axis *= h  # in place: no second sample-sized array
     return Trace(t=t_axis, states=samples, u=u_log, events=events,
                  envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
                  diagnostics=diagnostics, params=params, config=config, dt=h)

@@ -1,5 +1,6 @@
 """Spectra, envelopes, fluctuation metrics, and the ZVS polarity proxy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,16 @@ def test_fluctuation_of_all_zero_envelope_is_nan():
     rep = analysis.fluctuation(t, np.zeros(1000), d=0.0, side="i1")
     assert math.isnan(rep.fluctuation_pct)
     assert rep.i_max == rep.i_min == rep.i_mean == 0.0
+
+
+def test_degenerate_flags_only_the_non_finite_report():
+    t = np.linspace(0, 6e-3, 1000)
+    zero = analysis.fluctuation(t, np.zeros(1000), d=0.0, side="i1")
+    finite = analysis.fluctuation(t, 2.0 + np.cos(2e4 * t), d=0.5, side="i1")
+    assert zero.degenerate
+    assert not finite.degenerate and math.isfinite(finite.fluctuation_pct)
+    # a property, not a field: report tuples keep their six entries
+    assert len(dataclasses.astuple(zero)) == 6
 
 
 def test_fluctuation_cosine_envelope_is_sixty_percent():

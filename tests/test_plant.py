@@ -200,6 +200,92 @@ def test_horner_split_equals_rk4_affine_maps(x, u, frac):
     assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
 
 
+_FINITE_STATE = st.tuples(*(st.floats(-lim, lim) for lim in (1e3, 1e3, 1e5, 1e5)))
+_DRIVE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 256), x=_FINITE_STATE, u=_DRIVE)
+@example(n=256, x=(1e-3, -2e-3, 3e-3, -4e-3), u=(_V, -_V))
+def test_flat_segment_gemv_equals_stacked_products(n, x, u):
+    # The sample path writes CM[:n] @ x + CN[:n] @ u as one product on the
+    # flat (4 steps, 4) stack into the samples, then adds the drive term in
+    # place; it must give the per-step products bit for bit.
+    x = np.array(x)
+    stacked = _PROP.CM.reshape(-1, 4, 4)[:n] @ x + _PROP.CN.reshape(-1, 4, 2)[:n] @ u
+    rows = np.full(4 * (n + 2), np.nan)
+    seg = rows[4:4 * (n + 1)]
+    np.matmul(_PROP.CM[:4 * n], x, out=seg)
+    seg += np.matmul(_PROP.CN[:4 * n], u, out=np.empty(4 * n))
+    assert np.array_equal(seg.reshape(n, 4), stacked)
+    assert np.isnan(rows[:4]).all() and np.isnan(rows[-4:]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fracs=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                st.floats(1e-300, 1e-12), st.floats(1.0 - 1e-12, 1.0)),
+                      min_size=1, max_size=4))
+@example(fracs=[1e-300, 1.0 - 2.0 ** -53])
+def test_stacked_rk4_affine_maps_equal_scalar_calls(fracs):
+    # A crossing builds both sub-step maps in one call on an (m, 1, 1)
+    # stack of widths, including widths near 0 and near a full step.
+    taus = [frac * _H for frac in fracs]
+    M, N = plant.rk4_affine_maps(_A, _B, np.array(taus).reshape(-1, 1, 1))
+    assert M.shape == (len(taus), 4, 4) and N.shape == (len(taus), 4, 2)
+    for tau, M_k, N_k in zip(taus, M, N):
+        M_ref, N_ref = plant.rk4_affine_maps(_A, _B, tau)
+        assert np.array_equal(M_k, M_ref)
+        assert np.array_equal(N_k, N_ref)
+
+
+@pytest.mark.parametrize("kind", ["first", "tse"])
+@pytest.mark.parametrize("x0, d1, d2", [
+    ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0),
+    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6),
+    # i2 crosses in the last step of half cycle 0
+    ((-0.4, -1.7, 117.1, -1900.3), 1.0, 1.0),
+])
+def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2):
+    # Segments are written in place and the rows after an accepted crossing
+    # are overwritten by the next segment. No stale row may survive: every
+    # step without a crossing inside is one RK4 map of the row before under
+    # the drive booked on it, and every drive row is the one the events set.
+    params = plant.DEFAULT_PARAMS
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    half = 0.5 / params.fs
+    tr = plant.simulate(params, plant.SimConfig(duration=70 * half, initial_state=x0),
+                        *fresh_mods(tf), d1, d2)
+    steps, h, x, u = tr.steps_per_half_cycle, tr.dt, tr.states, tr.u
+    assert np.array_equal(x[0], x0)
+    primary = [ev for ev in tr.events if ev.side == "primary"]
+    secondary = [ev for ev in tr.events if ev.side == "secondary"]
+    assert len(secondary) > 60
+
+    # steps k (sample k-1 to k) holding a crossing, within rounding of t/h
+    split = np.zeros(len(x), dtype=bool)
+    for ev in secondary:
+        pos = ev.t / h
+        split[int(math.floor(pos - 1e-6)) + 1: int(math.ceil(pos + 1e-6)) + 1] = True
+    assert split.sum() < 1.1 * len(secondary)
+
+    M, N = plant.rk4_affine_maps(_A, _B, h)
+    step = x[:-1] @ M.T + u[1:] @ N.T
+    scale = np.abs(x[:-1]) @ np.abs(M.T) + np.abs(u[1:]) @ np.abs(N.T)
+    plain = ~split[1:]
+    assert np.all(np.abs(x[1:] - step)[plain] <= 1e-12 * scale[plain])
+
+    # drive rows: u1 from the half cycle's primary tick, u2 from the last
+    # crossing at or before the step (the split step takes the new drive)
+    u1 = np.array([params.Vg * ev.s for ev in primary])
+    assert u[0, 0] == u1[0] and u[0, 1] == 0.0
+    np.testing.assert_array_equal(u[1:, 0], np.repeat(u1, steps))
+    u2 = np.zeros(len(x))
+    for ev in secondary:
+        u2[int(math.floor(ev.t / h)) + 1:] = params.Vo * ev.s
+    np.testing.assert_array_equal(u[:, 1], u2)
+
+
 @pytest.mark.parametrize("kind", ["first", "tse"])
 @pytest.mark.parametrize("d1, d2", [(0.963, 1.0), (1.0, 0.963)])
 def test_no_sample_run_matches_sample_run(prototype, kind, d1, d2):
