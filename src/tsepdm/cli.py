@@ -263,21 +263,19 @@ def cmd_sweep(args) -> int:
 def cmd_gssa(args) -> int:
     overrides = {"k": args.k} if args.k is not None else {}
     params = _params_from_args(args, **overrides)
-    if not (0.0 < args.fmin < args.fmax):
-        raise datafiles.ConfigError("require 0 < fmin < fmax")
+    if not (0.0 < args.fmin < args.fmax < math.inf):
+        raise datafiles.ConfigError("require finite 0 < fmin < fmax")
     if args.points < 1:
         raise datafiles.ConfigError(f"--points must be at least 1, got {args.points}")
     model = gssa.build_envelope_model(params)
     dw = np.linspace(args.fmin, args.fmax, args.points) * params.ws
-    channel = _CHANNEL_FLAGS[args.channel]
-    datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"],
-                         gssa.amplitude_bode(model, channel, dw).T)
+    rows = gssa.amplitude_bode(model, _CHANNEL_FLAGS[args.channel], dw)
+    datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"], rows.T)
     datafiles.write_manifest(args.out, {
         **dataclasses.asdict(params), "channel": args.channel,
         "fmin": args.fmin, "fmax": args.fmax, "points": args.points,
     })
-    peak_ratio, peak_db = gssa.find_bode_peak(model, channel, args.fmin, args.fmax,
-                                              args.points)
+    peak_ratio, peak_db = gssa.bode_peak(rows)
     _emit_summary(args, {
         "channel": args.channel, "peak_ratio": peak_ratio, "peak_db": peak_db,
         "predicted_ratio": 0.5 * params.k,

@@ -2,9 +2,10 @@
 
 All output files use a comma delimiter with a single header row. Floats
 are written with repr (shortest round-trip form), so identical inputs
-produce byte-identical files. `format_value` defines a cell's text; the
-table writer formats integer and float ndarray columns a chunk at a time
-with ``str``/``repr``, which give the same text.
+produce byte-identical files. `format_value` defines a cell's text (a
+complex value, Python or numpy, reads like ``str(complex(v))``, e.g.
+``(1+2j)``); the table writer formats integer and float ndarray columns a
+chunk at a time with ``str``/``repr``, which give the same text.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def format_value(v) -> str:
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, (complex, np.complexfloating)):
+        return str(complex(v))
     try:
         return repr(float(v))
     except (TypeError, ValueError):

@@ -245,6 +245,14 @@ def test_gssa_rejects_bad_frequency_range(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("fmin, fmax", [("0.01", "inf"), ("nan", "0.1"), ("0.01", "nan")])
+def test_gssa_rejects_non_finite_frequency_range(tmp_path, capsys, fmin, fmax):
+    assert main(["gssa", "--fmin", fmin, "--fmax", fmax,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("points", ["0", "-5"])
 def test_gssa_rejects_nonpositive_points_before_writing(tmp_path, capsys, points):
     out = tmp_path / "x.csv"

@@ -1,6 +1,7 @@
 """Table writer: byte identity with the per-value writer, chunking, errors."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ def oracle_format_value(v) -> str:
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
+    if isinstance(v, (complex, np.complexfloating)):
+        return str(complex(v))
     try:
         return repr(float(v))
     except (TypeError, ValueError):
@@ -77,9 +80,8 @@ def tables(draw):
     return [f"c{i}" for i in range(len(columns))], columns
 
 
-# format_value casts a numpy complex scalar to float (its real part, with a
-# warning); both writers do so, and the test pins that the text is the same.
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+# Complex cells, Python or numpy scalars from a complex ndarray column, are
+# written the way a Python complex is, real and imaginary parts both.
 @given(table=tables())
 def test_column_writer_matches_row_writer(tmp_path_factory, table):
     header, columns = table
@@ -136,3 +138,12 @@ def test_ragged_columns_and_header_mismatch_raise(tmp_path):
     with pytest.raises(ValueError, match="header"):
         datafiles.write_rows(path, ["a", "b", "c"], (np.zeros(3), np.ones(3)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("v", [np.complex128(1 + 2j), np.complex64(1 + 2j), 1 + 2j])
+def test_complex_cell_written_like_python_complex(tmp_path, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning from a float cast
+        assert datafiles.format_value(v) == "(1+2j)"
+        datafiles.write_rows(tmp_path / "c.csv", ["z"], [np.array([v, 3j])])
+    assert (tmp_path / "c.csv").read_text() == "z\n(1+2j)\n3j\n"

@@ -162,3 +162,125 @@ def test_rail_modulation_ripple_peaks_at_beat_frequency(prototype):
         env = trace.envelope_i1[mask]
         ripples.append(env.max() - env.min())
     assert int(np.argmax(ripples)) == factors.index(1.0)
+
+
+def _oracle_simulate_envelope(params, a1_fn, a2_fn, duration, dt, x):
+    """The stacked real 8-state RK4 that `simulate_envelope` replaced."""
+    A, B = plant.system_matrices(params)
+    ws = params.ws
+
+    def rates(x8, a1, a2):
+        z = x8[:4] + 1j * x8[4:]
+        z2 = z[1]
+        mag = abs(z2)
+        u2 = 0.5 * a2 * z2 / mag if mag > 1e-9 else 0.0
+        u = np.array([0.5 * a1, u2])
+        dz = (A @ z) + (B @ u) - 1j * ws * z
+        return np.concatenate([dz.real, dz.imag])
+
+    n = int(round(duration / dt))
+    out = np.empty((n + 1, 4), dtype=complex)
+    out[0] = x[:4] + 1j * x[4:]
+    for i in range(n):
+        t = i * dt
+        k1 = rates(x, a1_fn(t), a2_fn(t))
+        k2 = rates(x + 0.5 * dt * k1, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
+        k3 = rates(x + 0.5 * dt * k2, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
+        k4 = rates(x + dt * k3, a1_fn(t + dt), a2_fn(t + dt))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = x[:4] + 1j * x[4:]
+    return np.arange(n + 1) * dt, out
+
+
+@pytest.mark.parametrize("k", [0.13, 0.17])
+@pytest.mark.parametrize("drive", ["constant", "pulses"])
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_complex_rk4_bit_identical_to_real_form(prototype, k, drive, start):
+    # 400 steps at dt = 5e-8 pass the rectifier lock (~step 67) and the
+    # near-singular |z2| dip (~step 198), where k = 0.17 amplifies any
+    # last-bit difference to ~1e-4
+    params = dataclasses.replace(prototype, k=k)
+    amp1 = 4 * params.Vg / math.pi
+    amp2 = 4 * params.Vo / math.pi
+    if drive == "constant":
+        a1, a1_fn = amp1, (lambda t: amp1)
+    else:
+        half = 0.5 / params.fs
+        y = np.random.default_rng(3).integers(0, 2, size=64).astype(float)
+
+        def a1_fn(t):
+            return amp1 * y[min(int(t / half), len(y) - 1)]
+        a1 = a1_fn
+    x0 = (np.zeros(8) if start == "zero"
+          else np.random.default_rng(11).normal(size=8) * [1, 1, 1, 1, 30, 30, 30, 30])
+    t, z = gssa.simulate_envelope(params, a1, amp2, 2e-5, dt=5e-8, initial=x0)
+    t_ref, z_ref = _oracle_simulate_envelope(params, a1_fn, lambda t: amp2,
+                                             2e-5, 5e-8, x0)
+    assert z.shape == (401, 4)
+    assert t.tobytes() == t_ref.tobytes()
+    assert z.tobytes() == z_ref.tobytes()
+
+
+def test_envelope_drive_sampled_at_stage_times(prototype):
+    times = []
+
+    def a1(t):
+        times.append(t)
+        return 1.0
+    gssa.simulate_envelope(prototype, a1, 1.0, 3e-7, dt=1e-7)
+    assert times == [t for i in range(3) for t in
+                     (i * 1e-7, i * 1e-7 + 0.5e-7, i * 1e-7 + 0.5e-7, i * 1e-7 + 1e-7)]
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"dt": 0.0}, "dt"), ({"dt": -1e-7}, "dt"), ({"dt": math.nan}, "dt"),
+    ({"dt": math.inf}, "dt"),
+    ({"duration": 1e-8}, "duration"), ({"duration": -1e-6}, "duration"),
+    ({"duration": math.nan}, "duration"), ({"duration": math.inf}, "duration"),
+    ({"initial": np.zeros(7)}, "initial"), ({"initial": np.zeros((2, 4))}, "initial"),
+    ({"initial": np.r_[np.zeros(7), math.nan]}, "initial"),
+    ({"initial": np.r_[np.zeros(7), math.inf]}, "initial"),
+])
+def test_simulate_envelope_rejects_bad_input(prototype, kwargs, name):
+    args = {"duration": 1e-6, "dt": 1e-7} | kwargs
+    with pytest.raises(ValueError, match=name):
+        gssa.simulate_envelope(prototype, 1.0, 1.0, **args)
+
+
+def test_simulate_envelope_reports_divergence(prototype):
+    # a step far outside the RK4 stability region blows the state up
+    with np.errstate(all="ignore"), pytest.raises(plant.SimulationDiverged):
+        gssa.simulate_envelope(prototype, 1.0, 1.0, 2e-3, dt=1e-5)
+
+
+@pytest.mark.parametrize("n_points", [1, 63, 64, 65, 600])
+def test_blocked_bode_equals_per_frequency_solves(prototype, n_points):
+    model = gssa.build_envelope_model(dataclasses.replace(prototype, k=0.17))
+    dw = np.linspace(0.01, 0.25, n_points) * prototype.ws
+    for which, (in_idx, out_idx) in gssa._CHANNELS.items():
+        b_col = model.input_matrix[:, in_idx]
+        c_row = model.output_amplitudes[out_idx]
+        ref = np.empty((n_points, 2))
+        for i, w in enumerate(dw):
+            g = c_row @ np.linalg.solve(1j * w * np.eye(8) - model.state_matrix, b_col)
+            ref[i] = (w / prototype.ws, 20.0 * math.log10(abs(g)))
+        assert np.array_equal(gssa.amplitude_bode(model, which, dw), ref)
+
+
+def test_find_bode_peak_is_peak_of_bode_rows(prototype):
+    model = gssa.build_envelope_model(prototype)
+    rows = gssa.amplitude_bode(model, "u2->i1",
+                               np.linspace(0.02, 0.2, 90) * prototype.ws)
+    assert gssa.find_bode_peak(model, "u2->i1", 0.02, 0.2, 90) == gssa.bode_peak(rows)
+    assert gssa.bode_peak(rows)[1] == rows[:, 1].max()
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (math.nan, 0.25, 600), (0.01, math.nan, 600), (0.01, math.inf, 600),
+    (0.25, 0.01, 600), (0.1, 0.1, 600), (0.0, 0.25, 600), (-0.1, 0.25, 600),
+    (0.01, 0.25, 0), (0.01, 0.25, -3),
+])
+def test_find_bode_peak_rejects_bad_range(prototype, lo, hi, n):
+    model = gssa.build_envelope_model(prototype)
+    with pytest.raises(ValueError):
+        gssa.find_bode_peak(model, "u1->i1", lo, hi, n)
