@@ -185,7 +185,8 @@ def cmd_modulate(args) -> int:
     spec = analysis.spectrum_of_sequence(y, window=args.window) if args.spectrum else None
     gates = modulator.gate_split(y)
     datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"],
-                         (gates.tick, np.full(args.ticks, args.d), y, e, gates.s))
+                         (gates.tick, [datafiles.format_value(args.d)] * args.ticks,
+                          y, e, gates.s))
     if spec is not None:
         datafiles.write_rows(args.spectrum, ["ratio", "magnitude"],
                              (spec.ratios, spec.magnitudes))

@@ -15,11 +15,14 @@ threshold 1 and output levels {0, 1} a stable modulator keeps e inside
 [-1, 0]; the first-order loop provably never leaves that band, high-order
 loops are probed empirically with `stability_probe`.
 
-The recurrence is written once, in `_tick`, with plain arithmetic so that
-the same code advances one modulator (``d`` a float) or many modulators in
+The recurrence is written once, in the source template of `_kernel`. For
+each filter order it is generated once into a function whose every tick is
+straight-line code on local variables, with plain arithmetic so that the
+same code advances one modulator (``d`` a float) or many modulators in
 lockstep (``d`` an ndarray of lanes). `PulseDensityModulator.step` ticks one
 modulator inside the co-simulation, `run` runs a fresh one over a waveform
-and `run_const_grid` runs one lane per constant density.
+and `run_const_grid` runs one lane per constant density; all three tick
+through the same kernel.
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into leading-leg / lagging-leg
@@ -28,6 +31,9 @@ drive signals and the signed modulated-wave samples s = y * carrier.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -51,39 +57,83 @@ def _coefficients(ntf: RationalTransferFunction) -> tuple[tuple, tuple]:
     return b, h.den[1:]
 
 
-def _tick(b, a, eh, wh, d):
-    """One tick of the recurrence; histories are lists, newest first.
+# One source for every filter order: ``{...}`` fields name the per-order
+# locals. The feedback sum is one left-to-right expression, 0.0 first and
+# all b terms before the a terms, so a float modulator and an (m,) lane
+# array see the same IEEE operations in the same order.
+_KERNEL_SOURCE = """\
+def kernel(b, a, ds, state, y_out, e_out):
+    {unpack}
+    for i, d in enumerate(ds):
+        w = 0.0{feedback}
+        v = d - w
+        y = v >= 1.0
+        e = y - v
+        y_out[i] = y
+        e_out[i] = e
+        {rotate}
+    return ({state})
+"""
 
-    ``d`` and the history entries are floats (one modulator) or ``(m,)``
-    arrays (m lanes); both see the same summation order, all b terms first,
-    so lanes are bit-identical to single runs. Returns (y, e, eh, wh).
+
+@functools.cache
+def _kernel(order: int):
+    """The modulator loop for filter order ``order``, generated once.
+
+    ``kernel(b, a, ds, state, y_out, e_out)`` ticks once per density in
+    ``ds``, stores tick i's y and e in ``y_out[i]`` and ``e_out[i]`` and
+    returns the new state. A state is the tuple ``(e[n-1], ..., e[n-order],
+    w[n-1], ..., w[n-order])`` of floats or ``(m,)`` lane arrays.
     """
-    w = 0.0
-    for b_j, e_j in zip(b, eh):
-        w = w + b_j * e_j
-    for a_j, w_j in zip(a, wh):
-        w = w - a_j * w_j
-    v = d - w
-    y = v >= 1.0
-    e = y - v
-    return y, e, [e] + eh[:-1], [w] + wh[:-1]
+    es = [f"e{j}" for j in range(1, order + 1)]
+    ws = [f"w{j}" for j in range(1, order + 1)]
+    bs = [f"b{j}" for j in range(order)]
+    as_ = [f"a{j}" for j in range(order)]
+    unpack = [f"{', '.join(names)}, = {src}"
+              for names, src in ((bs, "b"), (as_, "a"), (es + ws, "state")) if names]
+    rotate = [f"{h[j]} = {h[j - 1]}" for h in (es, ws) for j in range(order - 1, 0, -1)]
+    rotate += [f"{es[0]} = e", f"{ws[0]} = w"] if order else []
+    source = _KERNEL_SOURCE.format(
+        unpack="\n    ".join(unpack) or "pass",
+        feedback="".join(f" + {b_j} * {e_j}" for b_j, e_j in zip(bs, es))
+        + "".join(f" - {a_j} * {w_j}" for a_j, w_j in zip(as_, ws)),
+        rotate="\n        ".join(rotate) or "pass",
+        state="".join(f"{name}, " for name in es + ws))
+    filename = f"<modulator kernel order {order}>"
+    # Registered so that tracebacks through the kernel show its source lines.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 class PulseDensityModulator:
-    """Stateful modulator for one bridge; tick once per half cycle."""
+    """Stateful modulator for one bridge; tick once per half cycle.
+
+    ``state`` holds the error and filter-output histories, newest first:
+    ``(e[n-1], ..., e[n-order], w[n-1], ..., w[n-order])``.
+    """
 
     def __init__(self, ntf: RationalTransferFunction):
         self._b, self._a = _coefficients(ntf)
-        self.e_history = [0.0] * len(self._a)
-        self.w_history = [0.0] * len(self._a)
+        self._kernel = _kernel(len(self._a))
+        self.state = (0.0,) * (2 * len(self._a))
+        self._y = [False]
+        self._e = [0.0]
 
     def step(self, d: float) -> int:
         """Advance one half cycle with commanded density ``d``; return y."""
         if not math.isfinite(d):
             raise ValueError(f"pulse density must be finite, got {d}")
-        y, _, self.e_history, self.w_history = _tick(
-            self._b, self._a, self.e_history, self.w_history, d)
-        return 1 if y else 0
+        self.state = self._kernel(self._b, self._a, (d,), self.state, self._y, self._e)
+        return 1 if self._y[0] else 0
+
+
+def _density_array(values) -> np.ndarray:
+    d = np.asarray(values, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"densities must be one-dimensional, got shape {d.shape}")
+    return d
 
 
 def _check_densities(d: np.ndarray):
@@ -93,47 +143,57 @@ def _check_densities(d: np.ndarray):
         raise ValueError("density waveform must lie in [0, 1]")
 
 
+def _check_tick_count(n_ticks: int, available: int | None = None):
+    if n_ticks < 0:
+        raise ValueError(f"n_ticks must be non-negative, got {n_ticks}")
+    if available is not None and n_ticks > available:
+        raise ValueError(f"n_ticks={n_ticks} exceeds the {available} densities given")
+
+
 def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Run a fresh modulator over a waveform.
 
-    ``d_waveform`` is a sequence of densities, or a scalar replicated over
-    ``n_ticks``. Returns the (y, e) sequences; deterministic given inputs.
+    ``d_waveform`` is a one-dimensional sequence of densities, or a scalar
+    replicated over ``n_ticks``. With a sequence, ``n_ticks`` (if given)
+    runs its first ``n_ticks`` densities and may not exceed its length.
+    Returns the (y, e) sequences; deterministic given inputs.
     """
     if np.isscalar(d_waveform):
         if n_ticks is None:
             raise ValueError("n_ticks required for a scalar density")
+        _check_tick_count(n_ticks)
         d_arr = np.full(n_ticks, float(d_waveform))
     else:
-        d_arr = np.asarray(d_waveform, dtype=float)
+        d_arr = _density_array(d_waveform)
         if n_ticks is not None:
+            _check_tick_count(n_ticks, d_arr.shape[0])
             d_arr = d_arr[:n_ticks]
     _check_densities(d_arr)
     b, a = _coefficients(ntf)
-    eh = wh = [0.0] * len(a)
-    y_out = np.empty(d_arr.shape[0], dtype=np.int8)
-    e_out = np.empty(d_arr.shape[0])
-    for i, d in enumerate(d_arr.tolist()):
-        y_out[i], e_out[i], eh, wh = _tick(b, a, eh, wh, d)
-    return y_out, e_out
+    y_out = [False] * d_arr.shape[0]
+    e_out = [0.0] * d_arr.shape[0]
+    _kernel(len(a))(b, a, d_arr.tolist(), (0.0,) * (2 * len(a)), y_out, e_out)
+    return np.array(y_out, dtype=np.int8), np.array(e_out)
 
 
 def run_const_grid(ntf: RationalTransferFunction, d_values,
                    n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
     """Run many constant-density modulators in lockstep, one lane each.
 
-    Returns (y, e) arrays of shape (n_ticks, len(d_values)). Bit-identical
-    to running `run` per density; used for the long stability and
-    reconstruction sweeps where per-tick Python costs dominate.
+    ``d_values`` is a one-dimensional sequence of densities. Returns (y, e)
+    arrays of shape (n_ticks, len(d_values)). Bit-identical to running
+    `run` per density; used for the long stability and reconstruction
+    sweeps where per-tick Python costs dominate.
     """
-    d_arr = np.asarray(d_values, dtype=float)
+    d_arr = _density_array(d_values)
     _check_densities(d_arr)
+    _check_tick_count(n_ticks)
     b, a = _coefficients(ntf)
-    eh = wh = [np.zeros(d_arr.shape[0])] * len(a)
     y_out = np.empty((n_ticks, d_arr.shape[0]), dtype=np.int8)
     e_out = np.empty((n_ticks, d_arr.shape[0]))
-    for i in range(n_ticks):
-        y_out[i], e_out[i], eh, wh = _tick(b, a, eh, wh, d_arr)
+    _kernel(len(a))(b, a, itertools.repeat(d_arr, n_ticks),
+                    (np.zeros(d_arr.shape[0]),) * (2 * len(a)), y_out, e_out)
     return y_out, e_out
 
 
@@ -194,9 +254,12 @@ def stability_probe(ntf: RationalTransferFunction, d_waveform,
     """Run the modulator and report the quantization-error extremes.
 
     The modulator is considered stable when e never leaves [-1, 0]
-    (tolerance ``STABILITY_TOL`` on the boundaries).
+    (tolerance ``STABILITY_TOL`` on the boundaries). A probe needs at
+    least one tick.
     """
     y, e = run(ntf, d_waveform, n_ticks)
+    if not y.size:
+        raise ValueError("a stability probe needs at least one tick")
     d_arr = (np.full(len(y), float(d_waveform)) if np.isscalar(d_waveform)
              else np.asarray(d_waveform, dtype=float)[:len(y)])
     return StabilityReport(

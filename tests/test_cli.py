@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tsepdm
-from tsepdm import datafiles, plant
+from tsepdm import datafiles, modulator, ntf, plant
 from tsepdm.cli import main
 
 
@@ -130,6 +131,19 @@ def test_modulate_spectrum_and_summary(tmp_path, capsys):
     header, rows = read_rows(spec)
     assert header == ["ratio", "magnitude"]
     assert len(rows) == 4096 // 2 + 1
+
+
+def test_modulate_file_matches_per_row_density_column(tmp_path):
+    out = tmp_path / "mod.csv"
+    d = 0.1 + 0.2
+    assert main(["modulate", "--d", repr(d), "--ntf", "first", "--ticks", "3000",
+                 "--out", str(out)]) == 0
+    y, e = modulator.run(ntf.build_first_order(), d, n_ticks=3000)
+    gates = modulator.gate_split(y)
+    expected = tmp_path / "expected.csv"
+    datafiles.write_rows(expected, ["tick", "d", "y", "e", "s"],
+                         (gates.tick, np.full(3000, d), y, e, gates.s))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("ticks", ["0", "-3"])

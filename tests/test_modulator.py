@@ -27,6 +27,60 @@ def accumulator_oracle(densities):
     return np.array(ys)
 
 
+def reference_tick(b, a, eh, wh, d):
+    """One tick of the recurrence on history lists, newest first (the plain
+    loop the generated kernels must match bit for bit). Returns (y, e, eh, wh)."""
+    w = 0.0
+    for b_j, e_j in zip(b, eh):
+        w = w + b_j * e_j
+    for a_j, w_j in zip(a, wh):
+        w = w - a_j * w_j
+    v = d - w
+    y = v >= 1.0
+    e = y - v
+    return y, e, [e] + eh[:-1], [w] + wh[:-1]
+
+
+def reference_run(tf, densities):
+    """Reference (y, e, final state) of a fresh modulator over ``densities``."""
+    b, a = mod._coefficients(tf)
+    eh = wh = [0.0] * len(a)
+    ys, es = [], []
+    for d in densities:
+        y, e, eh, wh = reference_tick(b, a, eh, wh, d)
+        ys.append(y)
+        es.append(e)
+    # With order 0 the tick's history lists grow; the state holds none of them.
+    order = len(a)
+    return (np.array(ys, dtype=np.int8), np.array(es, dtype=float),
+            tuple(eh[:order] + wh[:order]))
+
+
+def stable_ntf(zeros, poles):
+    """Monic NTF with the given zeros and poles (conjugate pairs included)."""
+    return ntf.RationalTransferFunction(num=tuple(np.poly(zeros).real),
+                                        den=tuple(np.poly(poles).real))
+
+
+def conjugate_pair(radius, angle):
+    return [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)]
+
+
+# Orders no workload runs, so that every generated kernel shape is covered.
+ORACLE_NTFS = [
+    NTF1, NTF3,
+    ntf.RationalTransferFunction(num=(1.0,), den=(1.0,)),
+    stable_ntf([1.0, 1.0], conjugate_pair(0.6, 0.4)),
+    # Error filter with negative b and positive a taps: after a zero-density
+    # tick from rest, w is +0.0 only because the feedback sum starts at +0.0.
+    stable_ntf([-0.5, -0.5], [-0.2, -0.3]),
+    stable_ntf([1.0, 1.0, *conjugate_pair(1.0, 0.3)],
+               [0.5, 0.4, *conjugate_pair(0.7, 0.3)]),
+    stable_ntf([1.0, *conjugate_pair(1.0, 0.2), *conjugate_pair(1.0, 0.5)],
+               [0.3, *conjugate_pair(0.8, 0.2), *conjugate_pair(0.6, 0.5)]),
+]
+
+
 def reconstruct_density(ntf_obj, y, e):
     """Invert the modulator relation: d = y - e + (H * e), H = 1 - NTF.
 
@@ -149,6 +203,22 @@ def test_run_rejects_out_of_range_density():
         mod.run(NTF1, np.array([0.5, 1.2]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=-1), "non-negative"),
+    (lambda: mod.run(NTF1, 0.5, n_ticks=-1), "non-negative"),
+    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=5), "exceeds"),
+    (lambda: mod.run(NTF1, [[0.5, 0.5], [0.5, 0.5]]), "one-dimensional"),
+    (lambda: mod.run_const_grid(NTF1, [[0.25, 0.5]], 4), "one-dimensional"),
+    (lambda: mod.run_const_grid(NTF1, [0.25, 0.5], -1), "non-negative"),
+    (lambda: mod.stability_probe(NTF1, []), "at least one tick"),
+    (lambda: mod.stability_probe(NTF1, 0.5, n_ticks=0), "at least one tick"),
+], ids=["run-negative", "run-scalar-negative", "run-too-many", "run-2d",
+        "grid-2d", "grid-negative", "probe-empty", "probe-zero"])
+def test_bad_tick_counts_and_shapes_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_first_order_error_stays_in_band():
     rng = np.random.default_rng(123)
     for _ in range(10):
@@ -204,6 +274,24 @@ def test_const_grid_batch_matches_scalar_runs_for_any_densities(d_values, n_tick
         assert np.array_equal(e_b[:, j], e_s)
 
 
+@given(d=st.lists(st.floats(0.0, 1.0), max_size=200), tf=st.sampled_from(ORACLE_NTFS))
+def test_kernel_matches_reference_loop_bit_for_bit(d, tf):
+    # tobytes, not array_equal: a +0.0 / -0.0 drift must fail too.
+    y_ref, e_ref, state_ref = reference_run(tf, d)
+    y, e = mod.run(tf, d)
+    assert (y.tobytes(), e.tobytes()) == (y_ref.tobytes(), e_ref.tobytes())
+    m = mod.PulseDensityModulator(tf)
+    stepped = np.array([m.step(x) for x in d], dtype=np.int8)
+    assert stepped.tobytes() == y_ref.tobytes()
+    assert np.array(m.state).tobytes() == np.array(state_ref).tobytes()
+    lanes = sorted(set(d))[:5]
+    y_b, e_b = mod.run_const_grid(tf, lanes, len(d))
+    for j, x in enumerate(lanes):
+        y_ref, e_ref, _ = reference_run(tf, [x] * len(d))
+        assert y_b[:, j].tobytes() == y_ref.tobytes()
+        assert e_b[:, j].tobytes() == e_ref.tobytes()
+
+
 def test_determinism_bit_identical():
     d = mod.sinusoid_density(4096)
     y1, e1 = mod.run(NTF3, d)
@@ -247,8 +335,7 @@ def test_gate_split_rejects_bad_phase():
 @given(d=st.lists(st.floats(0.0, 1.0), max_size=300), tf=st.sampled_from([NTF1, NTF3]))
 def test_fresh_modulator_steps_match_run(d, tf):
     m = mod.PulseDensityModulator(tf)
-    assert m.e_history == [0.0] * tf.order
-    assert m.w_history == [0.0] * tf.order
+    assert m.state == (0.0,) * (2 * tf.order)
     stepped = [m.step(x) for x in d]
     assert all(type(y) is int for y in stepped)
     y, _ = mod.run(tf, d)
