@@ -30,7 +30,6 @@ class Spectrum:
 
     ratios: np.ndarray
     magnitudes: np.ndarray
-    window: str
     length: int
 
     def band(self, center: float, half_width: float) -> np.ndarray:
@@ -59,7 +58,7 @@ def spectrum_of_sequence(x, window: str = "rectangular") -> Spectrum:
         raise ValueError(f"unknown window {window!r}")
     mags = np.abs(np.fft.rfft(x_arr if w is None else x_arr * w))
     ratios = 2.0 * np.arange(mags.shape[0]) / n
-    return Spectrum(ratios=ratios, magnitudes=mags, window=window, length=n)
+    return Spectrum(ratios=ratios, magnitudes=mags, length=n)
 
 
 def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
@@ -79,8 +78,7 @@ def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
     # Holding each sample `oversample` times keeps the bin spacing of the
     # base sequence (2/N in ratio units) while extending the axis.
     ratios = 2.0 * np.arange(mags.shape[0]) / s_arr.shape[0]
-    return Spectrum(ratios=ratios, magnitudes=mags,
-                    window="rectangular", length=zoh.shape[0])
+    return Spectrum(ratios=ratios, magnitudes=mags, length=zoh.shape[0])
 
 
 def band_level_db(spectrum: Spectrum, center: float, half_width: float) -> float:
@@ -158,8 +156,7 @@ class ZvsCheck(NamedTuple):
     ok: bool
 
 
-def zvs_polarity_check(trace: Trace,
-                       min_secondary_current: float = 0.1) -> list[ZvsCheck]:
+def zvs_polarity_check(trace: Trace) -> list[ZvsCheck]:
     """Coarse soft-switching proxy from commutation-instant currents.
 
     Primary: at each drive transition the commutated current must have the
@@ -167,8 +164,8 @@ def zvs_polarity_check(trace: Trace,
     i1 * (s_old - s_new) > 0. Secondary: the synchronous bridge commutates
     at current zero crossings, which is soft as long as the tank still
     carries current; an event fails when the peak |i2| over the following
-    half cycle stays below ``min_secondary_current`` (collapsed envelope,
-    no body-diode interval).
+    half cycle stays below 0.1 A (collapsed envelope, no body-diode
+    interval).
     """
     if trace.states.shape[0] == 0:
         raise ValueError("trace has no collected samples (rerun with samples)")
@@ -191,7 +188,7 @@ def zvs_polarity_check(trace: Trace,
             if hi > idx:
                 peak = float(np.abs(trace.states[idx:hi, 1]).max())
                 checks.append(ZvsCheck("secondary", ev.t, peak,
-                                       peak >= min_secondary_current))
+                                       peak >= 0.1))
     return checks
 
 

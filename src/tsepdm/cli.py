@@ -127,14 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _make_ntf_from_args(args) -> ntf.RationalTransferFunction:
-    return experiments.make_ntf(args.ntf, args.rho, args.r)
-
-
-def _params_from_args(args, **overrides) -> plant.PlantParams:
-    return datafiles.params_from_config(getattr(args, "config", None), **overrides)
-
-
 def _emit_summary(args, summary: dict):
     if getattr(args, "json_summary", False):
         print(json.dumps(summary, sort_keys=True))
@@ -179,7 +171,7 @@ def _check_ticks(args):
 
 def cmd_modulate(args) -> int:
     _check_ticks(args)
-    tf = _make_ntf_from_args(args)
+    tf = experiments.make_ntf(args.ntf, args.rho, args.r)
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     # the spectrum validates length and window before any file is written
     spec = analysis.spectrum_of_sequence(y, window=args.window) if args.spectrum else None
@@ -200,8 +192,8 @@ def cmd_modulate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = _params_from_args(args)
-    tf = _make_ntf_from_args(args)
+    params = datafiles.params_from_config(args.config)
+    tf = experiments.make_ntf(args.ntf, args.rho, args.r)
     cfg = plant.SimConfig(steps_per_half_cycle=args.steps, duration=args.duration,
                           blanking_fraction=args.blanking)
     trace = plant.simulate(params, cfg,
@@ -230,7 +222,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = _params_from_args(args)
+    params = datafiles.params_from_config(args.config)
     preset = experiments.ExperimentPreset(
         name=f"sweep-{args.side}-{args.ntf}", side=args.side,
         densities=experiments.parse_density_grid(args.grid),
@@ -263,7 +255,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gssa(args) -> int:
     overrides = {"k": args.k} if args.k is not None else {}
-    params = _params_from_args(args, **overrides)
+    params = datafiles.params_from_config(args.config, **overrides)
     if not (0.0 < args.fmin < args.fmax < math.inf):
         raise datafiles.ConfigError("require finite 0 < fmin < fmax")
     if args.points < 1:
@@ -287,16 +279,13 @@ def cmd_gssa(args) -> int:
 
 def cmd_stability(args) -> int:
     _check_ticks(args)
-    tf = _make_ntf_from_args(args)
+    tf = experiments.make_ntf(args.ntf, args.rho, args.r)
     probes = []  # (probe, d, StabilityReport)
     if args.probe in ("grid", "all"):
         grid = experiments.parse_density_grid(args.grid)
         y_all, e_all = modulator.run_const_grid(tf, grid, args.ticks)
-        for d, y, e in zip(grid, y_all.T, e_all.T):
-            probes.append(("const", d, modulator.StabilityReport(
-                e_min=float(e.min()), e_max=float(e.max()),
-                violation_count=modulator.count_violations(e),
-                mean_density_error=float(abs(y.mean() - d)))))
+        probes += [("const", d, modulator.StabilityReport.of(y, e, d))
+                   for d, y, e in zip(grid, y_all.T, e_all.T)]
     if args.probe in ("sin", "all"):
         probes.append(("sin", 0.5, modulator.stability_probe(
             tf, modulator.sinusoid_density(args.ticks))))
@@ -325,7 +314,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    params = _params_from_args(args, Vg=args.vg, Vo=args.vo)
+    params = datafiles.params_from_config(args.config, Vg=args.vg, Vo=args.vo)
     resp = experiments.run_dynamic_response(params, args.ntf, args.rho, args.r,
                                             duration=args.duration,
                                             mod_freq=args.freq,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -110,21 +111,17 @@ def run_sweep_point(params: PlantParams, preset: ExperimentPreset,
                                 window=preset.window, d=d, side=side_label)
 
 
-def _sweep_task(args) -> analysis.FluctuationReport:
-    params, preset, d = args
-    return run_sweep_point(params, preset, d)
-
-
 def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
                       workers: int | None = None
                       ) -> list[analysis.FluctuationReport]:
-    """All sweep points of a preset, ordered by density."""
-    tasks = [(params, preset, d) for d in preset.densities]
+    """One `run_sweep_point` per density of the preset, ordered by density;
+    on a pool of ``workers`` processes when more than one (same reports)."""
+    args = (run_sweep_point, repeat(params), repeat(preset), preset.densities)
     if workers is None or workers <= 1:
-        reports = [_sweep_task(t) for t in tasks]
+        reports = list(map(*args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_task, tasks))
+            reports = list(pool.map(*args))
     return sorted(reports, key=lambda rep: rep.d)
 
 
@@ -139,13 +136,12 @@ class DynamicResponse:
     The commanded density is the known sinusoid d2(t), so no field holds it.
     """
 
-    mod_freq: float
     tick_t: np.ndarray             # secondary tick instants (s)
     tick_y: np.ndarray             # quantizer outputs at those ticks
     env_t: np.ndarray
     env_i1: np.ndarray
     env_i2: np.ndarray
-    density_amplitude: float       # fitted y2 amplitude at mod_freq
+    density_amplitude: float       # fitted y2 amplitude at the modulation frequency
     amplitude_error_pct: float     # vs the commanded 0.5 swing
     corr_i1: float                 # corr(|i1| envelope, d2) post settle
     corr_i2: float
@@ -162,15 +158,21 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     sequence is fitted with a sinusoid at the modulation frequency over an
     integer number of periods after settling; the fitted amplitude is
     compared against the commanded 0.5. The i2 envelope is correlated with
-    d2 over the same span.
+    d2 over the same span. Raises ValueError, before simulating, unless
+    ``mod_freq`` is finite and positive and a whole period fits after settle.
     """
     tf = make_ntf(ntf_kind, rho, r)
+    cfg = SimConfig(steps_per_half_cycle=steps_per_half_cycle,
+                    duration=duration, collect_samples=False)
+    if not 0.0 < mod_freq < math.inf:
+        raise ValueError(f"mod_freq must be finite and positive, got {mod_freq!r}")
+    n_periods = int(math.floor((duration - settle) * mod_freq))
+    if n_periods < 1:
+        raise ValueError("duration too short for one modulation period after settle")
 
     def d2_fn(t):
         return 0.5 * math.sin(2.0 * math.pi * mod_freq * t) + 0.5
 
-    cfg = SimConfig(steps_per_half_cycle=steps_per_half_cycle,
-                    duration=duration, collect_samples=False)
     trace = simulate(params, cfg, PulseDensityModulator(tf),
                      PulseDensityModulator(tf), 1.0, d2_fn)
 
@@ -178,9 +180,6 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     tick_y = np.array([ev.y for ev in trace.events if ev.side == "secondary"],
                       dtype=float)
 
-    n_periods = int(math.floor((duration - settle) * mod_freq))
-    if n_periods < 1:
-        raise ValueError("duration too short for one modulation period after settle")
     t_hi = settle + n_periods / mod_freq
     sel = (tick_t >= settle) & (tick_t < t_hi)
     tt = tick_t[sel]
@@ -197,7 +196,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     corr_i1 = float(np.corrcoef(trace.envelope_i1[env_sel], d_ref)[0, 1])
     corr_i2 = float(np.corrcoef(trace.envelope_i2[env_sel], d_ref)[0, 1])
 
-    return DynamicResponse(mod_freq=mod_freq, tick_t=tick_t, tick_y=tick_y,
+    return DynamicResponse(tick_t=tick_t, tick_y=tick_y,
                            env_t=trace.envelope_t, env_i1=trace.envelope_i1,
                            env_i2=trace.envelope_i2, density_amplitude=amp,
                            amplitude_error_pct=amp_err, corr_i1=corr_i1, corr_i2=corr_i2)

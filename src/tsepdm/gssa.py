@@ -63,7 +63,6 @@ class EnvelopeModel:
     state_matrix: np.ndarray       # (8, 8)
     input_matrix: np.ndarray       # (8, 2) amplitude channels (V)
     output_amplitudes: np.ndarray  # (2, 8) peak |i1|, |i2| sensitivities
-    equilibrium: np.ndarray        # (8,)
     i1_amp: float                  # peak |i1| at the operating point (A)
     i2_amp: float
     params: PlantParams
@@ -90,23 +89,17 @@ def _rates(z: np.ndarray, a1: float, a2: float,
     return (A @ z) + (B @ u) - jws * z
 
 
-def _envelope_rates(x8: np.ndarray, a1: float, a2: float,
-                    A: np.ndarray, B: np.ndarray, ws: float) -> np.ndarray:
-    """`_rates` in stacked real form (Re z, Im z), for the linearization."""
-    dz = _rates(x8[:4] + 1j * x8[4:], a1, a2, A, B, 1j * ws)
-    return np.concatenate([dz.real, dz.imag])
-
-
-def _solve_equilibrium(A, B, ws, a1, a2, max_iter=500, tol=1e-13) -> np.ndarray:
-    """Relaxed fixed-point iteration on the rectifier phase axis."""
+def _solve_equilibrium(A, B, ws, a1, a2) -> np.ndarray:
+    """Relaxed fixed-point iteration on the rectifier phase axis (at most 500
+    steps, to a 1e-13 rad phase step)."""
     shift = A - 1j * ws * np.eye(4)
     phase = -0.5 * math.pi
     z = np.zeros(4, dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(500):
         u = np.array([0.5 * a1, 0.5 * a2 * np.exp(1j * phase)])
         z = np.linalg.solve(-shift, B @ u)
         step = float(np.angle(z[1] * np.exp(-1j * phase)))
-        if abs(step) < tol:
+        if abs(step) < 1e-13:
             break
         phase += 0.5 * step  # relaxation keeps heavy-damping cases contractive
     phase = float(np.angle(z[1]))
@@ -132,9 +125,12 @@ def build_envelope_model(params: PlantParams,
     a1 = 4.0 * params.Vg / math.pi if a1 is None else a1
     a2 = 4.0 * params.Vo / math.pi if a2 is None else a2
     x0 = _solve_equilibrium(A, B, ws, a1, a2)
+    jws = 1j * ws
 
     def f(x, u1a, u2a):
-        return _envelope_rates(x, u1a, u2a, A, B, ws)
+        """`_rates` in stacked real form (Re z, Im z)."""
+        dz = _rates(x[:4] + 1j * x[4:], u1a, u2a, A, B, jws)
+        return np.concatenate([dz.real, dz.imag])
 
     a_mat = np.empty((8, 8))
     for j in range(8):
@@ -144,13 +140,11 @@ def build_envelope_model(params: PlantParams,
         xp[j] += eps
         xm[j] -= eps
         a_mat[:, j] = (f(xp, a1, a2) - f(xm, a1, a2)) / (2.0 * eps)
+    e1 = FD_RELATIVE_STEP * a1
+    e2 = FD_RELATIVE_STEP * a2
     b_mat = np.empty((8, 2))
-    for j, (up, um) in enumerate((((a1 + FD_RELATIVE_STEP * a1, a2),
-                                   (a1 - FD_RELATIVE_STEP * a1, a2)),
-                                  ((a1, a2 + FD_RELATIVE_STEP * a2),
-                                   (a1, a2 - FD_RELATIVE_STEP * a2)))):
-        eps = FD_RELATIVE_STEP * (a1 if j == 0 else a2)
-        b_mat[:, j] = (f(x0, *up) - f(x0, *um)) / (2.0 * eps)
+    b_mat[:, 0] = (f(x0, a1 + e1, a2) - f(x0, a1 - e1, a2)) / (2.0 * e1)
+    b_mat[:, 1] = (f(x0, a1, a2 + e2) - f(x0, a1, a2 - e2)) / (2.0 * e2)
 
     z1 = complex(x0[0], x0[4])
     z2 = complex(x0[1], x0[5])
@@ -161,8 +155,7 @@ def build_envelope_model(params: PlantParams,
     c_amp[1, 5] = 2.0 * z2.imag / abs(z2)
 
     return EnvelopeModel(state_matrix=a_mat, input_matrix=b_mat,
-                         output_amplitudes=c_amp,
-                         equilibrium=x0, i1_amp=2.0 * abs(z1),
+                         output_amplitudes=c_amp, i1_amp=2.0 * abs(z1),
                          i2_amp=2.0 * abs(z2), params=params,
                          drive_amps=(a1, a2))
 

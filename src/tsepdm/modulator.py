@@ -243,6 +243,14 @@ class StabilityReport:
     def stable(self) -> bool:
         return self.violation_count == 0
 
+    @classmethod
+    def of(cls, y: np.ndarray, e: np.ndarray, d_mean: float) -> "StabilityReport":
+        """Report of one run's (y, e) sequences against the mean commanded
+        density ``d_mean``."""
+        return cls(e_min=float(e.min()), e_max=float(e.max()),
+                   violation_count=count_violations(e),
+                   mean_density_error=float(abs(y.mean() - d_mean)))
+
 
 def count_violations(e: np.ndarray) -> int:
     """Excursions of e outside [-1, 0] beyond the boundary tolerance."""
@@ -262,21 +270,16 @@ def stability_probe(ntf: RationalTransferFunction, d_waveform,
         raise ValueError("a stability probe needs at least one tick")
     d_arr = (np.full(len(y), float(d_waveform)) if np.isscalar(d_waveform)
              else np.asarray(d_waveform, dtype=float)[:len(y)])
-    return StabilityReport(
-        e_min=float(e.min()),
-        e_max=float(e.max()),
-        violation_count=count_violations(e),
-        mean_density_error=float(abs(y.mean() - d_arr.mean())),
-    )
+    return StabilityReport.of(y, e, d_arr.mean())
 
 
-def sinusoid_density(n_ticks: int, offset: float = 0.5, amplitude: float = 0.5,
-                     period_ticks: int = 2048) -> np.ndarray:
-    """Sinusoidal probe waveform, clipped only by construction to [0, 1]."""
+def sinusoid_density(n_ticks: int) -> np.ndarray:
+    """Full-swing probe waveform 0.5 + 0.5 sin(2 pi n / 2048), clipped to [0, 1]."""
     n = np.arange(n_ticks)
-    d = offset + amplitude * np.sin(2.0 * np.pi * n / period_ticks)
+    d = 0.5 + 0.5 * np.sin(2.0 * np.pi * n / 2048)
     return np.clip(d, 0.0, 1.0)
 
 
-def ramp_density(n_ticks: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
-    return np.linspace(start, stop, n_ticks)
+def ramp_density(n_ticks: int) -> np.ndarray:
+    """Probe waveform rising linearly from 0 to 1 over ``n_ticks``."""
+    return np.linspace(0.0, 1.0, n_ticks)

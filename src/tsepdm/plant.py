@@ -91,8 +91,9 @@ class PlantParams:
 
     def __post_init__(self):
         for name in ("L1", "L2", "C1", "C2", "R1", "R2", "Vg", "Vo", "fs"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:      # also rejects NaN
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (0.0 < self.k < 1.0):
             raise ValueError("coupling coefficient k must be in (0, 1)")
 
@@ -111,23 +112,6 @@ class PlantParams:
 DEFAULT_PARAMS = PlantParams()
 
 
-@dataclass
-class PlantState:
-    i1: float = 0.0
-    i2: float = 0.0
-    vC1: float = 0.0
-    vC2: float = 0.0
-    t: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i1, self.i2, self.vC1, self.vC2])
-
-    @classmethod
-    def from_array(cls, x, t: float = 0.0) -> "PlantState":
-        i1, i2, v1, v2 = (float(v) for v in x)
-        return cls(i1=i1, i2=i2, vC1=v1, vC2=v2, t=t)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     steps_per_half_cycle: int = 256
@@ -141,8 +125,8 @@ class SimConfig:
             raise ValueError("steps_per_half_cycle must be >= 32")
         if not (0.0 < self.blanking_fraction < 0.5):
             raise ValueError("blanking_fraction must be in (0, 0.5)")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:  # also rejects NaN
+            raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
 
 
 class GateEvent(NamedTuple):
@@ -179,12 +163,6 @@ class Trace:
     @property
     def steps_per_half_cycle(self) -> int:
         return self.config.steps_per_half_cycle
-
-    def state_at(self, index: int) -> PlantState:
-        """Sampled state as a record (requires collected samples)."""
-        if self.states.shape[0] == 0:
-            raise ValueError("trace has no collected samples")
-        return PlantState.from_array(self.states[index], t=float(self.t[index]))
 
 
 def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
@@ -473,11 +451,7 @@ def resonance_report(params: PlantParams) -> dict[str, float]:
     }
 
 
-def phasor_steady_state(params: PlantParams,
-                        u1_amp: float | None = None,
-                        u2_amp: float | None = None,
-                        max_iter: int = 200,
-                        tol: float = 1e-14) -> tuple[complex, complex]:
+def phasor_steady_state(params: PlantParams) -> tuple[complex, complex]:
     """First-harmonic steady-state current phasors (peak amplitudes).
 
     Solves the complex mesh equations at the switching frequency with the
@@ -486,25 +460,23 @@ def phasor_steady_state(params: PlantParams,
         Z1 I1 + jwM I2 = U1
         jwM I1 + Z2 I2 = -U2 e^{j angle(I2)}
 
-    Defaults: U1 = 4 Vg / pi and U2 = 4 Vo / pi, the square-wave
-    fundamentals at full pulse density. The phase-locked system is solved
-    by fixed-point iteration on the i2 phase.
+    with U1 = 4 Vg / pi and U2 = 4 Vo / pi, the square-wave fundamentals at
+    full pulse density. The phase-locked system is solved by fixed-point
+    iteration on the i2 phase (at most 200 steps, to a 1e-14 rad change).
     """
     w = params.ws
     Z1 = params.R1 + 1j * (w * params.L1 - 1.0 / (w * params.C1))
     Z2 = params.R2 + 1j * (w * params.L2 - 1.0 / (w * params.C2))
     jwM = 1j * w * params.M
-    U1 = 4.0 * params.Vg / math.pi if u1_amp is None else u1_amp
-    U2 = 4.0 * params.Vo / math.pi if u2_amp is None else u2_amp
+    U1 = 4.0 * params.Vg / math.pi
+    U2 = 4.0 * params.Vo / math.pi
     Z = np.array([[Z1, jwM], [jwM, Z2]])
     I = np.linalg.solve(Z, np.array([U1, 0.0]))
     phase = np.angle(I[1])
-    for _ in range(max_iter):
-        rhs = np.array([U1, -U2 * np.exp(1j * phase)])
-        I = np.linalg.solve(Z, rhs)
+    for _ in range(200):
+        I = np.linalg.solve(Z, np.array([U1, -U2 * np.exp(1j * phase)]))
         new_phase = np.angle(I[1])
-        if abs(new_phase - phase) < tol:
-            phase = new_phase
+        if abs(new_phase - phase) < 1e-14:
             break
         phase = new_phase
     return complex(I[0]), complex(I[1])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tsepdm
-from tsepdm import datafiles, modulator, ntf, plant
+from tsepdm import datafiles, experiments, modulator, ntf, plant
 from tsepdm.cli import main
 
 
@@ -196,6 +196,28 @@ def test_simulate_bad_config_exits_2(tmp_path):
                  "--trace", str(tmp_path / "t.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--trace"], ["sweep", "--side", "primary", "--grid", "0.5:0.1:0.5", "--out"],
+    ["gssa", "--out"]])
+@pytest.mark.parametrize("line", ["R1 = nan", "L1 = inf", "Vo = -inf"])
+def test_non_finite_config_value_exits_2_before_writing(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command[0], "--config", str(cfg), *command[1:],
+                 str(tmp_path / "out.csv")]) == 2
+    symbol = line.split()[0]
+    assert f"{symbol} must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("duration", ["0", "nan", "inf"])
+def test_simulate_rejects_bad_duration_before_writing(tmp_path, capsys, duration):
+    assert main(["simulate", "--duration", duration,
+                 "--trace", str(tmp_path / "t.csv")]) == 2
+    assert "duration must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--frequency", "1"])
@@ -306,6 +328,26 @@ def test_stability_grid_zero_violations(tmp_path, capsys):
     _, rows = read_rows(out)
     probes = {r[0] for r in rows}
     assert probes == {"const", "sin", "ramp"}
+
+
+def test_stability_csv_matches_direct_probe_reports(tmp_path):
+    # constant lanes: the mean density error is |mean(y) - d| against the
+    # lane's own d; the sin and ramp rows are `stability_probe` reports
+    out, ref = tmp_path / "stab.csv", tmp_path / "ref.csv"
+    assert main(["stability", "--probe", "all", "--ticks", "3000", "--out", str(out)]) == 0
+    tf = experiments.make_ntf("tse")
+    grid = experiments.standard_density_grid()
+    y_all, e_all = modulator.run_const_grid(tf, grid, 3000)
+    rows = [["const", d, float(e.min()), float(e.max()), modulator.count_violations(e),
+             float(abs(y.mean() - d))] for d, y, e in zip(grid, y_all.T, e_all.T)]
+    for probe, wave in (("sin", modulator.sinusoid_density(3000)),
+                        ("ramp", modulator.ramp_density(3000))):
+        rep = modulator.stability_probe(tf, wave)
+        rows.append([probe, 0.5, rep.e_min, rep.e_max, rep.violation_count,
+                     rep.mean_density_error])
+    datafiles.write_rows(ref, ["probe", "d", "e_min", "e_max", "violations",
+                               "mean_density_error"], zip(*rows, strict=True))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("ticks", ["0", "-3"])

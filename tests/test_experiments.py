@@ -1,6 +1,7 @@
 """Sweep harness, presets, and the dynamic tracking experiment."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -111,7 +112,14 @@ def test_dynamic_response_tracks_command(prototype):
     assert np.mean(resp.tick_y[sel]) == pytest.approx(0.5, abs=0.02)
 
 
-def test_dynamic_response_requires_room_for_a_period(prototype):
-    with pytest.raises(ValueError):
+def test_dynamic_response_requires_room_for_a_period(prototype, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate called before the arguments were checked")
+
+    monkeypatch.setattr(experiments, "simulate", never)
+    with pytest.raises(ValueError, match="too short"):
         experiments.run_dynamic_response(prototype, "tse", duration=2.5e-3,
                                          mod_freq=500.0)
+    for mod_freq in (0.0, math.nan, -500.0):
+        with pytest.raises(ValueError, match="mod_freq must be finite and positive"):
+            experiments.run_dynamic_response(prototype, "tse", mod_freq=mod_freq)

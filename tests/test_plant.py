@@ -35,6 +35,18 @@ def test_params_validation():
         plant.PlantParams(k=0.0)
     with pytest.raises(ValueError):
         plant.PlantParams(L1=-1e-6)
+    for name in ("L1", "L2", "C1", "C2", "R1", "R2", "Vg", "Vo", "fs"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                plant.PlantParams(**{name: bad})
+    with pytest.raises(ValueError):
+        plant.PlantParams(k=math.nan)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1e-3, math.nan, math.inf])
+def test_sim_config_rejects_bad_duration(duration):
+    with pytest.raises(ValueError, match="duration must be finite and positive"):
+        plant.SimConfig(duration=duration)
 
 
 def derivatives(state, u1, u2, params):
@@ -404,13 +416,6 @@ def test_resonance_report_unit_values():
     assert plant.resonance_report(p)["f01"] == pytest.approx(1.0 / (2 * math.pi))
 
 
-def test_trace_state_accessor(full_power_trace):
-    st = full_power_trace.state_at(-1)
-    assert st.t == pytest.approx(3e-3)
-    assert st.i1 == full_power_trace.states[-1, 0]
-    assert plant.PlantState.from_array(st.as_array()).i2 == st.i2
-
-
 def test_undriven_energy_non_increasing(prototype):
     cfg = plant.SimConfig(duration=0.5e-3, collect_samples=True,
                           initial_state=(4.0, -2.0, 150.0, -80.0))
@@ -510,6 +515,8 @@ def test_rk4_aborts_on_non_finite_result():
 def test_trace_drive_column_matches_events(full_power_trace):
     # the u1 column right after each primary tick equals Vg * s of the event
     tr = full_power_trace
+    assert tr.t.shape == tr.u.shape[:1] == tr.states.shape[:1]
+    assert tr.t[-1] == pytest.approx(tr.config.duration)
     for ev in tr.events[:40]:
         if ev.side != "primary":
             continue
