@@ -26,30 +26,22 @@ are located by linear interpolation and the containing step is split there
 so drive changes always land on (sub)step boundaries, keeping the RK4
 order intact.
 
-The one half-cycle loop propagates in one of two modes, chosen by
-``SimConfig.collect_samples``:
+Both modes of ``SimConfig.collect_samples`` run one half-cycle loop. Each
+segment is one matrix-vector product of a stack with z = (x, u): ``[I | 0]``
+followed by the rows of every ``G[i] = [CM_i | CN_i]``. It writes samples
+pos..steps of the half cycle in place into one array, all four states of
+every sample in collecting runs, only i1/i2 in a ring of CHUNK half cycles
+otherwise; the next segment overwrites the rows after a crossing. The state
+handed on is ``G[j - 1] @ z`` as Python floats, in collecting runs the same
+bits as the row the product wrote. The one difference is the crossing split. Collecting runs
+build both sub-step maps in one stacked `rk4_affine_maps` call, kept because
+the ``simulate --trace/--events`` CSV files are compared byte for byte
+between versions. The others evaluate each sub-step by Horner's rule on the
+precomputed powers of the augmented generator [[A, B], [0, 0]], the same
+degree-4 polynomial; event times and envelopes agree to rounding.
 
-- Sample-collecting runs write all four states of a segment in place into
-  its rows of the samples as ``CM[:n] @ x + CN[:n] @ u`` (one product on the
-  flat stack of maps, the drive term added in place; the next segment
-  overwrites the rows after a crossing) and split a crossing step with both
-  sub-step maps from one stacked `rk4_affine_maps` call. These are the sums
-  of one product per step and one map build per sub-step, bit for bit; they
-  are kept because the ``simulate --trace/--events`` CSV files are compared
-  byte for byte between versions.
-- Runs without samples (sweep points, dynamic tracking) read only the
-  currents. Each segment is one matrix-vector product of the stacked i1/i2
-  rows of ``G[i] = [CM[i] | CN[i]]`` with z = (x, u), written in place into
-  the half cycle's row of a (CHUNK, 2 steps + 2) buffer; the next segment
-  overwrites the tail from its own start. The state is kept as Python
-  floats and formed only before a split and at the half-cycle end. A step
-  is split by Horner's rule in the sub-step on the precomputed powers of
-  the augmented generator [[A, B], [0, 0]], the same degree-4 polynomial
-  that `rk4_affine_maps` builds. Event times and envelopes agree with the
-  sample-collecting mode to rounding.
-
-Both modes take the envelope peaks (max |i1|, |i2| over the samples of each
-half cycle) once per CHUNK half cycles, from the buffer or from the samples.
+The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
+reduced once per CHUNK half cycles from that array.
 """
 
 from __future__ import annotations
@@ -60,13 +52,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .modulator import PulseDensityModulator
 
 
-# Half cycles whose envelope peaks are reduced together; the no-sample
-# current buffer holds CHUNK x (2 steps + 2) floats.
+# Half cycles whose envelope peaks are reduced together; runs without
+# samples keep the currents of this many half cycles.
 CHUNK = 64
 
 
@@ -127,6 +118,10 @@ class SimConfig:
             raise ValueError("blanking_fraction must be in (0, 0.5)")
         if not 0.0 < self.duration < math.inf:  # also rejects NaN
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        state = np.asarray(self.initial_state, dtype=float)
+        if state.shape != (4,) or not np.isfinite(state).all():
+            raise ValueError("initial_state must be 4 finite numbers, "
+                             f"got {self.initial_state!r}")
 
 
 class GateEvent(NamedTuple):
@@ -230,12 +225,9 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
 class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
-    Rows 4i..4i+3 of the flat ``CM``/``CN`` map the state/drive at a segment
-    start to the state i + 1 steps on; ``G[i] = [CM_i | CN_i]`` acts on (x, u).
-    ``G12`` holds just the i1/i2 rows of the identity followed by those of
-    every ``G[i]``, as one contiguous (2 (steps + 1), 6) matrix. ``P[r, k]``
-    is row r of Abar^k / k!, k = 0..4, for the augmented generator
-    Abar = [[A, B], [0, 0]].
+    ``G[i] = [CM_i | CN_i]`` maps z = (x, u) at a segment start to the state
+    i + 1 steps on. ``P[r, k]`` is row r of Abar^k / k!, k = 0..4, for the
+    augmented generator Abar = [[A, B], [0, 0]].
     """
 
     def __init__(self, A, B, h, steps):
@@ -250,10 +242,7 @@ class _AffinePropagator:
         for i in range(1, steps):
             CM[i] = M @ CM[i - 1]
             CN[i] = M @ CN[i - 1] + N
-        self.CM = CM.reshape(4 * steps, 4)
-        self.CN = CN.reshape(4 * steps, 2)
         self.G = np.concatenate((CM, CN), axis=2)
-        self.G12 = np.concatenate((np.eye(2, 6), self.G[:, :2, :].reshape(2 * steps, 6)))
         Abar = np.zeros((6, 6))
         Abar[:4, :4] = A
         Abar[:4, 4:] = B
@@ -263,6 +252,11 @@ class _AffinePropagator:
             term = term @ Abar / kk
             powers.append(term[:4])
         self.P = np.stack(powers, axis=1)
+
+    def stack(self, width):
+        """``[I | 0]`` followed by every ``G[i]``, the first ``width`` state
+        rows of each, as one contiguous ((steps + 1) width, 6) matrix."""
+        return np.concatenate((np.eye(4, 6)[None], self.G))[:, :width].reshape(-1, 6)
 
     def cross(self, x, u_old, u_new, alpha):
         """The step split at fraction alpha: RK4 under u_old, then under u_new."""
@@ -290,14 +284,13 @@ def simulate(params: PlantParams, config: SimConfig,
              primary_modulator: PulseDensityModulator,
              secondary_modulator: PulseDensityModulator,
              d1, d2,
-             vg_of_t: Callable[[float], float] | None = None,
-             vo_of_t: Callable[[float], float] | None = None) -> Trace:
+             vg_of_t: Callable[[float], float] | None = None) -> Trace:
     """Co-simulate the tank with PDM bridges on both sides.
 
     ``d1``/``d2`` are pulse densities in [0, 1], constants or callables of
-    time. ``vg_of_t``/``vo_of_t`` optionally modulate the dc rails (sampled
-    at the corresponding modulator ticks); by default the rails are the
-    constant ``params.Vg``/``params.Vo``.
+    time. ``vg_of_t`` optionally modulates the primary dc rail (sampled at
+    the primary modulator ticks); by default it is the constant
+    ``params.Vg``. The secondary rail is ``params.Vo``.
     """
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
@@ -311,23 +304,17 @@ def simulate(params: PlantParams, config: SimConfig,
     d1_fn = _as_waveform(d1)
     d2_fn = _as_waveform(d2)
 
-    x = np.asarray(config.initial_state, dtype=float)
-    if x.shape != (4,):
-        raise ValueError("initial_state must have 4 entries")
-
     collect = config.collect_samples
-    n_samples = n_half * steps + 1
-    if collect:
-        flat = np.empty(4 * n_samples)  # samples row-major; segments write here
-        samples = flat.reshape(n_samples, 4)
-        u_log = np.zeros((n_samples, 2))
-        cn_u = np.empty(4 * steps)  # the drive term of one segment
-        samples[0] = x
-    else:
-        samples = np.empty((0, 4))
-        u_log = np.empty((0, 2))
-        buf = np.empty((CHUNK, 2 * steps + 2))  # row: (i1, i2) at samples 0..steps
-        x = x.tolist()
+    # Sample rows: all states of the whole run, or i1/i2 of a ring of CHUNK
+    # half cycles. Half cycle hc holds rows base..base + steps, base =
+    # (hc % ring) steps; consecutive half cycles share their boundary row.
+    width = 4 if collect else 2
+    ring = n_half if collect else CHUNK
+    stack = prop.stack(width)
+    samples = np.empty((ring * steps + 1, width))
+    flat = samples.reshape(-1)
+    u_log = np.zeros((n_half * steps + 1 if collect else 0, 2))
+    x = [float(v) for v in config.initial_state]
 
     env_t = np.empty(n_half)
     env1 = np.empty(n_half)
@@ -355,24 +342,17 @@ def simulate(params: PlantParams, config: SimConfig,
         if collect and hc == 0:
             u_log[0] = (u1, u2)
 
-        base = hc * steps
-        if not collect:
-            row = buf[hc % CHUNK]
+        base = (hc % ring) * steps  # also the sample index when collecting
         pos = 0
         while pos < steps:
             n_rem = steps - pos
-            # i2 at samples pos..steps: collecting runs write all four states
-            # of samples pos+1..steps in place, the others the currents into row.
+            # samples pos..steps of the half cycle, written in place
+            z = np.array(x + [u1, u2])
+            seg = flat[width * (base + pos): width * (base + steps + 1)]
+            np.matmul(stack[:width * (n_rem + 1)], z, out=seg)
             if collect:
-                seg = flat[4 * (base + pos + 1): 4 * (base + steps + 1)]
-                np.matmul(prop.CM[:4 * n_rem], x, out=seg)
-                seg += np.matmul(prop.CN[:4 * n_rem], (u1, u2), out=cn_u[:4 * n_rem])
                 u_log[base + pos + 1: base + steps + 1] = (u1, u2)
-                i2 = samples[base + pos: base + steps + 1, 1]
-            else:
-                z = np.array(x + [u1, u2])
-                np.matmul(prop.G12[:2 * n_rem + 2], z, out=row[2 * pos:])
-                i2 = row[2 * pos + 1::2]
+            i2 = seg[1::width]
             left, i2_seq = i2[:-1], i2[1:]
             cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
             accept = -1
@@ -384,9 +364,7 @@ def simulate(params: PlantParams, config: SimConfig,
                     break
             # samples before the accepted crossing (the whole rest if none)
             j = n_rem if accept < 0 else accept
-            if collect:
-                x = samples[base + pos + j]
-            elif j > 0:
+            if j > 0:
                 x = (prop.G[j - 1] @ z).tolist()
             if accept < 0:
                 break
@@ -401,19 +379,17 @@ def simulate(params: PlantParams, config: SimConfig,
                 raise ValueError(f"d2({t_x}) = {dv2} outside [0, 1]")
             y2 = secondary_modulator.step(dv2)
             s2 = y2 * c2
-            rail2 = params.Vo if vo_of_t is None else float(vo_of_t(t_x))
-            u2 = rail2 * s2
+            u2 = params.Vo * s2
             events.append(GateEvent(tick2, "secondary", y2, s2, t_x))
             tick2 += 1
-            x = (prop.cross(x, u_old, (u1, u2), alpha) if collect else
+            x = (prop.cross(x, u_old, (u1, u2), alpha).tolist() if collect else
                  prop.split(prop.split(x, u_old, alpha * h), (u1, u2), (1.0 - alpha) * h))
             pos += j + 1
-            # x is sample pos; a next segment overwrites the rows after it
+            # x is sample pos; a next segment writes it and the rows after it
             if collect:
-                samples[base + pos] = x
                 u_log[base + pos] = (u1, u2)
-            elif pos == steps:
-                row[-2:] = x[:2]
+            if pos == steps:
+                samples[base + steps] = x[:width]
 
         if not all(map(math.isfinite, x)):
             raise SimulationDiverged(
@@ -427,19 +403,21 @@ def simulate(params: PlantParams, config: SimConfig,
                 f"periods before t={t_end:.6e}s; c2 frozen")
             starved = True
 
-        # envelope peaks: max |i| over samples 0..steps of each half cycle
+        # envelope peaks: max |i| over samples 0..steps of each half cycle,
+        # the steps rows it starts plus the boundary row it shares
         if hc % CHUNK == CHUNK - 1 or hc == n_half - 1:
             lo = hc - hc % CHUNK
+            k = hc + 1 - lo
+            r0 = (lo % ring) * steps
             for env, col in ((env1, 0), (env2, 1)):
-                w = (sliding_window_view(samples[lo * steps: base + steps + 1, col],
-                                         steps + 1)[::steps]
-                     if collect else buf[:hc + 1 - lo, col::2])
-                env[lo:hc + 1] = np.abs(w).max(axis=1)
+                w = np.abs(samples[r0: r0 + k * steps + 1, col])
+                env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
+                                            w[steps::steps])
 
-    t_axis = np.arange(n_samples if collect else 0, dtype=float)
+    t_axis = np.arange(len(u_log), dtype=float)
     t_axis *= h  # in place: no second sample-sized array
-    return Trace(t=t_axis, states=samples, u=u_log, events=events,
-                 envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
+    return Trace(t=t_axis, states=samples if collect else np.empty((0, 4)), u=u_log,
+                 events=events, envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
                  diagnostics=diagnostics, params=params, config=config, dt=h)
 
 

@@ -1,6 +1,12 @@
 """Coupled-tank network equations, integrator, and co-simulation loop."""
 
+import ctypes
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +53,15 @@ def test_params_validation():
 def test_sim_config_rejects_bad_duration(duration):
     with pytest.raises(ValueError, match="duration must be finite and positive"):
         plant.SimConfig(duration=duration)
+
+
+@pytest.mark.parametrize("state", [
+    (math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0), (0.0, 0.0, 0.0, -math.inf),
+    (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)])
+def test_sim_config_rejects_bad_initial_state(state):
+    # rejected before anything runs, not after a diverged half cycle
+    with pytest.raises(ValueError, match="initial_state must be 4 finite numbers"):
+        plant.SimConfig(initial_state=state)
 
 
 def derivatives(state, u1, u2, params):
@@ -216,21 +231,40 @@ _FINITE_STATE = st.tuples(*(st.floats(-lim, lim) for lim in (1e3, 1e3, 1e5, 1e5)
 _DRIVE = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 
 
+def check_segment_stack(n, x, u):
+    """Assert what the half-cycle loop relies on for a segment of n steps
+    from state x under drive u.
+
+    The full-state stack, written in place into rows of a larger array,
+    gives x in its first row and the per-step products after it, bit for
+    bit; ``G[j - 1] @ z``, the state handed on, equals row j. The i1/i2
+    stack of runs without samples agrees with them to rounding.
+    """
+    z = np.array([*x, *u])
+    G = _PROP.G
+    stack = _PROP.stack(4)[:4 * (n + 1)]
+    rows = np.full(4 * (n + 3), np.nan)
+    seg = rows[4:4 * (n + 2)]
+    np.matmul(stack, z, out=seg)
+    assert np.isnan(rows[:4]).all() and np.isnan(rows[-4:]).all()
+    seg = seg.reshape(n + 1, 4)
+    assert np.array_equal(seg[0], x)
+    for i in range(n):
+        assert np.array_equal(seg[i + 1], G[i][:, :4] @ z[:4] + G[i][:, 4:] @ z[4:])
+        assert np.array_equal(G[i] @ z, seg[i + 1])
+    currents = _PROP.stack(2)[:2 * (n + 1)] @ z
+    scale = (np.abs(stack) @ np.abs(z)).reshape(n + 1, 4)[:, :2]
+    err = np.abs(currents.reshape(n + 1, 2) - seg[:, :2])
+    assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 256), x=_FINITE_STATE, u=_DRIVE)
+@example(n=1, x=(1e-3, -2e-3, 3e-3, -4e-3), u=(_V, -_V))
+@example(n=255, x=(3.0, -2.0, 400.0, -900.0), u=(-_V, 0.0))
 @example(n=256, x=(1e-3, -2e-3, 3e-3, -4e-3), u=(_V, -_V))
-def test_flat_segment_gemv_equals_stacked_products(n, x, u):
-    # The sample path writes CM[:n] @ x + CN[:n] @ u as one product on the
-    # flat (4 steps, 4) stack into the samples, then adds the drive term in
-    # place; it must give the per-step products bit for bit.
-    x = np.array(x)
-    stacked = _PROP.CM.reshape(-1, 4, 4)[:n] @ x + _PROP.CN.reshape(-1, 4, 2)[:n] @ u
-    rows = np.full(4 * (n + 2), np.nan)
-    seg = rows[4:4 * (n + 1)]
-    np.matmul(_PROP.CM[:4 * n], x, out=seg)
-    seg += np.matmul(_PROP.CN[:4 * n], u, out=np.empty(4 * n))
-    assert np.array_equal(seg.reshape(n, 4), stacked)
-    assert np.isnan(rows[:4]).all() and np.isnan(rows[-4:]).all()
+def test_segment_stack_rows_equal_per_step_products(n, x, u):
+    check_segment_stack(n, x, u)
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,6 +384,91 @@ def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d
         window = np.abs(full.states[hc * steps:(hc + 1) * steps + 1, :2])
         assert np.array_equal(window.max(axis=0),
                               [full.envelope_i1[hc], full.envelope_i2[hc]])
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_run_is_a_prefix_of_a_longer_run(collect):
+    # Bit for bit, also when i2 crosses in the last step of the short run's
+    # last half cycle (half cycle 0 here, where |i1| peaks): no later segment
+    # writes that sample, so the post-crossing state must be written there.
+    params = plant.DEFAULT_PARAMS
+    half = 0.5 / params.fs
+    short, long = [plant.simulate(params, plant.SimConfig(duration=n * half,
+                                                          initial_state=(-0.4, -1.7, 117.1, -1900.3),
+                                                          collect_samples=collect),
+                                  *fresh_mods(), 1.0, 1.0)
+                   for n in (1, plant.CHUNK + 2)]
+    assert short.events[-1].t > half * (1.0 - 1.0 / short.steps_per_half_cycle)
+    assert short.events == long.events[:len(short.events)]
+    n = len(short.t)
+    assert np.array_equal(short.states, long.states[:n])
+    assert np.array_equal(short.u, long.u[:n])
+    assert short.envelope_i1[0] == long.envelope_i1[0]
+    assert short.envelope_i2[0] == long.envelope_i2[0]
+
+
+def blas_core():
+    """The kernel OpenBLAS picked at run time, or None where it cannot be read."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def kernel_runs():
+    """Gate sequence, event times and envelopes of 1 ms runs with and
+    without samples, for both NTFs."""
+    runs = []
+    for tf in (build_first_order(), build_third_order(NtfDesignSpec(0.075, 0.9))):
+        for collect in (True, False):
+            tr = plant.simulate(plant.DEFAULT_PARAMS,
+                                plant.SimConfig(duration=1e-3, collect_samples=collect),
+                                *fresh_mods(tf), 0.963, 1.0)
+            runs.append({"gates": [list(ev[:4]) for ev in tr.events],
+                         "t": [ev.t for ev in tr.events],
+                         "i1": tr.envelope_i1.tolist(), "i2": tr.envelope_i2.tolist()})
+    return runs
+
+
+_OTHER_KERNEL = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_plant
+rng = np.random.default_rng(11)
+lims = np.array([1e3, 1e3, 1e5, 1e5])
+for n in [1, 2, 3, 64, 255, 256] + rng.integers(1, 257, 200).tolist():
+    test_plant.check_segment_stack(n, (rng.uniform(-1, 1, 4) * lims).tolist(),
+                                   rng.uniform(-1e3, 1e3, 2).tolist())
+print(json.dumps({"core": test_plant.blas_core(), "runs": test_plant.kernel_runs()}))
+"""
+
+
+def test_runs_agree_across_blas_kernels():
+    # Byte identity holds for the same inputs on the same BLAS kernel. Under
+    # another OpenBLAS kernel the segment stack keeps its properties, gate
+    # sequences are identical, and event times and envelopes agree to
+    # rounding (measured at most 1.2e-15 and 5.4e-13 relative).
+    src = str(Path(plant.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _OTHER_KERNEL, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    other = json.loads(proc.stdout)
+    if other["core"] != "Sandybridge":
+        pytest.skip(f"OpenBLAS kernel cannot be forced here (runs on {other['core']!r})")
+    for got, want in zip(other["runs"], kernel_runs(), strict=True):
+        assert got["gates"] == want["gates"]
+        np.testing.assert_allclose(got["t"], want["t"], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got["i1"], want["i1"], rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(got["i2"], want["i2"], rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("collect", [True, False])
