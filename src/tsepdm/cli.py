@@ -1,10 +1,12 @@
 """Command-line front end: one subcommand per experiment.
 
-Every simulation command resolves its parameters (packaged defaults, an
-optional key-value config file, then flags), writes delimiter-separated
-output files plus a ``<out>.manifest`` recording the resolved parameters,
-and optionally prints a machine-readable JSON summary. Identical inputs
-produce byte-identical outputs.
+Commands write delimiter-separated output files. The plant commands
+(``simulate``, ``sweep``, ``gssa``, ``dynamic``) resolve the plant constants
+from the `plant.PlantParams` defaults, an optional key-value ``--config``
+file, then flags. Every command but ``ntf`` and ``modulate`` also writes a
+``<out>.manifest`` recording the resolved parameters, and every command but
+``ntf`` can print a machine-readable JSON summary. Identical inputs produce
+byte-identical outputs.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numeric failure.
 """
@@ -27,9 +29,12 @@ NUMERIC_ERROR = 3
 _CHANNEL_FLAGS = {"u1i1": "u1->i1", "u1i2": "u1->i2",
                   "u2i1": "u2->i1", "u2i2": "u2->i2"}
 
+_CONFIG_HELP = ("key-value plant constants file; symbols it does not name keep "
+                "the measured prototype values")
 
-def _add_ntf_flags(p: argparse.ArgumentParser, default_kind: str = "tse"):
-    p.add_argument("--ntf", choices=experiments.NTF_KINDS, default=default_kind,
+
+def _add_ntf_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ntf", choices=experiments.NTF_KINDS, default="tse",
                    help="noise transfer function (default %(default)s)")
     p.add_argument("--rho", type=float, default=0.075,
                    help="notch frequency ratio omega_e/omega_s (default %(default)s)")
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_modulate)
 
     p = sub.add_parser("simulate", help="co-simulate the tank with PDM bridges")
-    p.add_argument("--config", help="key-value parameter file (defaults: packaged constants)")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--d1", type=float, default=1.0)
     p.add_argument("--d2", type=float, default=1.0)
     _add_ntf_flags(p)
@@ -78,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="density sweep with fluctuation reports")
-    p.add_argument("--config")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--side", choices=("primary", "secondary"), required=True)
     _add_ntf_flags(p)
     p.add_argument("--grid", default="standard", help="'standard' or start:step:stop")
@@ -92,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gssa", help="envelope small-signal frequency response")
-    p.add_argument("--config")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--k", type=float, help="override the coupling coefficient")
     p.add_argument("--channel", choices=sorted(_CHANNEL_FLAGS), default="u1i1")
     p.add_argument("--fmin", type=float, default=0.01, help="low edge, ratio units")
@@ -113,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("dynamic", help="sinusoidal density tracking on the secondary")
-    p.add_argument("--config")
+    p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--vg", type=float, default=15.0)
     p.add_argument("--vo", type=float, default=15.0)
     _add_ntf_flags(p)

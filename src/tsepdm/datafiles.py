@@ -10,14 +10,14 @@ chunk at a time with ``str``/``repr``, which give the same text.
 
 from __future__ import annotations
 
-import importlib.resources
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
 from .plant import PlantParams
 
-CONFIG_KEYS = ("L1", "L2", "C1", "C2", "R1", "R2", "k", "Vg", "Vo", "fs")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(PlantParams))
 
 
 class ConfigError(ValueError):
@@ -85,10 +85,6 @@ def write_manifest(out_path, resolved: dict) -> Path:
     return path
 
 
-def default_config_text() -> str:
-    return (importlib.resources.files("tsepdm") / "data" / "prototype.cfg").read_text()
-
-
 def parse_config_text(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     first_line: dict[str, int] = {}
@@ -115,19 +111,18 @@ def parse_config_text(text: str) -> dict[str, float]:
 
 
 def params_from_config(path: str | None = None, **overrides) -> PlantParams:
-    """Build plant parameters from a key-value config file.
+    """Build plant parameters from an optional key-value config file.
 
-    With no path, the packaged defaults are used. Keyword overrides are
+    The file sets the symbols it names; the others keep their `PlantParams`
+    defaults, the measured prototype constants. Keyword overrides are
     applied on top (e.g. ``k=0.13`` for a detuned sweep).
     """
-    if path is None:
-        text = default_config_text()
-    else:
+    values = {}
+    if path is not None:
         try:
-            text = Path(path).read_text()
+            values = parse_config_text(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = parse_config_text(text)
     values.update(overrides)
     try:
         return PlantParams(**values)

@@ -89,6 +89,11 @@ class ExperimentPreset:
             raise ValueError("side must be primary or secondary")
         if any(not (0.0 <= d <= 1.0) for d in self.densities):
             raise ValueError("densities must lie in [0, 1]")
+        if not 0.0 <= self.settle < self.duration < math.inf:  # also rejects NaN
+            raise ValueError("need finite 0 <= settle < duration, got "
+                             f"settle={self.settle!r}, duration={self.duration!r}")
+        if not 0.0 < self.window < math.inf:
+            raise ValueError(f"window must be finite and positive, got {self.window!r}")
         make_ntf(self.ntf_kind, self.rho, self.r)  # validates kind and rho/r
 
 
@@ -115,7 +120,10 @@ def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
                       workers: int | None = None
                       ) -> list[analysis.FluctuationReport]:
     """One `run_sweep_point` per density of the preset, ordered by density;
-    on a pool of ``workers`` processes when more than one (same reports)."""
+    on a pool of ``workers`` processes when more than one (same reports).
+    ``None`` runs serially; fewer than one worker raises ValueError."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     args = (run_sweep_point, repeat(params), repeat(preset), preset.densities)
     if workers is None or workers <= 1:
         reports = list(map(*args))

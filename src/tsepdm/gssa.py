@@ -66,7 +66,6 @@ class EnvelopeModel:
     i1_amp: float                  # peak |i1| at the operating point (A)
     i2_amp: float
     params: PlantParams
-    drive_amps: tuple[float, float]
 
 
 def resonant_peak_prediction(params: PlantParams) -> float:
@@ -156,8 +155,7 @@ def build_envelope_model(params: PlantParams,
 
     return EnvelopeModel(state_matrix=a_mat, input_matrix=b_mat,
                          output_amplitudes=c_amp, i1_amp=2.0 * abs(z1),
-                         i2_amp=2.0 * abs(z2), params=params,
-                         drive_amps=(a1, a2))
+                         i2_amp=2.0 * abs(z2), params=params)
 
 
 def amplitude_bode(model: EnvelopeModel, which: str,

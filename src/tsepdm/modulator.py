@@ -150,6 +150,22 @@ def _check_tick_count(n_ticks: int, available: int | None = None):
         raise ValueError(f"n_ticks={n_ticks} exceeds the {available} densities given")
 
 
+def _waveform(d, n_ticks: int | None) -> np.ndarray:
+    """The checked per-tick densities `run` ticks through for ``(d, n_ticks)``."""
+    if np.isscalar(d):
+        if n_ticks is None:
+            raise ValueError("n_ticks required for a scalar density")
+        _check_tick_count(n_ticks)
+        d_arr = np.full(n_ticks, float(d))
+    else:
+        d_arr = _density_array(d)
+        if n_ticks is not None:
+            _check_tick_count(n_ticks, d_arr.shape[0])
+            d_arr = d_arr[:n_ticks]
+    _check_densities(d_arr)
+    return d_arr
+
+
 def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Run a fresh modulator over a waveform.
@@ -159,17 +175,7 @@ def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
     runs its first ``n_ticks`` densities and may not exceed its length.
     Returns the (y, e) sequences; deterministic given inputs.
     """
-    if np.isscalar(d_waveform):
-        if n_ticks is None:
-            raise ValueError("n_ticks required for a scalar density")
-        _check_tick_count(n_ticks)
-        d_arr = np.full(n_ticks, float(d_waveform))
-    else:
-        d_arr = _density_array(d_waveform)
-        if n_ticks is not None:
-            _check_tick_count(n_ticks, d_arr.shape[0])
-            d_arr = d_arr[:n_ticks]
-    _check_densities(d_arr)
+    d_arr = _waveform(d_waveform, n_ticks)
     b, a = _coefficients(ntf)
     y_out = [False] * d_arr.shape[0]
     e_out = [0.0] * d_arr.shape[0]
@@ -212,18 +218,17 @@ class GateSequence:
     s: np.ndarray
 
 
-def gate_split(y, carrier_phase0: int = 1) -> GateSequence:
+def gate_split(y) -> GateSequence:
     """AND the quantizer output with a free-running alternating carrier.
 
-    The carrier toggles every half cycle regardless of y: skipped pulses
-    mask it without stopping it, so the polarity pattern of delivered
-    pulses stays locked to the half-cycle grid.
+    The carrier is +1 on tick 0 and toggles every half cycle regardless of
+    y, as the primary bridge of `plant.simulate` does: skipped pulses mask
+    it without stopping it, so the polarity pattern of delivered pulses
+    stays locked to the half-cycle grid.
     """
-    if carrier_phase0 not in (1, -1):
-        raise ValueError("carrier_phase0 must be +1 or -1")
     y_arr = np.asarray(y, dtype=np.int8)
     n = y_arr.shape[0]
-    carrier = np.where(np.arange(n) % 2 == 0, carrier_phase0, -carrier_phase0)
+    carrier = np.where(np.arange(n) % 2 == 0, 1, -1)
     s = (y_arr * carrier).astype(np.int8)
     a = ((y_arr == 1) & (carrier > 0)).astype(np.int8)
     b = ((y_arr == 1) & (carrier < 0)).astype(np.int8)
@@ -265,11 +270,10 @@ def stability_probe(ntf: RationalTransferFunction, d_waveform,
     (tolerance ``STABILITY_TOL`` on the boundaries). A probe needs at
     least one tick.
     """
-    y, e = run(ntf, d_waveform, n_ticks)
+    d_arr = _waveform(d_waveform, n_ticks)
+    y, e = run(ntf, d_arr)
     if not y.size:
         raise ValueError("a stability probe needs at least one tick")
-    d_arr = (np.full(len(y), float(d_waveform)) if np.isscalar(d_waveform)
-             else np.asarray(d_waveform, dtype=float)[:len(y)])
     return StabilityReport.of(y, e, d_arr.mean())
 
 

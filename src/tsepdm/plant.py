@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,10 +81,10 @@ class PlantParams:
     fs: float = 300e3
 
     def __post_init__(self):
-        for name in ("L1", "L2", "C1", "C2", "R1", "R2", "Vg", "Vo", "fs"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:      # also rejects NaN
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "k" and not 0.0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
         if not (0.0 < self.k < 1.0):
             raise ValueError("coupling coefficient k must be in (0, 1)")
 
@@ -175,21 +175,6 @@ def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
     B = np.zeros((4, 2))
     B[:2, :] = Linv @ np.diag([1.0, -1.0])
     return A, B
-
-
-def rk4_step(state, deriv: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of an autonomous system."""
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(state, dtype=float)
-    k1 = deriv(x)
-    k2 = deriv(x + 0.5 * h * k1)
-    k3 = deriv(x + 0.5 * h * k2)
-    k4 = deriv(x + h * k3)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise SimulationDiverged(f"non-finite state after step h={h}")
-    return out
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 """Command-line interface: files, manifests, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,11 @@ def read_rows(path):
     return header, rows
 
 
+def config_text(params=plant.DEFAULT_PARAMS):
+    """A config file setting every plant constant of ``params``."""
+    return "".join(f"{key} = {value!r}\n" for key, value in dataclasses.asdict(params).items())
+
+
 def test_default_config_is_prototype():
     params = datafiles.params_from_config(None)
     assert params == plant.DEFAULT_PARAMS
@@ -29,8 +35,24 @@ def test_default_config_is_prototype():
 
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "params.cfg"
-    cfg.write_text(datafiles.default_config_text())
+    cfg.write_text(config_text())
     assert datafiles.params_from_config(cfg) == plant.DEFAULT_PARAMS
+
+
+def test_config_file_sets_only_the_symbols_it_names(tmp_path):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k = 0.13\n")
+    assert (datafiles.params_from_config(cfg, Vg=15.0)
+            == dataclasses.replace(plant.DEFAULT_PARAMS, k=0.13, Vg=15.0))
+
+
+def test_readme_config_block_is_prototype():
+    # the README's config example is the one written-out copy of the defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config file format", 1)[1].split("```")[1]
+    values = datafiles.parse_config_text(block)
+    assert tuple(values) == datafiles.CONFIG_KEYS
+    assert plant.PlantParams(**values) == plant.DEFAULT_PARAMS
 
 
 def test_config_rejects_unknown_symbol(tmp_path):
@@ -54,7 +76,7 @@ def test_config_rejects_duplicate_symbol():
 
 def test_simulate_duplicate_config_symbol_exits_2(tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
-    cfg.write_text(datafiles.default_config_text() + "fs = 250e3\n")
+    cfg.write_text(config_text() + "fs = 250e3\n")
     assert main(["simulate", "--config", str(cfg),
                  "--trace", str(tmp_path / "t.csv")]) == 2
     assert "duplicate symbol 'fs'" in capsys.readouterr().err
@@ -263,6 +285,27 @@ def test_sweep_summary_skips_nan_points(tmp_path, capsys):
     assert summary["mean_fluct_pct"] is None
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--duration", "1e-3", "--settle", "2e-3"], "settle < duration"),
+    (["--settle=-1e-4"], "settle < duration"),
+    (["--duration", "nan"], "settle < duration"),
+    (["--window", "0"], "window must be finite and positive"),
+    (["--window", "inf"], "window must be finite and positive"),
+    (["--workers", "0"], "workers must be at least 1"),
+    (["--workers", "-3"], "workers must be at least 1"),
+])
+def test_sweep_rejects_bad_window_or_workers_before_simulating(tmp_path, capsys, monkeypatch,
+                                                              flags, message):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a sweep point")
+
+    monkeypatch.setattr(experiments, "run_sweep_point", no_simulation)
+    assert main(["sweep", "--side", "primary", "--grid", "0.5:0.1:0.5", *flags,
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.slow
 def test_sweep_output_independent_of_worker_count(tmp_path):
     outs = []
@@ -300,9 +343,7 @@ def test_gssa_rejects_nonpositive_points_before_writing(tmp_path, capsys, points
 def test_numeric_failure_exits_3(tmp_path):
     # damping so heavy the rectifier operating point vanishes
     cfg = tmp_path / "heavy.cfg"
-    cfg.write_text(datafiles.default_config_text()
-                   .replace("R1 = 0.1", "R1 = 20")
-                   .replace("R2 = 0.1", "R2 = 20"))
+    cfg.write_text(config_text(dataclasses.replace(plant.DEFAULT_PARAMS, R1=20.0, R2=20.0)))
     assert main(["gssa", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 3
 

@@ -78,6 +78,36 @@ def test_preset_validation():
                                      rho=2.0)
 
 
+@pytest.mark.parametrize("duration, settle, window", [
+    (1e-3, 2e-3, 3e-3), (2e-3, 2e-3, 3e-3), (5e-3, -1e-4, 3e-3),
+    (5e-3, 2e-3, 0.0), (5e-3, 2e-3, -1e-3), (math.inf, 2e-3, 3e-3),
+    (math.nan, 2e-3, 3e-3), (5e-3, math.nan, 3e-3), (5e-3, 2e-3, math.nan),
+    (5e-3, 2e-3, math.inf),
+])
+def test_preset_rejects_empty_analysis_window(duration, settle, window):
+    with pytest.raises(ValueError, match="settle|window"):
+        experiments.ExperimentPreset(name="x", side="primary", duration=duration,
+                                     settle=settle, window=window)
+
+
+@pytest.mark.parametrize("duration, settle, window", [
+    (5e-3, 2e-3, 3e-3), (4e-4, 1e-4, 3e-4), (1e-3, 0.0, 5e-3)])
+def test_preset_accepts_a_window_after_settle(duration, settle, window):
+    experiments.ExperimentPreset(name="x", side="primary", duration=duration,
+                                 settle=settle, window=window)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(prototype, monkeypatch, workers):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a sweep point")
+
+    monkeypatch.setattr(experiments, "run_sweep_point", no_simulation)
+    preset = experiments.ExperimentPreset(name="x", side="primary", densities=(0.5,))
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        experiments.run_density_sweep(prototype, preset, workers=workers)
+
+
 @pytest.mark.slow
 def test_sweep_reports_ordered_and_reproducible(prototype):
     preset = experiments.ExperimentPreset(

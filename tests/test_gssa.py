@@ -79,7 +79,8 @@ def test_bode_peak_doubles_with_k():
 def test_dc_gain_matches_static_resolve_oracle(prototype):
     # independent oracle: re-solve the equilibrium at perturbed amplitude
     model = gssa.build_envelope_model(prototype)
-    a1, a2 = model.drive_amps
+    a1 = 4.0 * prototype.Vg / math.pi   # the model's default full-power drives
+    a2 = 4.0 * prototype.Vo / math.pi
     delta = 1e-3 * a1
     hi = gssa.build_envelope_model(prototype, a1=a1 + delta, a2=a2)
     lo = gssa.build_envelope_model(prototype, a1=a1 - delta, a2=a2)

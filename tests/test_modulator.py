@@ -320,16 +320,10 @@ def test_gate_split_all_zero():
 def test_gate_split_magnitude_matches_y():
     rng = np.random.default_rng(5)
     y = (rng.uniform(size=500) > 0.3).astype(int)
-    for phase in (1, -1):
-        gates = mod.gate_split(y, carrier_phase0=phase)
-        assert np.array_equal(np.abs(gates.s), y)
-        zero_mask = gates.s == 0
-        assert np.array_equal(zero_mask, y == 0)
-
-
-def test_gate_split_rejects_bad_phase():
-    with pytest.raises(ValueError):
-        mod.gate_split([1, 0], carrier_phase0=0)
+    gates = mod.gate_split(y)
+    assert np.array_equal(np.abs(gates.s), y)
+    zero_mask = gates.s == 0
+    assert np.array_equal(zero_mask, y == 0)
 
 
 @given(d=st.lists(st.floats(0.0, 1.0), max_size=300), tf=st.sampled_from([NTF1, NTF3]))

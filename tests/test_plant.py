@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tsepdm import plant
-from tsepdm.modulator import PulseDensityModulator
+from tsepdm.modulator import PulseDensityModulator, gate_split, run
 from tsepdm.ntf import NtfDesignSpec, build_first_order, build_third_order
 
 
@@ -120,20 +120,18 @@ def analytic_rlc_current(t, L, C, R, i0, v0):
 
 
 def test_rk4_matches_analytic_rlc():
+    # the simulator's step: the collapsed RK4 map x <- M x
     L, C, R = 31.7e-6, 8.88e-9, 0.1
     A = np.array([[-R / L, -1.0 / L], [1.0 / C, 0.0]])
-
-    def deriv(x):
-        return A @ x
-
     period = 2 * math.pi * math.sqrt(L * C)
     i0, v0 = 3.0, 100.0
 
     def integrate(h):
         n = int(round(period / h))
+        M, _ = plant.rk4_affine_maps(A, np.zeros((2, 1)), h)
         x = np.array([i0, v0])
         for _ in range(n):
-            x = plant.rk4_step(x, deriv, h)
+            x = M @ x
         return x[0], n * h
 
     h = period / 256
@@ -149,9 +147,13 @@ def test_rk4_matches_analytic_rlc():
     assert 12.0 < ratio < 20.0
 
 
-def test_rk4_rejects_bad_step():
-    with pytest.raises(ValueError):
-        plant.rk4_step([0.0, 0.0], lambda x: np.zeros(2), 0.0)
+def rk4_step(x, deriv, h):
+    """One classical four-stage RK4 step: the oracle of the collapsed maps."""
+    k1 = deriv(x)
+    k2 = deriv(x + 0.5 * h * k1)
+    k3 = deriv(x + 0.5 * h * k2)
+    k4 = deriv(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_affine_maps_equal_generic_rk4(prototype):
@@ -162,7 +164,7 @@ def test_affine_maps_equal_generic_rk4(prototype):
     for _ in range(10):
         x = rng.normal(scale=[5, 5, 200, 200])
         u = rng.normal(scale=50.0, size=2)
-        direct = plant.rk4_step(x, lambda s: A @ s + B @ u, h)
+        direct = rk4_step(x, lambda s: A @ s + B @ u, h)
         assert np.allclose(M @ x + N @ u, direct, rtol=1e-12, atol=1e-12)
 
 
@@ -626,9 +628,18 @@ def test_first_order_worst_case_beats_near_half_k_ws(prototype):
     assert (rep_env.max() - rep_env.min()) / rep_env.mean() > 0.5
 
 
-def test_rk4_aborts_on_non_finite_result():
-    with pytest.raises(plant.SimulationDiverged):
-        plant.rk4_step([1.0], lambda x: np.array([float("inf")]), 1e-6)
+@pytest.mark.parametrize("kind", ["first", "tse"])
+def test_primary_carrier_is_gate_split_carrier(prototype, kind):
+    # one carrier rule: the primary bridge's signed pulses are gate_split's
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    d1 = 0.7
+    tr = plant.simulate(prototype, plant.SimConfig(duration=0.2e-3, collect_samples=False),
+                        *fresh_mods(tf), d1, 1.0)
+    s = [ev.s for ev in tr.events if ev.side == "primary"]
+    y, _ = run(tf, d1, len(s))
+    assert 0 < np.count_nonzero(y) < len(s)
+    assert np.array_equal(s, gate_split(y).s)
 
 
 def test_trace_drive_column_matches_events(full_power_trace):
