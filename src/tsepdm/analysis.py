@@ -128,6 +128,12 @@ class FluctuationReport:
         return not math.isfinite(self.fluctuation_pct)
 
 
+def window_mask(env_t, settle: float, window: float) -> np.ndarray:
+    """Which envelope times lie in the analysis window settle < t <= settle + window."""
+    t_arr = np.asarray(env_t, dtype=float)
+    return (t_arr > settle) & (t_arr <= settle + window)
+
+
 def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
                 d: float = float("nan"), side: str = "") -> FluctuationReport:
     """Peak-to-peak envelope excursion relative to its mean, in percent.
@@ -135,9 +141,8 @@ def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
     The percentage is NaN when the window mean is 0 (an all-zero envelope
     has no relative excursion, and must not read as perfect suppression).
     """
-    t_arr = np.asarray(env_t, dtype=float)
     e_arr = np.asarray(env, dtype=float)
-    mask = (t_arr > settle) & (t_arr <= settle + window)
+    mask = window_mask(env_t, settle, window)
     if not np.any(mask):
         raise ValueError("analysis window is empty")
     sel = e_arr[mask]

@@ -180,10 +180,9 @@ def cmd_modulate(args) -> int:
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     # the spectrum validates length and window before any file is written
     spec = analysis.spectrum_of_sequence(y, window=args.window) if args.spectrum else None
-    gates = modulator.gate_split(y)
     datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"],
-                         (gates.tick, [datafiles.format_value(args.d)] * args.ticks,
-                          y, e, gates.s))
+                         (np.arange(args.ticks), [datafiles.format_value(args.d)] * args.ticks,
+                          y, e, modulator.gate_split(y)))
     if spec is not None:
         datafiles.write_rows(args.spectrum, ["ratio", "magnitude"],
                              (spec.ratios, spec.magnitudes))

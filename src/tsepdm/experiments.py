@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .modulator import PulseDensityModulator
 from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, build_third_order
-from .plant import PlantParams, SimConfig, simulate
+from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
 
 NTF_KINDS = ("first", "tse")
 
@@ -121,9 +121,14 @@ def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
                       ) -> list[analysis.FluctuationReport]:
     """One `run_sweep_point` per density of the preset, ordered by density;
     on a pool of ``workers`` processes when more than one (same reports).
-    ``None`` runs serially; fewer than one worker raises ValueError."""
+    ``None`` runs serially. Raises ValueError, before simulating, for fewer
+    than one worker or an analysis window that holds no half-cycle end."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    env_t = half_cycle_ends(params, preset.duration)
+    if not analysis.window_mask(env_t, preset.settle, preset.window).any():
+        raise ValueError(f"analysis window is empty: no half cycle of a {preset.duration!r} s "
+                         f"run ends in ({preset.settle}, {preset.settle} + {preset.window}] s")
     args = (run_sweep_point, repeat(params), repeat(preset), preset.densities)
     if workers is None or workers <= 1:
         reports = list(map(*args))

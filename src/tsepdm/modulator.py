@@ -25,8 +25,8 @@ and `run_const_grid` runs one lane per constant density; all three tick
 through the same kernel.
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
-half cycle: `gate_split` turns a y sequence into leading-leg / lagging-leg
-drive signals and the signed modulated-wave samples s = y * carrier.
+half cycle: `gate_split` turns a y sequence into the signed samples
+s = y * carrier; s > 0 drives the leading leg and s < 0 the lagging leg.
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ class PulseDensityModulator:
         return 1 if self._y[0] else 0
 
 
-def _density_array(values) -> np.ndarray:
-    d = np.asarray(values, dtype=float)
-    if d.ndim != 1:
-        raise ValueError(f"densities must be one-dimensional, got shape {d.shape}")
-    return d
-
-
-def _check_densities(d: np.ndarray):
-    if not np.all(np.isfinite(d)):
-        raise ValueError("density waveform contains non-finite values")
-    if d.size and (d.min() < 0.0 or d.max() > 1.0):
-        raise ValueError("density waveform must lie in [0, 1]")
-
-
 def _check_tick_count(n_ticks: int, available: int | None = None):
     if n_ticks < 0:
         raise ValueError(f"n_ticks must be non-negative, got {n_ticks}")
@@ -151,18 +137,23 @@ def _check_tick_count(n_ticks: int, available: int | None = None):
 
 
 def _waveform(d, n_ticks: int | None) -> np.ndarray:
-    """The checked per-tick densities `run` ticks through for ``(d, n_ticks)``."""
+    """The checked densities: a scalar ``d`` replicated over ``n_ticks``, or
+    the first ``n_ticks`` (all if None) of a one-dimensional sequence."""
     if np.isscalar(d):
         if n_ticks is None:
             raise ValueError("n_ticks required for a scalar density")
         _check_tick_count(n_ticks)
-        d_arr = np.full(n_ticks, float(d))
-    else:
-        d_arr = _density_array(d)
-        if n_ticks is not None:
-            _check_tick_count(n_ticks, d_arr.shape[0])
-            d_arr = d_arr[:n_ticks]
-    _check_densities(d_arr)
+        d, n_ticks = np.full(n_ticks, float(d)), None
+    d_arr = np.asarray(d, dtype=float)
+    if d_arr.ndim != 1:
+        raise ValueError(f"densities must be one-dimensional, got shape {d_arr.shape}")
+    if n_ticks is not None:
+        _check_tick_count(n_ticks, d_arr.shape[0])
+        d_arr = d_arr[:n_ticks]
+    if not np.all(np.isfinite(d_arr)):
+        raise ValueError("density waveform contains non-finite values")
+    if d_arr.size and (d_arr.min() < 0.0 or d_arr.max() > 1.0):
+        raise ValueError("density waveform must lie in [0, 1]")
     return d_arr
 
 
@@ -192,8 +183,8 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     `run` per density; used for the long stability and reconstruction
     sweeps where per-tick Python costs dominate.
     """
-    d_arr = _density_array(d_values)
-    _check_densities(d_arr)
+    # an array, so that a scalar is refused as 0-d instead of replicated
+    d_arr = _waveform(np.asarray(d_values, dtype=float), None)
     _check_tick_count(n_ticks)
     b, a = _coefficients(ntf)
     y_out = np.empty((n_ticks, d_arr.shape[0]), dtype=np.int8)
@@ -203,36 +194,18 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     return y_out, e_out
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    """Per-half-cycle gate records derived from a y sequence.
-
-    ``a``/``b`` drive the leading and lagging legs; ``s = a - b`` is the
-    polarity-resolved modulated-wave sample in {-1, 0, +1}.
-    """
-
-    tick: np.ndarray
-    y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    s: np.ndarray
-
-
-def gate_split(y) -> GateSequence:
+def gate_split(y) -> np.ndarray:
     """AND the quantizer output with a free-running alternating carrier.
 
-    The carrier is +1 on tick 0 and toggles every half cycle regardless of
-    y, as the primary bridge of `plant.simulate` does: skipped pulses mask
-    it without stopping it, so the polarity pattern of delivered pulses
-    stays locked to the half-cycle grid.
+    Returns the signed modulated-wave samples s = y * carrier in
+    {-1, 0, +1} as int8. The carrier is +1 on tick 0 and toggles every half
+    cycle regardless of y, as the primary bridge of `plant.simulate` does:
+    skipped pulses mask it without stopping it, so the polarity pattern of
+    delivered pulses stays locked to the half-cycle grid.
     """
-    y_arr = np.asarray(y, dtype=np.int8)
-    n = y_arr.shape[0]
-    carrier = np.where(np.arange(n) % 2 == 0, 1, -1)
-    s = (y_arr * carrier).astype(np.int8)
-    a = ((y_arr == 1) & (carrier > 0)).astype(np.int8)
-    b = ((y_arr == 1) & (carrier < 0)).astype(np.int8)
-    return GateSequence(tick=np.arange(n), y=y_arr, a=a, b=b, s=s)
+    s = np.array(y, dtype=np.int8)
+    s[1::2] *= -1
+    return s
 
 
 @dataclass(frozen=True)

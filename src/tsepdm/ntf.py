@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Magnitude tolerances for the static design checks (DC zero and notch zero).
+# Magnitude tolerances for the static design checks: DC zero, notch zero,
+# and realizability |NTF(inf) - 1|.
 TOL_DC = 1e-9
 TOL_NOTCH = 1e-9
+TOL_REALIZABLE = 1e-12
 
 # Floor used when converting magnitudes to dB for plotting/export.
 DB_FLOOR = -200.0
@@ -157,6 +159,11 @@ def evaluate(tf: RationalTransferFunction, z: complex) -> complex:
     return _horner(tf.num, z) / den_val
 
 
+def _realizability_residual(tf: RationalTransferFunction) -> float:
+    """|NTF(inf) - 1|: 1.0 for a lower numerator degree (NTF(inf) = 0)."""
+    return abs(tf.num[0] / tf.den[0] - 1.0) if len(tf.num) == len(tf.den) else 1.0
+
+
 def check_requirements(tf: RationalTransferFunction,
                        spec: NtfDesignSpec) -> RequirementReport:
     """Check the three static design requirements against ``tf``.
@@ -171,11 +178,8 @@ def check_requirements(tf: RationalTransferFunction,
     dc_residual = abs(evaluate(tf, 1.0 + 0.0j))
     dc_ok = dc_residual <= TOL_DC
 
-    if len(tf.num) == len(tf.den):
-        real_residual = abs(tf.num[0] / tf.den[0] - 1.0)
-    else:
-        real_residual = 1.0  # NTF(inf) = 0: feedback filter would be improper
-    realizable = real_residual <= 1e-12
+    real_residual = _realizability_residual(tf)
+    realizable = real_residual <= TOL_REALIZABLE
 
     z_notch = cmath.exp(1j * math.pi * spec.notch_ratio)
     notch_gain = abs(evaluate(tf, z_notch))
@@ -208,7 +212,7 @@ def to_error_filter(tf: RationalTransferFunction) -> RationalTransferFunction:
     output depends on past errors only. The denominator is shared with the
     NTF.
     """
-    if len(tf.num) != len(tf.den) or abs(tf.num[0] / tf.den[0] - 1.0) > 1e-12:
+    if _realizability_residual(tf) > TOL_REALIZABLE:
         raise ValueError("NTF is not realizable (NTF(inf) != 1); cannot form error filter")
     diff = [d - n for d, n in zip(tf.den, tf.num)]
     diff[0] = 0.0  # leading terms cancel by the realizability check

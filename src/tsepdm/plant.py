@@ -33,21 +33,25 @@ pos..steps of the half cycle in place into one array, all four states of
 every sample in collecting runs, only i1/i2 in a ring of CHUNK half cycles
 otherwise; the next segment overwrites the rows after a crossing. The state
 handed on is ``G[j - 1] @ z`` as Python floats, in collecting runs the same
-bits as the row the product wrote. The one difference is the crossing split. Collecting runs
-build both sub-step maps in one stacked `rk4_affine_maps` call, kept because
-the ``simulate --trace/--events`` CSV files are compared byte for byte
-between versions. The others evaluate each sub-step by Horner's rule on the
-precomputed powers of the augmented generator [[A, B], [0, 0]], the same
-degree-4 polynomial; event times and envelopes agree to rounding.
+bits as the row the product wrote. The loop reads the mode only at the
+crossing split. Collecting runs build both sub-step maps in one stacked
+`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
+files are compared byte for byte between versions. The others evaluate each
+sub-step by Horner's rule on the precomputed powers of the augmented
+generator [[A, B], [0, 0]], the same degree-4 polynomial; event times and
+envelopes agree to rounding.
 
 The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
-reduced once per CHUNK half cycles from that array.
+reduced once per CHUNK half cycles from that array. Collecting runs build
+``Trace.u`` after the loop from each half cycle's u1 and each accepted
+crossing's sample row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -258,11 +262,21 @@ class _AffinePropagator:
                 for c0, c1, c2, c3, c4 in coef]
 
 
-def _as_waveform(d) -> Callable[[float], float]:
-    if callable(d):
-        return d
-    value = float(d)
-    return lambda t: value
+def _density_reader(d, name: str) -> Callable[[float], float]:
+    """Reader of ``d`` (a density or a callable of time), checked in [0, 1]."""
+    def read(t: float) -> float:
+        value = float(d(t) if callable(d) else d)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name}({t}) = {value} outside [0, 1]")
+        return value
+    return read
+
+
+def half_cycle_ends(params: PlantParams, duration: float) -> np.ndarray:
+    """End time of each half cycle a run of ``duration`` simulates, the
+    ``Trace.envelope_t`` axis: ``round(duration / half)`` half cycles."""
+    half = 0.5 / params.fs
+    return np.arange(1, int(round(duration / half)) + 1) * half
 
 
 def simulate(params: PlantParams, config: SimConfig,
@@ -280,14 +294,15 @@ def simulate(params: PlantParams, config: SimConfig,
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
     h = half / steps
-    n_half = int(round(config.duration / half))
+    env_t = half_cycle_ends(params, config.duration)
+    n_half = len(env_t)
     if n_half < 1:
         raise ValueError("duration shorter than one half cycle")
     Tsw = 1.0 / params.fs
     A, B = system_matrices(params)
     prop = _AffinePropagator(A, B, h, steps)
-    d1_fn = _as_waveform(d1)
-    d2_fn = _as_waveform(d2)
+    read_d1 = _density_reader(d1, "d1")
+    read_d2 = _density_reader(d2, "d2")
 
     collect = config.collect_samples
     # Sample rows: all states of the whole run, or i1/i2 of a ring of CHUNK
@@ -298,10 +313,10 @@ def simulate(params: PlantParams, config: SimConfig,
     stack = prop.stack(width)
     samples = np.empty((ring * steps + 1, width))
     flat = samples.reshape(-1)
-    u_log = np.zeros((n_half * steps + 1 if collect else 0, 2))
     x = [float(v) for v in config.initial_state]
 
-    env_t = np.empty(n_half)
+    u1_log = np.empty(n_half)  # each half cycle's primary drive
+    cross_rows = array("q")  # each accepted crossing's first row under its drive, as int64
     env1 = np.empty(n_half)
     env2 = np.empty(n_half)
     events: list[GateEvent] = []
@@ -312,20 +327,14 @@ def simulate(params: PlantParams, config: SimConfig,
     last_crossing = 0.0
     starved = False
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
-    tick2 = 0
 
     for hc in range(n_half):
         t0 = hc * half
-        dv1 = float(d1_fn(t0))
-        if not (0.0 <= dv1 <= 1.0):
-            raise ValueError(f"d1({t0}) = {dv1} outside [0, 1]")
-        y1 = primary_modulator.step(dv1)
+        y1 = primary_modulator.step(read_d1(t0))
         s1 = -y1 if hc % 2 else y1  # the carrier alternates every half cycle
         rail1 = params.Vg if vg_of_t is None else float(vg_of_t(t0))
-        u1 = rail1 * s1
+        u1 = u1_log[hc] = rail1 * s1
         events.append(GateEvent(hc, "primary", y1, s1, t0))
-        if collect and hc == 0:
-            u_log[0] = (u1, u2)
 
         base = (hc % ring) * steps  # also the sample index when collecting
         pos = 0
@@ -335,8 +344,6 @@ def simulate(params: PlantParams, config: SimConfig,
             z = np.array(x + [u1, u2])
             seg = flat[width * (base + pos): width * (base + steps + 1)]
             np.matmul(stack[:width * (n_rem + 1)], z, out=seg)
-            if collect:
-                u_log[base + pos + 1: base + steps + 1] = (u1, u2)
             i2 = seg[1::width]
             left, i2_seq = i2[:-1], i2[1:]
             cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
@@ -359,20 +366,15 @@ def simulate(params: PlantParams, config: SimConfig,
             c2 = 1 if i2_seq[j] > left[j] else -1
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
-            dv2 = float(d2_fn(t_x))
-            if not (0.0 <= dv2 <= 1.0):
-                raise ValueError(f"d2({t_x}) = {dv2} outside [0, 1]")
-            y2 = secondary_modulator.step(dv2)
+            y2 = secondary_modulator.step(read_d2(t_x))
             s2 = y2 * c2
             u2 = params.Vo * s2
-            events.append(GateEvent(tick2, "secondary", y2, s2, t_x))
-            tick2 += 1
+            events.append(GateEvent(len(cross_rows), "secondary", y2, s2, t_x))
             x = (prop.cross(x, u_old, (u1, u2), alpha).tolist() if collect else
                  prop.split(prop.split(x, u_old, alpha * h), (u1, u2), (1.0 - alpha) * h))
             pos += j + 1
             # x is sample pos; a next segment writes it and the rows after it
-            if collect:
-                u_log[base + pos] = (u1, u2)
+            cross_rows.append(hc * steps + pos)
             if pos == steps:
                 samples[base + steps] = x[:width]
 
@@ -380,9 +382,8 @@ def simulate(params: PlantParams, config: SimConfig,
             raise SimulationDiverged(
                 f"non-finite state at t={t0 + half:.6e}s (half cycle {hc})")
         t_end = (hc + 1) * half
-        env_t[hc] = t_end
         if (not starved and (t_end - last_crossing) > 3.0 * Tsw
-                and float(d2_fn(t_end)) < 1.0):
+                and read_d2(t_end) < 1.0):
             diagnostics.append(
                 f"secondary sync starved: no i2 crossing in 3 switching "
                 f"periods before t={t_end:.6e}s; c2 frozen")
@@ -399,10 +400,22 @@ def simulate(params: PlantParams, config: SimConfig,
                 env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
                                             w[steps::steps])
 
-    t_axis = np.arange(len(u_log), dtype=float)
+    # drive rows: row 0 and rows hc * steps + 1 .. (hc + 1) * steps take
+    # u1_log[hc]; u2 is 0.0 before the first crossing's row, then Vo * s of
+    # the latest crossing at or before the row
+    u = np.empty((n_half * steps + 1 if collect else 0, 2))
+    if collect:
+        u[0, 0] = u1_log[0]
+        u[1:].reshape(n_half, steps, 2)[:, :, 0] = u1_log[:, None]
+        bounds = [0, *cross_rows, len(u)]
+        u2_values = [0.0] + [params.Vo * ev.s for ev in events if ev.side == "secondary"]
+        for lo, hi, u2 in zip(bounds, bounds[1:], u2_values):
+            u[lo:hi, 1] = u2
+    t_axis = np.arange(len(u), dtype=float)
     t_axis *= h  # in place: no second sample-sized array
-    return Trace(t=t_axis, states=samples if collect else np.empty((0, 4)), u=u_log,
-                 events=events, envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
+    return Trace(t=t_axis, states=samples if collect else np.empty((0, 4)), u=u,
+                 events=events, envelope_t=env_t,
+                 envelope_i1=env1, envelope_i2=env2,
                  diagnostics=diagnostics, params=params, config=config, dt=h)
 
 

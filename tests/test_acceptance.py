@@ -141,7 +141,7 @@ def test_criterion_05_spectral_notch():
         y, _ = mod.run(tf, 0.963, n_ticks=n)
         y_bands[name] = analysis.band_level_db(
             analysis.spectrum_of_sequence(y), 0.075, 0.005)
-        spec_s = analysis.gate_waveform_spectrum(mod.gate_split(y).s,
+        spec_s = analysis.gate_waveform_spectrum(mod.gate_split(y),
                                                  oversample=8)
         s_bands[name] = (analysis.band_level_db(spec_s, 0.925, 0.005),
                          analysis.band_level_db(spec_s, 1.075, 0.005))

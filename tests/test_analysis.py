@@ -60,7 +60,7 @@ def test_hann_window_contains_off_bin_leakage():
 
 def test_gating_mirrors_spectrum_bin_exact():
     y, _ = run(NTF1, 0.963, n_ticks=4096)
-    s = gate_split(y).s
+    s = gate_split(y)
     spec_y = analysis.spectrum_of_sequence(y)
     spec_s = analysis.spectrum_of_sequence(s.astype(float))
     assert np.allclose(spec_s.magnitudes, spec_y.magnitudes[::-1],
@@ -75,7 +75,7 @@ def test_notch_band_suppression_and_paired_sidebands():
         y, _ = run(tf, 0.963, n_ticks=n)
         bands_y[name] = analysis.band_level_db(
             analysis.spectrum_of_sequence(y), 0.075, 0.005)
-        spec_s = analysis.gate_waveform_spectrum(gate_split(y).s, oversample=4)
+        spec_s = analysis.gate_waveform_spectrum(gate_split(y), oversample=4)
         bands_s[name] = (analysis.band_level_db(spec_s, 0.925, 0.005),
                          analysis.band_level_db(spec_s, 1.075, 0.005))
     assert bands_y["first"] - bands_y["tse"] >= 20.0
@@ -85,7 +85,7 @@ def test_notch_band_suppression_and_paired_sidebands():
 
 def test_gate_waveform_spectrum_axis():
     y = np.ones(2048)
-    spec = analysis.gate_waveform_spectrum(gate_split(y).s, oversample=4)
+    spec = analysis.gate_waveform_spectrum(gate_split(y), oversample=4)
     assert spec.ratios[-1] == pytest.approx(4.0)
     # full-density gating is the pure carrier: a line at the switching ratio
     peak = np.argmax(spec.magnitudes)

@@ -161,10 +161,9 @@ def test_modulate_file_matches_per_row_density_column(tmp_path):
     assert main(["modulate", "--d", repr(d), "--ntf", "first", "--ticks", "3000",
                  "--out", str(out)]) == 0
     y, e = modulator.run(ntf.build_first_order(), d, n_ticks=3000)
-    gates = modulator.gate_split(y)
     expected = tmp_path / "expected.csv"
     datafiles.write_rows(expected, ["tick", "d", "y", "e", "s"],
-                         (gates.tick, np.full(3000, d), y, e, gates.s))
+                         (np.arange(3000), np.full(3000, d), y, e, modulator.gate_split(y)))
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -303,6 +302,21 @@ def test_sweep_rejects_bad_window_or_workers_before_simulating(tmp_path, capsys,
     assert main(["sweep", "--side", "primary", "--grid", "0.5:0.1:0.5", *flags,
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rejects_a_window_after_the_last_half_cycle(tmp_path, capsys, monkeypatch,
+                                                          workers):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a sweep point")
+
+    monkeypatch.setattr(experiments, "simulate", no_simulation)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_simulation)
+    assert main(["sweep", "--side", "primary", "--grid", "0.5:0.1:0.5",
+                 "--duration", "3.1008e-3", "--settle", "3.1005e-3", "--window", "1e-3",
+                 "--workers", workers, "--out", str(tmp_path / "s.csv")]) == 2
+    assert "analysis window is empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

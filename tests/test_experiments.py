@@ -108,6 +108,32 @@ def test_sweep_rejects_fewer_than_one_worker(prototype, monkeypatch, workers):
         experiments.run_density_sweep(prototype, preset, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [None, 2])
+def test_sweep_rejects_a_window_after_the_last_half_cycle(prototype, monkeypatch, workers):
+    # 3.1008 ms runs round(1860.48) = 1860 half cycles, so the last envelope
+    # time is 3.1 ms: settle < duration holds, yet no envelope time is in
+    # the window; neither a simulation nor a pool may start
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a sweep point")
+
+    monkeypatch.setattr(experiments, "simulate", no_simulation)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_simulation)
+    preset = experiments.ExperimentPreset(name="x", side="primary", densities=(0.5,),
+                                          duration=3.1008e-3, settle=3.1005e-3, window=1e-3)
+    with pytest.raises(ValueError, match="analysis window is empty"):
+        experiments.run_density_sweep(prototype, preset, workers=workers)
+
+
+def test_sweep_window_check_reads_the_simulated_envelope_axis(prototype):
+    # the window holds only the last half-cycle end (3.1 ms), which the
+    # check must accept and the fluctuation report must then read
+    preset = experiments.ExperimentPreset(name="x", side="primary", densities=(0.5,),
+                                          duration=3.1008e-3, settle=3.0995e-3,
+                                          window=1e-3, steps_per_half_cycle=32)
+    (report,) = experiments.run_density_sweep(prototype, preset)
+    assert report.i_min == report.i_max == report.i_mean > 0.0
+
+
 @pytest.mark.slow
 def test_sweep_reports_ordered_and_reproducible(prototype):
     preset = experiments.ExperimentPreset(

@@ -301,29 +301,35 @@ def test_determinism_bit_identical():
 
 
 def test_gate_split_full_square_wave():
-    gates = mod.gate_split([1, 1, 1, 1])
-    assert list(gates.s) == [1, -1, 1, -1]
-    assert list(gates.a) == [1, 0, 1, 0]
-    assert list(gates.b) == [0, 1, 0, 1]
+    s = mod.gate_split([1, 1, 1, 1])
+    assert s.dtype == np.int8
+    assert list(s) == [1, -1, 1, -1]
+    # the leading leg conducts on s > 0, the lagging leg on s < 0
+    assert list(s > 0) == [True, False, True, False]
+    assert list(s < 0) == [False, True, False, True]
 
 
 def test_gate_split_carrier_free_runs_through_skips():
-    gates = mod.gate_split([1, 1, 0, 1])
-    assert list(gates.s) == [1, -1, 0, -1]
+    assert list(mod.gate_split([1, 1, 0, 1])) == [1, -1, 0, -1]
 
 
 def test_gate_split_all_zero():
-    gates = mod.gate_split([0, 0, 0])
-    assert not np.any(gates.s)
+    assert not np.any(mod.gate_split([0, 0, 0]))
 
 
 def test_gate_split_magnitude_matches_y():
     rng = np.random.default_rng(5)
     y = (rng.uniform(size=500) > 0.3).astype(int)
-    gates = mod.gate_split(y)
-    assert np.array_equal(np.abs(gates.s), y)
-    zero_mask = gates.s == 0
-    assert np.array_equal(zero_mask, y == 0)
+    s = mod.gate_split(y)
+    assert np.array_equal(np.abs(s), y)
+    assert np.array_equal(s == 0, y == 0)
+
+
+def test_gate_split_leaves_its_input_unchanged():
+    y, _ = mod.run(NTF3, 0.7, n_ticks=64)
+    before = y.copy()
+    mod.gate_split(y)
+    assert np.array_equal(y, before)
 
 
 @given(d=st.lists(st.floats(0.0, 1.0), max_size=300), tf=st.sampled_from([NTF1, NTF3]))

@@ -178,6 +178,20 @@ def test_error_filter_rejects_unrealizable():
         ntf.to_error_filter(tf)
 
 
+@pytest.mark.parametrize("num, realizable", [
+    ((1.0, -1.0), True), ((1.0 + 1e-13, -1.0), True), ((1.0 + 1e-11, -1.0), False),
+    ((2.0, -1.0), False), ((1.0,), False)])
+def test_requirement_check_and_error_filter_share_one_realizability_rule(num, realizable):
+    tf = ntf.RationalTransferFunction(num=num, den=(1.0, 0.0))
+    report = ntf.check_requirements(tf, ntf.NtfDesignSpec(0.075))
+    assert report.realizable is realizable
+    if realizable:
+        ntf.to_error_filter(tf)
+    else:
+        with pytest.raises(ValueError, match="not realizable"):
+            ntf.to_error_filter(tf)
+
+
 def test_error_filter_complements_ntf_pointwise():
     rng = np.random.default_rng(3)
     for tf in (ntf.build_first_order(),

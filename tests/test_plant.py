@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
+from scipy.optimize import fsolve
 
 from tsepdm import plant
 from tsepdm.modulator import PulseDensityModulator, gate_split, run
@@ -286,14 +288,25 @@ def test_stacked_rk4_affine_maps_equal_scalar_calls(fracs):
         assert np.array_equal(N_k, N_ref)
 
 
+# no crossing in half cycle 0, the first one in step 0 of half cycle 1, so
+# both drives change on row steps + 1
+_STEP_0_CROSSING_X0 = (1.7, -1.4, 510.3, 668.4)
+
+
+def _rippled_rail(t):
+    return 50.0 * (1.0 + 0.05 * math.cos(2.0 * math.pi * 20e3 * t))
+
+
 @pytest.mark.parametrize("kind", ["first", "tse"])
-@pytest.mark.parametrize("x0, d1, d2", [
-    ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0),
-    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6),
+@pytest.mark.parametrize("x0, d1, d2, vg_of_t", [
+    ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0, None),
+    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, None),
     # i2 crosses in the last step of half cycle 0
-    ((-0.4, -1.7, 117.1, -1900.3), 1.0, 1.0),
-])
-def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2):
+    ((-0.4, -1.7, 117.1, -1900.3), 1.0, 1.0, None),
+    (_STEP_0_CROSSING_X0, 1.0, 1.0, None),
+    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, _rippled_rail),
+], ids=["x00-0.963-1.0", "x01-0.7-0.6", "x02-1.0-1.0", "step-0-crossing", "rippled-rail"])
+def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_of_t):
     # Segments are written in place and the rows after an accepted crossing
     # are overwritten by the next segment. No stale row may survive: every
     # step without a crossing inside is one RK4 map of the row before under
@@ -303,12 +316,14 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2):
           else build_third_order(NtfDesignSpec(0.075, 0.9)))
     half = 0.5 / params.fs
     tr = plant.simulate(params, plant.SimConfig(duration=70 * half, initial_state=x0),
-                        *fresh_mods(tf), d1, d2)
+                        *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
     steps, h, x, u = tr.steps_per_half_cycle, tr.dt, tr.states, tr.u
     assert np.array_equal(x[0], x0)
     primary = [ev for ev in tr.events if ev.side == "primary"]
     secondary = [ev for ev in tr.events if ev.side == "secondary"]
     assert len(secondary) > 60
+    if x0 == _STEP_0_CROSSING_X0:
+        assert steps < secondary[0].t / h < steps + 1
 
     # steps k (sample k-1 to k) holding a crossing, within rounding of t/h
     split = np.zeros(len(x), dtype=bool)
@@ -325,7 +340,10 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2):
 
     # drive rows: u1 from the half cycle's primary tick, u2 from the last
     # crossing at or before the step (the split step takes the new drive)
-    u1 = np.array([params.Vg * ev.s for ev in primary])
+    rail = vg_of_t or (lambda t: params.Vg)
+    u1 = np.array([float(rail(ev.t)) * ev.s for ev in primary])
+    if vg_of_t:
+        assert len(set(np.abs(u1[u1 != 0.0]))) > 1
     assert u[0, 0] == u1[0] and u[0, 1] == 0.0
     np.testing.assert_array_equal(u[1:, 0], np.repeat(u1, steps))
     u2 = np.zeros(len(x))
@@ -503,6 +521,56 @@ def test_full_power_matches_phasor_oracle(prototype, full_power_trace):
     assert a2 == pytest.approx(abs(I2), rel=0.02)
 
 
+@pytest.mark.parametrize("kind", ["first", "tse"])
+@pytest.mark.parametrize("steps, current_gap, voltage_gap, crossing_gap", [
+    (64, 6e-5, 3e-6, 2e-5), (256, 3e-6, 1.5e-7, 1e-6)])
+def test_settled_full_power_run_matches_exact_periodic_orbit(
+        prototype, kind, steps, current_gap, voltage_gap, crossing_gap):
+    # At d1 = d2 = 1 the plant settles onto a half-period antiperiodic orbit:
+    # from the half-cycle start x0, the exact flow over [0, tau] under
+    # (Vg, u2) and then over [tau, half] under (Vg, -u2) returns -x0, and
+    # i2(tau) = 0. Before the crossing the rectifier drive carries the sign
+    # of i2, u2 = Vo sign(i2(0)). The exact flow is expm of the augmented
+    # generator [[A, B], [0, 0]]. Gaps measured for both NTFs (the same run,
+    # since y = 1 on every tick) after 8 ms, norm-relative for the currents
+    # and the capacitor voltages, tau in half cycles: 3.05e-5, 1.35e-6,
+    # 9.3e-6 at 64 steps; 1.38e-6, 5.35e-8, 4.3e-7 at 256 steps.
+    p = prototype
+    half = 0.5 / p.fs
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    n_half = 2400
+    tr = plant.simulate(p, plant.SimConfig(steps_per_half_cycle=steps, duration=n_half * half),
+                        *fresh_mods(tf), 1.0, 1.0)
+    hc = n_half - 2  # an even half cycle: u1 = +Vg
+    x_sim = tr.states[hc * steps]
+    (t_x,) = [ev.t for ev in tr.events
+              if ev.side == "secondary" and hc * half <= ev.t < (hc + 1) * half]
+    tau_sim = t_x / half - hc
+
+    A, B = plant.system_matrices(p)
+    generator = np.zeros((6, 6))
+    generator[:4, :4] = A
+    generator[:4, 4:] = B
+    u2 = p.Vo * np.sign(x_sim[1])
+    scale = np.abs(x_sim)
+
+    def residual(v):  # unknowns (x0 / scale, tau / half)
+        x0, tau = v[:4] * scale, v[4] * half
+        x_tau = (expm(generator * tau) @ np.r_[x0, p.Vg, u2])[:4]
+        x_half = (expm(generator * (half - tau)) @ np.r_[x_tau, p.Vg, -u2])[:4]
+        return np.r_[(x_half + x0) / scale, x_tau[1] / scale[1]]
+
+    # full_output: a stalled-progress note is no failure; the residual decides
+    v, *_ = fsolve(residual, np.r_[x_sim / scale, tau_sim], xtol=1e-14, full_output=True)
+    assert np.abs(residual(v)).max() <= 1e-12
+    x0, tau = v[:4] * scale, v[4]
+    assert 0.0 < tau < 1.0
+    assert np.linalg.norm(x_sim[:2] - x0[:2]) <= current_gap * np.linalg.norm(x0[:2])
+    assert np.linalg.norm(x_sim[2:] - x0[2:]) <= voltage_gap * np.linalg.norm(x0[2:])
+    assert abs(tau_sim - tau) <= crossing_gap
+
+
 def test_full_power_phase_matches_phasor_oracle(prototype, full_power_trace):
     # At full density with carrier phase +1 the drive fundamental is exactly
     # sin(ws t), so fitting i1 on a (sin, cos) basis yields the drive-relative
@@ -639,7 +707,7 @@ def test_primary_carrier_is_gate_split_carrier(prototype, kind):
     s = [ev.s for ev in tr.events if ev.side == "primary"]
     y, _ = run(tf, d1, len(s))
     assert 0 < np.count_nonzero(y) < len(s)
-    assert np.array_equal(s, gate_split(y).s)
+    assert np.array_equal(s, gate_split(y))
 
 
 def test_trace_drive_column_matches_events(full_power_trace):
