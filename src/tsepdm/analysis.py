@@ -205,10 +205,12 @@ def zvs_pass_rate(checks: list[ZvsCheck], side: str | None = None,
     resonance the full-density toggle current is nearly zero, so the raw
     polarity of those edges is a coin flip with negligible node charge to
     displace; events below the threshold are excluded from the rate (they
-    still appear, failed, in the per-event reports).
+    still appear, failed, in the per-event reports). With no event left to
+    rate (no event of ``side``, or none at or above ``min_current``) the
+    rate is NaN: an empty selection is no evidence of soft switching.
     """
     sel = [c for c in checks
            if (side is None or c.side == side) and abs(c.current) >= min_current]
     if not sel:
-        return 1.0
+        return math.nan
     return sum(c.ok for c in sel) / len(sel)

@@ -215,10 +215,12 @@ def cmd_simulate(args) -> int:
         "duration": args.duration, "steps_per_half_cycle": args.steps,
         "blanking_fraction": args.blanking,
     })
+    # Steady values average the half cycles ending in the last 20% of the
+    # run; a run too short to have any holds nulls.
     tail = trace.envelope_t > 0.8 * args.duration
     _emit_summary(args, {
-        "i1_steady": float(trace.envelope_i1[tail].mean()),
-        "i2_steady": float(trace.envelope_i2[tail].mean()),
+        "i1_steady": float(trace.envelope_i1[tail].mean()) if tail.any() else None,
+        "i2_steady": float(trace.envelope_i2[tail].mean()) if tail.any() else None,
         "events": len(trace.events),
         "diagnostics": trace.diagnostics,
     })

@@ -27,19 +27,22 @@ so drive changes always land on (sub)step boundaries, keeping the RK4
 order intact.
 
 Both modes of ``SimConfig.collect_samples`` run one half-cycle loop. Each
-segment is one matrix-vector product of a stack with z = (x, u): ``[I | 0]``
-followed by the rows of every ``G[i] = [CM_i | CN_i]``. It writes samples
-pos..steps of the half cycle in place into one array, all four states of
-every sample in collecting runs, only i1/i2 in a ring of CHUNK half cycles
-otherwise; the next segment overwrites the rows after a crossing. The state
-handed on is ``G[j - 1] @ z`` as Python floats, in collecting runs the same
-bits as the row the product wrote. The loop reads the mode only at the
-crossing split. Collecting runs build both sub-step maps in one stacked
-`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
-files are compared byte for byte between versions. The others evaluate each
-sub-step by Horner's rule on the precomputed powers of the augmented
-generator [[A, B], [0, 0]], the same degree-4 polynomial; event times and
-envelopes agree to rounding.
+segment is one matrix-vector product ``np.dot(stack, z, out=...)`` of a
+stack with z = (x, u): ``[I | 0]`` followed by the rows of every
+``G[i] = [CM_i | CN_i]``. It writes samples pos..steps of the half cycle in
+place into one array, all four states of every sample in collecting runs,
+only i1/i2 in a ring of CHUNK half cycles otherwise; the next segment
+overwrites the rows after a crossing. The state handed on is
+``G[j - 1].dot(z)`` as Python floats, in collecting runs the same bits as
+the row the product wrote. ``ndarray.dot`` runs the same BLAS
+matrix-vector product as ``@`` without the ufunc dispatch. The loop reads
+the mode only at the crossing split. Collecting runs build both sub-step
+maps in one stacked `rk4_affine_maps` call, kept because the
+``simulate --trace/--events`` CSV files are compared byte for byte between
+versions. The others evaluate each sub-step by Horner's rule on the
+precomputed powers of the augmented generator [[A, B], [0, 0]], stored as
+one flat (20, 6) table (row 5 r + k for state r and power k), the same
+degree-4 polynomial; event times and envelopes agree to rounding.
 
 The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
 reduced once per CHUNK half cycles from that array. Collecting runs build
@@ -198,13 +201,18 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
     rounding (same polynomial, different evaluation order). An (m, 1, 1)
     stack ``h`` gives stacks of M and N, bit-identical to m scalar calls.
     """
-    n = A.shape[0]
+    eye = _identity(A.shape[0])
+    # Both series start at their first term hA: I @ hA multiplies by 1 and
+    # adds zeros, so it gives the same M and S.
     hA = h * A
-    M = term = S = acc = _identity(n)
-    for kk in range(1, 5):
+    M = eye + hA
+    term = hA
+    for kk in range(2, 5):
         term = term @ hA / kk
         M = M + term
-    for kk in range(1, 4):
+    acc = hA / 2
+    S = eye + acc
+    for kk in range(2, 4):
         acc = acc @ hA / (kk + 1)
         S = S + acc
     N = h * (S @ B)
@@ -215,8 +223,8 @@ class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
     ``G[i] = [CM_i | CN_i]`` maps z = (x, u) at a segment start to the state
-    i + 1 steps on. ``P[r, k]`` is row r of Abar^k / k!, k = 0..4, for the
-    augmented generator Abar = [[A, B], [0, 0]].
+    i + 1 steps on. Row 5 r + k of ``P`` is row r of Abar^k / k!, k = 0..4,
+    for the augmented generator Abar = [[A, B], [0, 0]].
     """
 
     def __init__(self, A, B, h, steps):
@@ -240,7 +248,7 @@ class _AffinePropagator:
         for kk in range(1, 5):
             term = term @ Abar / kk
             powers.append(term[:4])
-        self.P = np.stack(powers, axis=1)
+        self.P = np.stack(powers, axis=1).reshape(20, 6)
 
     def stack(self, width):
         """``[I | 0]`` followed by every ``G[i]``, the first ``width`` state
@@ -257,9 +265,9 @@ class _AffinePropagator:
         """RK4 step of width dt by Horner's rule on the stored powers, as a list."""
         # Python floats: the same IEEE operations as numpy, at a fraction of
         # the per-call cost on four-element vectors.
-        coef = (self.P @ np.array([*x, *u])).tolist()
-        return [(((c4 * dt + c3) * dt + c2) * dt + c1) * dt + c0
-                for c0, c1, c2, c3, c4 in coef]
+        c = self.P.dot(np.array([*x, *u])).tolist()
+        return [(((c[k + 4] * dt + c[k + 3]) * dt + c[k + 2]) * dt + c[k + 1]) * dt + c[k]
+                for k in (0, 5, 10, 15)]
 
 
 def _density_reader(d, name: str) -> Callable[[float], float]:
@@ -343,27 +351,27 @@ def simulate(params: PlantParams, config: SimConfig,
             # samples pos..steps of the half cycle, written in place
             z = np.array(x + [u1, u2])
             seg = flat[width * (base + pos): width * (base + steps + 1)]
-            np.matmul(stack[:width * (n_rem + 1)], z, out=seg)
+            np.dot(stack[:width * (n_rem + 1)], z, out=seg)
             i2 = seg[1::width]
             left, i2_seq = i2[:-1], i2[1:]
             cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
             accept = -1
             for j in cross_candidates.tolist():
-                alpha_j = left[j] / (left[j] - i2_seq[j])
-                if t0 + (pos + j + alpha_j) * h >= blanking_until:
+                i2_left, i2_right = left.item(j), i2_seq.item(j)
+                alpha = i2_left / (i2_left - i2_right)
+                if t0 + (pos + j + alpha) * h >= blanking_until:
                     accept = j
-                    alpha = float(alpha_j)
                     break
             # samples before the accepted crossing (the whole rest if none)
             j = n_rem if accept < 0 else accept
             if j > 0:
-                x = (prop.G[j - 1] @ z).tolist()
+                x = prop.G[j - 1].dot(z).tolist()
             if accept < 0:
                 break
 
             t_x = t0 + (pos + j + alpha) * h
             u_old = (u1, u2)
-            c2 = 1 if i2_seq[j] > left[j] else -1
+            c2 = 1 if i2_right > i2_left else -1
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
             y2 = secondary_modulator.step(read_d2(t_x))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,22 @@ def test_simulate_writes_trace_events_manifest(tmp_path, capsys):
     assert "d1 = 1.0" in manifest
     summary = json.loads(capsys.readouterr().out)
     assert summary["i1_steady"] > 1.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_simulate_summary_of_run_without_steady_window_holds_nulls(tmp_path, capsys):
+    # 2.3e-6 s rounds to one half cycle, which ends at 1.67e-6 s, before the
+    # last 20% of the run: there is nothing to average.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--duration", "2.3e-6", "--trace", str(tmp_path / "x.csv"),
+                     "--json-summary"]) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert summary == {"diagnostics": [], "events": 2,
+                       "i1_steady": None, "i2_steady": None}
 
 
 def test_simulate_byte_identical_reruns(tmp_path):

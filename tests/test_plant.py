@@ -188,21 +188,45 @@ def eye_rk4_affine_maps(A, B, h):
     return M, N
 
 
-@given(data=st.data(), n=st.integers(1, 6), h=st.floats(1e-12, 1e-5))
-def test_rk4_affine_maps_equal_eye_oracle_bit_for_bit(data, n, h):
+_A, _B = plant.system_matrices(plant.DEFAULT_PARAMS)
+_H = 0.5 / plant.DEFAULT_PARAMS.fs / 256
+_PROP = plant._AffinePropagator(_A, _B, _H, 256)
+_V = plant.DEFAULT_PARAMS.Vg
+
+
+def _generator_pair(n):
     entries = st.floats(-1e7, 1e7)
-    A = data.draw(hnp.arrays(float, (n, n), elements=entries))
-    B = data.draw(hnp.arrays(float, (n, 2), elements=entries))
+    return st.tuples(hnp.arrays(float, (n, n), elements=entries),
+                     hnp.arrays(float, (n, 2), elements=entries))
+
+
+def _signed_zeros(a):
+    """``a`` with every zero entry replaced by -0.0."""
+    return np.where(a == 0.0, -0.0, a)
+
+
+# Where hA holds -0.0, the oracle's I @ hA may hold +0.0 instead.
+@given(AB=st.integers(1, 6).flatmap(_generator_pair), h=st.floats(1e-12, 1e-5))
+@example(AB=(np.full((4, 4), -0.0), np.full((4, 2), -0.0)), h=1e-6)
+@example(AB=(np.array([[-0.0, 1e7], [-1e7, -0.0]]), np.array([[1.0, -0.0], [-0.0, 1.0]])),
+         h=1e-5)
+@example(AB=(_signed_zeros(_A), _signed_zeros(_B)), h=_H)
+def test_rk4_affine_maps_equal_eye_oracle_bit_for_bit(AB, h):
+    A, B = AB
     M, N = plant.rk4_affine_maps(A, B, h)
     M_ref, N_ref = eye_rk4_affine_maps(A, B, h)
     assert np.array_equal(M, M_ref)
     assert np.array_equal(N, N_ref)
 
 
-_A, _B = plant.system_matrices(plant.DEFAULT_PARAMS)
-_H = 0.5 / plant.DEFAULT_PARAMS.fs / 256
-_PROP = plant._AffinePropagator(_A, _B, _H, 256)
-_V = plant.DEFAULT_PARAMS.Vg
+def test_stacked_rk4_affine_maps_equal_eye_oracle_bit_for_bit():
+    # the (m, 1, 1) widths of a crossing split, down to a width near 0
+    widths = np.array([1e-300, 0.3 * _H, (1.0 - 2.0 ** -53) * _H]).reshape(-1, 1, 1)
+    M, N = plant.rk4_affine_maps(_A, _B, widths)
+    M_ref, N_ref = eye_rk4_affine_maps(_A, _B, widths)
+    assert M.shape == (3, 4, 4) and N.shape == (3, 4, 2)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(N, N_ref)
 
 
 def test_cached_identity_is_read_only():
@@ -239,9 +263,10 @@ def check_segment_stack(n, x, u):
     """Assert what the half-cycle loop relies on for a segment of n steps
     from state x under drive u.
 
-    The full-state stack, written in place into rows of a larger array,
-    gives x in its first row and the per-step products after it, bit for
-    bit; ``G[j - 1] @ z``, the state handed on, equals row j. The i1/i2
+    The full-state stack, written in place into rows of a larger array by
+    ``np.dot(..., out=...)`` as the loop does, gives the rows ``np.matmul``
+    gives, x in its first row and the per-step products after it, bit for
+    bit; ``G[j - 1].dot(z)``, the state handed on, equals row j. The i1/i2
     stack of runs without samples agrees with them to rounding.
     """
     z = np.array([*x, *u])
@@ -249,14 +274,17 @@ def check_segment_stack(n, x, u):
     stack = _PROP.stack(4)[:4 * (n + 1)]
     rows = np.full(4 * (n + 3), np.nan)
     seg = rows[4:4 * (n + 2)]
-    np.matmul(stack, z, out=seg)
+    np.dot(stack, z, out=seg)
     assert np.isnan(rows[:4]).all() and np.isnan(rows[-4:]).all()
+    assert np.array_equal(seg, np.matmul(stack, z))
     seg = seg.reshape(n + 1, 4)
     assert np.array_equal(seg[0], x)
     for i in range(n):
         assert np.array_equal(seg[i + 1], G[i][:, :4] @ z[:4] + G[i][:, 4:] @ z[4:])
+        assert np.array_equal(G[i].dot(z), seg[i + 1])
         assert np.array_equal(G[i] @ z, seg[i + 1])
-    currents = _PROP.stack(2)[:2 * (n + 1)] @ z
+    currents = np.empty(2 * (n + 1))
+    np.dot(_PROP.stack(2)[:2 * (n + 1)], z, out=currents)
     scale = (np.abs(stack) @ np.abs(z)).reshape(n + 1, 4)[:, :2]
     err = np.abs(currents.reshape(n + 1, 2) - seg[:, :2])
     assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
