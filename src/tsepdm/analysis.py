@@ -23,6 +23,12 @@ import numpy as np
 
 from .plant import Trace
 
+# The analysis window (s): WINDOW_S of envelope after SETTLE_S of settling.
+SETTLE_S = 2e-3
+WINDOW_S = 3e-3
+# Spectral tapers by name, each a function of the sequence length.
+WINDOWS = {"rectangular": np.ones, "hann": np.hanning}
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -50,13 +56,9 @@ def spectrum_of_sequence(x, window: str = "rectangular") -> Spectrum:
     n = x_arr.shape[0]
     if n < 1024:
         raise ValueError(f"sequence too short for spectral analysis: {n} < 1024")
-    if window == "rectangular":
-        w = None
-    elif window == "hann":
-        w = np.hanning(n)
-    else:
+    if window not in WINDOWS:
         raise ValueError(f"unknown window {window!r}")
-    mags = np.abs(np.fft.rfft(x_arr if w is None else x_arr * w))
+    mags = np.abs(np.fft.rfft(x_arr * WINDOWS[window](n)))
     ratios = 2.0 * np.arange(mags.shape[0]) / n
     return Spectrum(ratios=ratios, magnitudes=mags, length=n)
 
@@ -134,7 +136,7 @@ def window_mask(env_t, settle: float, window: float) -> np.ndarray:
     return (t_arr > settle) & (t_arr <= settle + window)
 
 
-def fluctuation(env_t, env, settle: float = 2e-3, window: float = 3e-3,
+def fluctuation(env_t, env, settle: float = SETTLE_S, window: float = WINDOW_S,
                 d: float = float("nan"), side: str = "") -> FluctuationReport:
     """Peak-to-peak envelope excursion relative to its mean, in percent.
 

@@ -26,8 +26,7 @@ from . import analysis, datafiles, experiments, gssa, modulator, ntf, plant
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
-_CHANNEL_FLAGS = {"u1i1": "u1->i1", "u1i2": "u1->i2",
-                  "u2i1": "u2->i1", "u2i2": "u2->i2"}
+_CHANNEL_FLAGS = {name.replace("->", ""): name for name in gssa.CHANNELS}
 
 _CONFIG_HELP = ("key-value plant constants file; symbols it does not name keep "
                 "the measured prototype values")
@@ -36,9 +35,9 @@ _CONFIG_HELP = ("key-value plant constants file; symbols it does not name keep "
 def _add_ntf_flags(p: argparse.ArgumentParser):
     p.add_argument("--ntf", choices=experiments.NTF_KINDS, default="tse",
                    help="noise transfer function (default %(default)s)")
-    p.add_argument("--rho", type=float, default=0.075,
+    p.add_argument("--rho", type=float, default=ntf.NtfDesignSpec.notch_ratio,
                    help="notch frequency ratio omega_e/omega_s (default %(default)s)")
-    p.add_argument("--r", type=float, default=0.9,
+    p.add_argument("--r", type=float, default=ntf.NtfDesignSpec.pole_radius,
                    help="notch pole radius (default %(default)s)")
 
 
@@ -52,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ntf", help="design, check, or sweep a noise transfer function")
     p.add_argument("action", choices=("design", "bode", "check"))
     p.add_argument("--order", type=int, choices=(1, 3), default=3)
-    p.add_argument("--rho", type=float, default=0.075)
-    p.add_argument("--r", type=float, default=0.9)
+    p.add_argument("--rho", type=float, default=ntf.NtfDesignSpec.notch_ratio)
+    p.add_argument("--r", type=float, default=ntf.NtfDesignSpec.pole_radius)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--out", help="output file (design: coefficients; bode: response rows)")
     p.add_argument("--pz", help="pole-zero output file (design only)")
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True)
     _add_ntf_flags(p)
     p.add_argument("--ticks", type=int, default=16384)
-    p.add_argument("--window", choices=("rectangular", "hann"), default="rectangular")
+    p.add_argument("--window", choices=analysis.WINDOWS, default="rectangular")
     p.add_argument("--out", required=True, help="(tick, d, y, e, s) rows")
     p.add_argument("--spectrum", help="optional spectrum file (ratio, magnitude)")
     p.add_argument("--json-summary", action="store_true")
@@ -74,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=float, default=1.0)
     p.add_argument("--d2", type=float, default=1.0)
     _add_ntf_flags(p)
-    p.add_argument("--duration", type=float, default=3e-3)
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--blanking", type=float, default=0.25)
+    p.add_argument("--duration", type=float, default=plant.SimConfig.duration)
+    p.add_argument("--steps", type=int, default=plant.SimConfig.steps_per_half_cycle)
+    p.add_argument("--blanking", type=float, default=plant.SimConfig.blanking_fraction)
     p.add_argument("--trace", required=True, help="sample rows (t,i1,i2,vC1,vC2,u1,u2)")
     p.add_argument("--events", help="gate event rows (tick, side, y, s, t_event)")
     p.add_argument("--json-summary", action="store_true")
@@ -84,13 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="density sweep with fluctuation reports")
     p.add_argument("--config", help=_CONFIG_HELP)
-    p.add_argument("--side", choices=("primary", "secondary"), required=True)
+    p.add_argument("--side", choices=experiments.SIDES, required=True)
     _add_ntf_flags(p)
     p.add_argument("--grid", default="standard", help="'standard' or start:step:stop")
-    p.add_argument("--duration", type=float, default=5e-3)
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--settle", type=float, default=2e-3)
-    p.add_argument("--window", type=float, default=3e-3)
+    p.add_argument("--duration", type=float, default=experiments.ExperimentPreset.duration)
+    p.add_argument("--steps", type=int, default=plant.SimConfig.steps_per_half_cycle)
+    p.add_argument("--settle", type=float, default=analysis.SETTLE_S)
+    p.add_argument("--window", type=float, default=analysis.WINDOW_S)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="(d, Imax, Imin, Imean, fluct_percent) rows")
     p.add_argument("--json-summary", action="store_true")
@@ -100,9 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=_CONFIG_HELP)
     p.add_argument("--k", type=float, help="override the coupling coefficient")
     p.add_argument("--channel", choices=sorted(_CHANNEL_FLAGS), default="u1i1")
-    p.add_argument("--fmin", type=float, default=0.01, help="low edge, ratio units")
-    p.add_argument("--fmax", type=float, default=0.25, help="high edge, ratio units")
-    p.add_argument("--points", type=int, default=600)
+    p.add_argument("--fmin", type=float, default=gssa.BODE_RATIO_MIN,
+                   help="low edge, ratio units")
+    p.add_argument("--fmax", type=float, default=gssa.BODE_RATIO_MAX,
+                   help="high edge, ratio units")
+    p.add_argument("--points", type=int, default=gssa.BODE_POINTS)
     p.add_argument("--out", required=True, help="(delta_omega_ratio, mag_dB) rows")
     p.add_argument("--json-summary", action="store_true")
     p.set_defaults(func=cmd_gssa)
@@ -122,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vg", type=float, default=15.0)
     p.add_argument("--vo", type=float, default=15.0)
     _add_ntf_flags(p)
-    p.add_argument("--duration", type=float, default=8e-3)
-    p.add_argument("--freq", type=float, default=500.0)
-    p.add_argument("--steps", type=int, default=256)
+    p.add_argument("--duration", type=float, default=experiments.DYNAMIC_DURATION)
+    p.add_argument("--freq", type=float, default=experiments.DYNAMIC_FREQ)
+    p.add_argument("--steps", type=int, default=plant.SimConfig.steps_per_half_cycle)
     p.add_argument("--out", required=True, help="(t, d2, i1_envelope, i2_envelope) rows")
     p.add_argument("--json-summary", action="store_true")
     p.set_defaults(func=cmd_dynamic)

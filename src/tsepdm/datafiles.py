@@ -27,9 +27,7 @@ class ConfigError(ValueError):
 def format_value(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool too: True writes "1"
         return str(int(v))
     if isinstance(v, (complex, np.complexfloating)):
         return str(complex(v))

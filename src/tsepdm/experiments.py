@@ -23,9 +23,14 @@ from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, bui
 from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
 
 NTF_KINDS = ("first", "tse")
+SIDES = ("primary", "secondary")
+# The sinusoidal-tracking run of `run_dynamic_response`: duration (s), frequency (Hz).
+DYNAMIC_DURATION = 8e-3
+DYNAMIC_FREQ = 500.0
 
 
-def make_ntf(kind: str, rho: float = 0.075, r: float = 0.9) -> RationalTransferFunction:
+def make_ntf(kind: str, rho: float = NtfDesignSpec.notch_ratio,
+             r: float = NtfDesignSpec.pole_radius) -> RationalTransferFunction:
     """Resolve an NTF choice: ``first`` (conventional) or ``tse`` (notch)."""
     if kind == "first":
         return build_first_order()
@@ -76,16 +81,16 @@ class ExperimentPreset:
     side: str                      # which side's density is controlled
     densities: tuple[float, ...] = field(default_factory=standard_density_grid)
     ntf_kind: str = "tse"
-    rho: float = 0.075
-    r: float = 0.9
+    rho: float = NtfDesignSpec.notch_ratio
+    r: float = NtfDesignSpec.pole_radius
     duration: float = 5e-3
-    steps_per_half_cycle: int = 256
-    settle: float = 2e-3
-    window: float = 3e-3
-    blanking_fraction: float = 0.25
+    steps_per_half_cycle: int = SimConfig.steps_per_half_cycle
+    settle: float = analysis.SETTLE_S
+    window: float = analysis.WINDOW_S
+    blanking_fraction: float = SimConfig.blanking_fraction
 
     def __post_init__(self):
-        if self.side not in ("primary", "secondary"):
+        if self.side not in SIDES:
             raise ValueError("side must be primary or secondary")
         if any(not (0.0 <= d <= 1.0) for d in self.densities):
             raise ValueError("densities must lie in [0, 1]")
@@ -95,23 +100,24 @@ class ExperimentPreset:
         if not 0.0 < self.window < math.inf:
             raise ValueError(f"window must be finite and positive, got {self.window!r}")
         make_ntf(self.ntf_kind, self.rho, self.r)  # validates kind and rho/r
+        self.sim_config  # validates steps and blanking
+
+    @property
+    def sim_config(self) -> SimConfig:
+        """The no-sample simulation of each sweep point."""
+        return SimConfig(steps_per_half_cycle=self.steps_per_half_cycle, duration=self.duration,
+                         blanking_fraction=self.blanking_fraction, collect_samples=False)
 
 
 def run_sweep_point(params: PlantParams, preset: ExperimentPreset,
                     d: float) -> analysis.FluctuationReport:
     """Simulate one density point and measure the controlled side's envelope."""
     tf = make_ntf(preset.ntf_kind, preset.rho, preset.r)
-    cfg = SimConfig(steps_per_half_cycle=preset.steps_per_half_cycle,
-                    duration=preset.duration,
-                    blanking_fraction=preset.blanking_fraction,
-                    collect_samples=False)
-    d1, d2 = (d, 1.0) if preset.side == "primary" else (1.0, d)
-    trace = simulate(params, cfg, PulseDensityModulator(tf),
+    primary = preset.side == "primary"
+    d1, d2 = (d, 1.0) if primary else (1.0, d)
+    trace = simulate(params, preset.sim_config, PulseDensityModulator(tf),
                      PulseDensityModulator(tf), d1, d2)
-    if preset.side == "primary":
-        env, side_label = trace.envelope_i1, "i1"
-    else:
-        env, side_label = trace.envelope_i2, "i2"
+    env, side_label = (trace.envelope_i1, "i1") if primary else (trace.envelope_i2, "i2")
     return analysis.fluctuation(trace.envelope_t, env, settle=preset.settle,
                                 window=preset.window, d=d, side=side_label)
 
@@ -120,9 +126,9 @@ def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
                       workers: int | None = None
                       ) -> list[analysis.FluctuationReport]:
     """One `run_sweep_point` per density of the preset, ordered by density;
-    on a pool of ``workers`` processes when more than one (same reports).
-    ``None`` runs serially. Raises ValueError, before simulating, for fewer
-    than one worker or an analysis window that holds no half-cycle end."""
+    on a pool of ``workers`` processes, at most one per density, when more
+    than one (same reports). ``None`` runs serially. Raises ValueError, before
+    simulating, for fewer than one worker or a window with no half-cycle end."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     env_t = half_cycle_ends(params, preset.duration)
@@ -130,7 +136,8 @@ def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
         raise ValueError(f"analysis window is empty: no half cycle of a {preset.duration!r} s "
                          f"run ends in ({preset.settle}, {preset.settle} + {preset.window}] s")
     args = (run_sweep_point, repeat(params), repeat(preset), preset.densities)
-    if workers is None or workers <= 1:
+    workers = min(workers or 1, len(preset.densities))
+    if workers <= 1:
         reports = list(map(*args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,10 +168,11 @@ class DynamicResponse:
 
 
 def run_dynamic_response(params: PlantParams, ntf_kind: str,
-                         rho: float = 0.075, r: float = 0.9,
-                         duration: float = 8e-3, mod_freq: float = 500.0,
-                         settle: float = 2e-3,
-                         steps_per_half_cycle: int = 256) -> DynamicResponse:
+                         rho: float = NtfDesignSpec.notch_ratio,
+                         r: float = NtfDesignSpec.pole_radius,
+                         duration: float = DYNAMIC_DURATION, mod_freq: float = DYNAMIC_FREQ,
+                         steps_per_half_cycle: int = SimConfig.steps_per_half_cycle
+                         ) -> DynamicResponse:
     """Drive d2 with a full-swing sinusoid and measure tracking.
 
     d1 stays at 1; d2(t) = 0.5 sin(2 pi f t) + 0.5. The per-half-cycle y2
@@ -174,6 +182,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     d2 over the same span. Raises ValueError, before simulating, unless
     ``mod_freq`` is finite and positive and a whole period fits after settle.
     """
+    settle = analysis.SETTLE_S
     tf = make_ntf(ntf_kind, rho, r)
     cfg = SimConfig(steps_per_half_cycle=steps_per_half_cycle,
                     duration=duration, collect_samples=False)

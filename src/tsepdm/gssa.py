@@ -43,7 +43,13 @@ FD_RELATIVE_STEP = 1e-6
 # overhead while keeping the complex temporaries near 200 KB.
 BODE_BLOCK = 64
 
-_CHANNELS = {
+# The default Bode grid of `find_bode_peak`: ratios delta_omega / ws around k / 2.
+BODE_RATIO_MIN = 0.01
+BODE_RATIO_MAX = 0.25
+BODE_POINTS = 600
+
+# Channels of `amplitude_bode`: (drive input, current output) indices.
+CHANNELS = {
     "u1->i1": (0, 0),
     "u1->i2": (0, 1),
     "u2->i1": (1, 0),
@@ -168,9 +174,9 @@ def amplitude_bode(model: EnvelopeModel, which: str,
     ``BODE_BLOCK`` frequencies per stacked `np.linalg.solve` call; each
     frequency gets the same LAPACK solve as a call of its own.
     """
-    if which not in _CHANNELS:
-        raise ValueError(f"unknown channel {which!r}; choose from {sorted(_CHANNELS)}")
-    in_idx, out_idx = _CHANNELS[which]
+    if which not in CHANNELS:
+        raise ValueError(f"unknown channel {which!r}; choose from {sorted(CHANNELS)}")
+    in_idx, out_idx = CHANNELS[which]
     dw = np.asarray(delta_omega, dtype=float)
     a_mat = model.state_matrix
     b_col = model.input_matrix[:, in_idx]
@@ -194,8 +200,8 @@ def bode_peak(rows: np.ndarray) -> tuple[float, float]:
 
 
 def find_bode_peak(model: EnvelopeModel, which: str,
-                   ratio_min: float = 0.01, ratio_max: float = 0.25,
-                   n_points: int = 600) -> tuple[float, float]:
+                   ratio_min: float = BODE_RATIO_MIN, ratio_max: float = BODE_RATIO_MAX,
+                   n_points: int = BODE_POINTS) -> tuple[float, float]:
     """Location (as delta_omega/ws) and level (dB) of the response peak.
 
     Requires finite ``0 < ratio_min < ratio_max`` and ``n_points >= 1``.

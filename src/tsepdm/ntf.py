@@ -79,7 +79,7 @@ class NtfDesignSpec:
     ``pole_radius`` sets how far the matching poles sit inside the circle.
     """
 
-    notch_ratio: float
+    notch_ratio: float = 0.075     # the beat ratio k / 2 at the prototype's k = 0.15
     pole_radius: float = 0.9
 
     def __post_init__(self):

@@ -270,13 +270,16 @@ class _AffinePropagator:
                 for k in (0, 5, 10, 15)]
 
 
-def _density_reader(d, name: str) -> Callable[[float], float]:
-    """Reader of ``d`` (a density or a callable of time), checked in [0, 1]."""
+def _checked_reader(f, name: str, lo: float, hi: float,
+                    closed: bool = True) -> Callable[[float], float]:
+    """Reader of ``f`` (a value or callable of time), checked in [lo, hi], or in
+    (lo, hi) when not ``closed``."""
     def read(t: float) -> float:
-        value = float(d(t) if callable(d) else d)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name}({t}) = {value} outside [0, 1]")
+        value = float(f(t) if callable(f) else f)
+        if not (lo <= value <= hi if closed else lo < value < hi):
+            raise ValueError(f"{name}({t}) = {value} outside {interval}")
         return value
+    interval = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
     return read
 
 
@@ -296,8 +299,8 @@ def simulate(params: PlantParams, config: SimConfig,
 
     ``d1``/``d2`` are pulse densities in [0, 1], constants or callables of
     time. ``vg_of_t`` optionally modulates the primary dc rail (sampled at
-    the primary modulator ticks); by default it is the constant
-    ``params.Vg``. The secondary rail is ``params.Vo``.
+    the primary modulator ticks, finite and positive, else ValueError); by
+    default it is the constant ``params.Vg``. The secondary rail is ``params.Vo``.
     """
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
@@ -309,8 +312,9 @@ def simulate(params: PlantParams, config: SimConfig,
     Tsw = 1.0 / params.fs
     A, B = system_matrices(params)
     prop = _AffinePropagator(A, B, h, steps)
-    read_d1 = _density_reader(d1, "d1")
-    read_d2 = _density_reader(d2, "d2")
+    read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
+    read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
+    read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, closed=False)
 
     collect = config.collect_samples
     # Sample rows: all states of the whole run, or i1/i2 of a ring of CHUNK
@@ -340,7 +344,7 @@ def simulate(params: PlantParams, config: SimConfig,
         t0 = hc * half
         y1 = primary_modulator.step(read_d1(t0))
         s1 = -y1 if hc % 2 else y1  # the carrier alternates every half cycle
-        rail1 = params.Vg if vg_of_t is None else float(vg_of_t(t0))
+        rail1 = params.Vg if vg_of_t is None else read_vg(t0)
         u1 = u1_log[hc] = rail1 * s1
         events.append(GateEvent(hc, "primary", y1, s1, t0))
 

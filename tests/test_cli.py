@@ -1,6 +1,7 @@
 """Command-line interface: files, manifests, exit codes, reproducibility."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import tsepdm
-from tsepdm import datafiles, experiments, modulator, ntf, plant
+from tsepdm import analysis, cli, datafiles, experiments, gssa, modulator, ntf, plant
 from tsepdm.cli import main
 
 
@@ -54,6 +55,63 @@ def test_readme_config_block_is_prototype():
     values = datafiles.parse_config_text(block)
     assert tuple(values) == datafiles.CONFIG_KEYS
     assert plant.PlantParams(**values) == plant.DEFAULT_PARAMS
+
+
+# Each command with only its required flags.
+REQUIRED_FLAGS = {
+    "ntf": ["design"], "modulate": ["--d", "0.5", "--out", "o"], "simulate": ["--trace", "o"],
+    "sweep": ["--side", "primary", "--out", "o"], "gssa": ["--out", "o"],
+    "stability": ["--out", "o"], "dynamic": ["--out", "o"],
+}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # a flag that configures a library object defaults to that object's default
+    parser = cli._build_parser()
+    args = {cmd: parser.parse_args([cmd, *flags]) for cmd, flags in REQUIRED_FLAGS.items()}
+    spec = ntf.NtfDesignSpec()
+    sim = plant.SimConfig()
+    preset = experiments.ExperimentPreset(name="x", side="primary")
+    for cmd in ("ntf", "modulate", "simulate", "sweep", "stability", "dynamic"):
+        assert (args[cmd].rho, args[cmd].r) == (spec.notch_ratio, spec.pole_radius), cmd
+    for cmd in ("modulate", "simulate", "sweep", "stability", "dynamic"):
+        assert args[cmd].ntf == preset.ntf_kind, cmd
+    a = args["simulate"]
+    assert (a.duration, a.steps, a.blanking) == (
+        sim.duration, sim.steps_per_half_cycle, sim.blanking_fraction)
+    a = args["sweep"]
+    assert (a.rho, a.r, a.duration, a.steps, a.settle, a.window) == (
+        preset.rho, preset.r, preset.duration, preset.steps_per_half_cycle,
+        preset.settle, preset.window)
+    assert preset.sim_config == dataclasses.replace(sim, duration=preset.duration,
+                                                    collect_samples=False)
+    fluct = inspect.signature(analysis.fluctuation).parameters
+    assert (a.settle, a.window) == (analysis.SETTLE_S, analysis.WINDOW_S) == (
+        fluct["settle"].default, fluct["window"].default)
+    a = args["gssa"]
+    peak = inspect.signature(gssa.find_bode_peak).parameters
+    assert (a.fmin, a.fmax, a.points) == (
+        gssa.BODE_RATIO_MIN, gssa.BODE_RATIO_MAX, gssa.BODE_POINTS) == (
+        peak["ratio_min"].default, peak["ratio_max"].default, peak["n_points"].default)
+    a = args["dynamic"]
+    dyn = inspect.signature(experiments.run_dynamic_response).parameters
+    assert (a.rho, a.r, a.duration, a.freq, a.steps) == (
+        spec.notch_ratio, spec.pole_radius, experiments.DYNAMIC_DURATION,
+        experiments.DYNAMIC_FREQ, sim.steps_per_half_cycle) == tuple(
+        dyn[name].default for name in ("rho", "r", "duration", "mod_freq",
+                                       "steps_per_half_cycle"))
+
+
+def test_cli_choice_lists_are_the_library_lists():
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    choices = {(cmd, action.dest): tuple(action.choices)
+               for cmd, sub in commands.items() for action in sub._actions if action.choices}
+    assert choices[("sweep", "side")] == experiments.SIDES
+    assert choices[("modulate", "window")] == tuple(analysis.WINDOWS)
+    assert sorted(cli._CHANNEL_FLAGS[c] for c in choices[("gssa", "channel")]) == sorted(
+        gssa.CHANNELS)
+    for cmd in ("modulate", "simulate", "sweep", "stability", "dynamic"):
+        assert choices[(cmd, "ntf")] == experiments.NTF_KINDS, cmd
 
 
 def test_config_rejects_unknown_symbol(tmp_path):
@@ -309,6 +367,7 @@ def test_sweep_summary_skips_nan_points(tmp_path, capsys):
     (["--window", "inf"], "window must be finite and positive"),
     (["--workers", "0"], "workers must be at least 1"),
     (["--workers", "-3"], "workers must be at least 1"),
+    (["--steps", "16"], "steps_per_half_cycle must be >= 32"),
 ])
 def test_sweep_rejects_bad_window_or_workers_before_simulating(tmp_path, capsys, monkeypatch,
                                                               flags, message):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsepdm import experiments
+from tsepdm import analysis, experiments
 
 
 def test_standard_density_grid():
@@ -76,6 +76,12 @@ def test_preset_validation():
     with pytest.raises(ValueError):
         experiments.ExperimentPreset(name="x", side="primary", ntf_kind="tse",
                                      rho=2.0)
+    # the preset's SimConfig is built, and so checked, when the preset is made
+    with pytest.raises(ValueError, match="steps_per_half_cycle must be >= 32"):
+        experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=16,
+                                     blanking_fraction=0.7)
+    with pytest.raises(ValueError, match="blanking_fraction"):
+        experiments.ExperimentPreset(name="x", side="primary", blanking_fraction=0.7)
 
 
 @pytest.mark.parametrize("duration, settle, window", [
@@ -106,6 +112,39 @@ def test_sweep_rejects_fewer_than_one_worker(prototype, monkeypatch, workers):
     preset = experiments.ExperimentPreset(name="x", side="primary", densities=(0.5,))
     with pytest.raises(ValueError, match="workers must be at least 1"):
         experiments.run_density_sweep(prototype, preset, workers=workers)
+
+
+@pytest.mark.parametrize("workers, n_points, pool_sizes", [
+    (8, 2, [2]), (8, 1, []), (2, 3, [2]), (3, 3, [3]), (1, 3, []), (None, 3, [])])
+def test_sweep_starts_no_more_workers_than_points(prototype, monkeypatch, workers, n_points,
+                                                  pool_sizes):
+    # a stand-in pool that maps in this process records each pool's size
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def stub_point(params, preset, d):
+        return analysis.FluctuationReport(d=d, side="i1", i_max=1.0, i_min=1.0,
+                                          i_mean=1.0, fluctuation_pct=0.0)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "run_sweep_point", stub_point)
+    densities = (0.7, 0.5, 0.6)[:n_points]
+    preset = experiments.ExperimentPreset(name="x", side="primary", densities=densities)
+    reports = experiments.run_density_sweep(prototype, preset, workers=workers)
+    assert made == pool_sizes
+    assert [rep.d for rep in reports] == sorted(densities)
 
 
 @pytest.mark.parametrize("workers", [None, 2])

@@ -258,7 +258,7 @@ def test_simulate_envelope_reports_divergence(prototype):
 def test_blocked_bode_equals_per_frequency_solves(prototype, n_points):
     model = gssa.build_envelope_model(dataclasses.replace(prototype, k=0.17))
     dw = np.linspace(0.01, 0.25, n_points) * prototype.ws
-    for which, (in_idx, out_idx) in gssa._CHANNELS.items():
+    for which, (in_idx, out_idx) in gssa.CHANNELS.items():
         b_col = model.input_matrix[:, in_idx]
         c_row = model.output_amplitudes[out_idx]
         ref = np.empty((n_points, 2))

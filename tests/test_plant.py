@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -525,8 +526,8 @@ def test_divergence_names_the_first_non_finite_half_cycle(prototype, collect, k)
     half = 0.5 / prototype.fs
     cfg = plant.SimConfig(duration=(k + 3) * half, collect_samples=collect)
 
-    def rail(t):  # the primary rail blows up from half cycle k on
-        return math.inf if t >= (k - 0.5) * half else prototype.Vg
+    def rail(t):  # from half cycle k on, the largest float rail overflows vC1
+        return sys.float_info.max if t >= (k - 0.5) * half else prototype.Vg
 
     with np.errstate(all="ignore"), pytest.raises(
             plant.SimulationDiverged, match=rf"\(half cycle {k}\)$"):
@@ -759,3 +760,20 @@ def test_rail_modulation_hook(prototype):
     u1 = np.abs(trace.u[trace.u[:, 0] != 0.0, 0])
     assert u1.max() > 50.0
     assert u1.min() < 50.0 * 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("rail", [math.nan, math.inf, 0.0, -50.0])
+def test_rail_must_be_finite_and_positive(prototype, rail, collect):
+    # the rail obeys PlantParams' rule for Vg, read like the densities
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
+    with pytest.raises(ValueError, match=r"vg_of_t\(0\.0\) = .* outside \(0, inf\)"):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg_of_t=lambda t: rail)
+
+
+def test_rail_turning_bad_mid_run_is_rejected_at_its_tick(prototype):
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
+    t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
+    with pytest.raises(ValueError, match=re.escape(f"vg_of_t({t_bad}) = nan")):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
+                       vg_of_t=lambda t: 50.0 if t < t_bad else math.nan)
