@@ -1,5 +1,5 @@
-"""Measurement layer: spectra of modulated sequences, envelope extraction,
-fluctuation metrics, and a coarse soft-switching polarity check.
+"""Measurement layer on plain arrays: spectra of modulated sequences and
+envelope fluctuation metrics.
 
 Frequency axes are expressed as the ratio omega / omega_s. Modulator
 sequences tick at twice the switching frequency, so ratio 1.0 is the
@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from .plant import Trace
 
 # The analysis window (s): WINDOW_S of envelope after SETTLE_S of settling.
 SETTLE_S = 2e-3
@@ -90,29 +87,6 @@ def band_level_db(spectrum: Spectrum, center: float, half_width: float) -> float
     return 20.0 * math.log10(rms) if rms > 0.0 else -math.inf
 
 
-def envelope_extract(trace: Trace, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-half-cycle peak of |i_side| from trace samples.
-
-    Returns (t, peaks) with one entry per half switching cycle, timestamped
-    at the half-cycle end. Requires a trace with collected samples spanning
-    at least 10 switching periods.
-    """
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    if trace.states.shape[0] == 0:
-        raise ValueError("trace has no collected samples")
-    steps = trace.steps_per_half_cycle
-    n_half = (trace.states.shape[0] - 1) // steps
-    if n_half < 20:
-        raise ValueError("trace must span at least 10 switching periods")
-    col = np.abs(trace.states[:, side - 1])
-    peaks = np.empty(n_half)
-    for hc in range(n_half):
-        peaks[hc] = col[hc * steps: (hc + 1) * steps + 1].max()
-    t = trace.dt * steps * (np.arange(n_half) + 1.0)
-    return t, peaks
-
-
 @dataclass(frozen=True)
 class FluctuationReport:
     """Envelope statistics over the post-settle analysis window."""
@@ -154,65 +128,3 @@ def fluctuation(env_t, env, settle: float = SETTLE_S, window: float = WINDOW_S,
     pct = (i_max - i_min) / i_mean * 100.0 if i_mean != 0.0 else math.nan
     return FluctuationReport(d=d, side=side, i_max=i_max, i_min=i_min,
                              i_mean=i_mean, fluctuation_pct=pct)
-
-
-class ZvsCheck(NamedTuple):
-    side: str
-    t: float
-    current: float
-    ok: bool
-
-
-def zvs_polarity_check(trace: Trace) -> list[ZvsCheck]:
-    """Coarse soft-switching proxy from commutation-instant currents.
-
-    Primary: at each drive transition the commutated current must have the
-    polarity that discharges the incoming switch node, i.e.
-    i1 * (s_old - s_new) > 0. Secondary: the synchronous bridge commutates
-    at current zero crossings, which is soft as long as the tank still
-    carries current; an event fails when the peak |i2| over the following
-    half cycle stays below 0.1 A (collapsed envelope, no body-diode
-    interval).
-    """
-    if trace.states.shape[0] == 0:
-        raise ValueError("trace has no collected samples (rerun with samples)")
-    steps = trace.steps_per_half_cycle
-    n_samp = trace.states.shape[0]
-    checks: list[ZvsCheck] = []
-    s_prev = 0
-    for ev in trace.events:
-        if ev.side == "primary":
-            if ev.s != s_prev:
-                idx = int(round(ev.t / trace.dt))
-                if idx < n_samp:
-                    i1 = float(trace.states[idx, 0])
-                    checks.append(ZvsCheck("primary", ev.t, i1,
-                                           i1 * (s_prev - ev.s) > 0.0))
-            s_prev = ev.s
-        else:
-            idx = int(round(ev.t / trace.dt))
-            hi = min(idx + steps + 1, n_samp)
-            if hi > idx:
-                peak = float(np.abs(trace.states[idx:hi, 1]).max())
-                checks.append(ZvsCheck("secondary", ev.t, peak,
-                                       peak >= 0.1))
-    return checks
-
-
-def zvs_pass_rate(checks: list[ZvsCheck], side: str | None = None,
-                  min_current: float = 0.0) -> float:
-    """Fraction of passing events, optionally filtered by side.
-
-    ``min_current`` restricts the rate to decisive commutations: at exact
-    resonance the full-density toggle current is nearly zero, so the raw
-    polarity of those edges is a coin flip with negligible node charge to
-    displace; events below the threshold are excluded from the rate (they
-    still appear, failed, in the per-event reports). With no event left to
-    rate (no event of ``side``, or none at or above ``min_current``) the
-    rate is NaN: an empty selection is no evidence of soft switching.
-    """
-    sel = [c for c in checks
-           if (side is None or c.side == side) and abs(c.current) >= min_current]
-    if not sel:
-        return math.nan
-    return sum(c.ok for c in sel) / len(sel)

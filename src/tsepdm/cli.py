@@ -263,13 +263,12 @@ def cmd_sweep(args) -> int:
 def cmd_gssa(args) -> int:
     overrides = {"k": args.k} if args.k is not None else {}
     params = datafiles.params_from_config(args.config, **overrides)
-    if not (0.0 < args.fmin < args.fmax < math.inf):
-        raise datafiles.ConfigError("require finite 0 < fmin < fmax")
-    if args.points < 1:
-        raise datafiles.ConfigError(f"--points must be at least 1, got {args.points}")
     model = gssa.build_envelope_model(params)
-    dw = np.linspace(args.fmin, args.fmax, args.points) * params.ws
-    rows = gssa.amplitude_bode(model, _CHANNEL_FLAGS[args.channel], dw)
+    try:
+        rows = gssa.bode_grid_rows(model, _CHANNEL_FLAGS[args.channel],
+                                   args.fmin, args.fmax, args.points)
+    except ValueError as exc:
+        raise datafiles.ConfigError(f"--fmin/--fmax/--points: {exc}") from None
     datafiles.write_rows(args.out, ["delta_omega_ratio", "mag_db"], rows.T)
     datafiles.write_manifest(args.out, {
         **dataclasses.asdict(params), "channel": args.channel,

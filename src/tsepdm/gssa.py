@@ -199,12 +199,13 @@ def bode_peak(rows: np.ndarray) -> tuple[float, float]:
     return float(rows[idx, 0]), float(rows[idx, 1])
 
 
-def find_bode_peak(model: EnvelopeModel, which: str,
-                   ratio_min: float = BODE_RATIO_MIN, ratio_max: float = BODE_RATIO_MAX,
-                   n_points: int = BODE_POINTS) -> tuple[float, float]:
-    """Location (as delta_omega/ws) and level (dB) of the response peak.
+def bode_grid_rows(model: EnvelopeModel, which: str, ratio_min: float,
+                   ratio_max: float, n_points: int) -> np.ndarray:
+    """`amplitude_bode` rows on ``n_points`` ratios delta_omega/ws evenly
+    spaced from ``ratio_min`` to ``ratio_max``.
 
-    Requires finite ``0 < ratio_min < ratio_max`` and ``n_points >= 1``.
+    Requires finite ``0 < ratio_min < ratio_max`` and ``n_points >= 1``
+    (else ValueError).
     """
     if not 0.0 < ratio_min < ratio_max < math.inf:
         raise ValueError(f"require finite 0 < ratio_min < ratio_max, "
@@ -212,7 +213,15 @@ def find_bode_peak(model: EnvelopeModel, which: str,
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     dw = np.linspace(ratio_min, ratio_max, n_points) * model.params.ws
-    return bode_peak(amplitude_bode(model, which, dw))
+    return amplitude_bode(model, which, dw)
+
+
+def find_bode_peak(model: EnvelopeModel, which: str,
+                   ratio_min: float = BODE_RATIO_MIN, ratio_max: float = BODE_RATIO_MAX,
+                   n_points: int = BODE_POINTS) -> tuple[float, float]:
+    """Location (as delta_omega/ws) and level (dB) of the response peak on
+    the `bode_grid_rows` grid."""
+    return bode_peak(bode_grid_rows(model, which, ratio_min, ratio_max, n_points))
 
 
 def simulate_envelope(params: PlantParams, a1, a2, duration: float,

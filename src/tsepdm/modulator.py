@@ -138,13 +138,17 @@ def _check_tick_count(n_ticks: int, available: int | None = None):
 
 def _waveform(d, n_ticks: int | None) -> np.ndarray:
     """The checked densities: a scalar ``d`` replicated over ``n_ticks``, or
-    the first ``n_ticks`` (all if None) of a one-dimensional sequence."""
+    the first ``n_ticks`` (all if None) of a one-dimensional sequence.
+    Densities that are not integers or floats (str, bool) raise TypeError."""
+    d_arr = np.asarray(d)
+    if d_arr.dtype.kind not in "iuf":
+        raise TypeError(f"densities must be real numbers, got {d_arr.dtype} values")
     if np.isscalar(d):
         if n_ticks is None:
             raise ValueError("n_ticks required for a scalar density")
         _check_tick_count(n_ticks)
-        d, n_ticks = np.full(n_ticks, float(d)), None
-    d_arr = np.asarray(d, dtype=float)
+        d_arr, n_ticks = np.full(n_ticks, float(d)), None
+    d_arr = d_arr.astype(float, copy=False)
     if d_arr.ndim != 1:
         raise ValueError(f"densities must be one-dimensional, got shape {d_arr.shape}")
     if n_ticks is not None:
@@ -184,7 +188,7 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     sweeps where per-tick Python costs dominate.
     """
     # an array, so that a scalar is refused as 0-d instead of replicated
-    d_arr = _waveform(np.asarray(d_values, dtype=float), None)
+    d_arr = _waveform(np.asarray(d_values), None)
     _check_tick_count(n_ticks)
     b, a = _coefficients(ntf)
     y_out = np.empty((n_ticks, d_arr.shape[0]), dtype=np.int8)
@@ -216,10 +220,6 @@ class StabilityReport:
     e_max: float
     violation_count: int
     mean_density_error: float
-
-    @property
-    def stable(self) -> bool:
-        return self.violation_count == 0
 
     @classmethod
     def of(cls, y: np.ndarray, e: np.ndarray, d_mean: float) -> "StabilityReport":

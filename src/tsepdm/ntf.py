@@ -109,10 +109,6 @@ class RequirementReport:
     notch_ratio: float
     notes: str = field(default="")
 
-    @property
-    def all_pass(self) -> bool:
-        return self.dc_gain_zero and self.realizable and self.notch_ok
-
 
 def build_first_order() -> RationalTransferFunction:
     """First-order differencing NTF (z - 1) / z."""

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -162,10 +163,6 @@ class Trace:
     config: SimConfig
     dt: float
 
-    @property
-    def steps_per_half_cycle(self) -> int:
-        return self.config.steps_per_half_cycle
-
 
 def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
     """State matrix A and drive matrix B for dx/dt = A x + B (u1, u2)."""
@@ -272,10 +269,15 @@ class _AffinePropagator:
 
 def _checked_reader(f, name: str, lo: float, hi: float,
                     closed: bool = True) -> Callable[[float], float]:
-    """Reader of ``f`` (a value or callable of time), checked in [lo, hi], or in
-    (lo, hi) when not ``closed``."""
+    """Reader of ``f`` (a value or callable of time), a real number checked in
+    [lo, hi], or in (lo, hi) when not ``closed``; a str, bool or other
+    non-real value raises TypeError."""
     def read(t: float) -> float:
-        value = float(f(t) if callable(f) else f)
+        value = f(t) if callable(f) else f
+        if type(value) is not float:  # a plain float needs no type check
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name}({t}) must be a real number, got {value!r}")
+            value = float(value)
         if not (lo <= value <= hi if closed else lo < value < hi):
             raise ValueError(f"{name}({t}) = {value} outside {interval}")
         return value

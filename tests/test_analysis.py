@@ -1,4 +1,4 @@
-"""Spectra, envelopes, fluctuation metrics, and the ZVS polarity proxy."""
+"""Spectra, the envelope oracle of the simulator, and fluctuation metrics."""
 
 import dataclasses
 import math
@@ -92,61 +92,81 @@ def test_gate_waveform_spectrum_axis():
     assert spec.ratios[peak] == pytest.approx(1.0)
 
 
-def make_sine_trace(prototype, amp=3.0, mod_freq=0.0, depth=0.0, n_half=80,
-                    steps=64):
-    """Synthetic trace with known (optionally AM) sinusoidal currents."""
-    dt = 0.5 / prototype.fs / steps
-    n = n_half * steps + 1
-    t = np.arange(n) * dt
-    envelope = amp * (1.0 + depth * np.sin(2 * math.pi * mod_freq * t))
-    i = envelope * np.sin(prototype.ws * t)
-    states = np.zeros((n, 4))
-    states[:, 0] = i
-    states[:, 1] = i
-    cfg = plant.SimConfig(duration=n_half * 0.5 / prototype.fs,
-                          steps_per_half_cycle=steps)
-    return plant.Trace(t=t, states=states, u=np.zeros((n, 2)), events=[],
-                       envelope_t=np.empty(0), envelope_i1=np.empty(0),
-                       envelope_i2=np.empty(0), diagnostics=[],
-                       params=prototype, config=cfg, dt=dt)
+def envelope_extract(col, steps):
+    """Per-half-cycle peak of |col|, the oracle of ``Trace.envelope_i1/i2``.
+
+    ``col`` holds 1 + n steps samples of one current; half cycle hc spans
+    samples hc steps .. (hc + 1) steps, both ends included.
+    """
+    n_half, rest = divmod(len(col) - 1, steps)
+    if n_half < 1 or rest:
+        raise ValueError(f"need 1 + n * {steps} samples with n >= 1, got {len(col)}")
+    mag = np.abs(col)
+    return np.array([mag[hc * steps: (hc + 1) * steps + 1].max() for hc in range(n_half)])
+
+
+def make_sine_current(prototype, amp=3.0, mod_freq=0.0, depth=0.0, n_half=80,
+                      steps=64):
+    """Samples of a sinusoidal current with a known (optionally AM) envelope."""
+    t = np.arange(n_half * steps + 1) * (0.5 / prototype.fs / steps)
+    return amp * (1.0 + depth * np.sin(2 * math.pi * mod_freq * t)) * np.sin(prototype.ws * t)
 
 
 def test_envelope_extract_recovers_constant_amplitude(prototype):
     steps = 64
-    trace = make_sine_trace(prototype, amp=3.0, steps=steps)
-    t, peaks = analysis.envelope_extract(trace, side=1)
+    peaks = envelope_extract(make_sine_current(prototype, amp=3.0, steps=steps), steps)
     bound = 3.0 * math.pi ** 2 / (2 * steps ** 2)
     assert np.all(np.abs(peaks - 3.0) <= bound)
-    assert len(t) == 80
+    assert len(peaks) == 80
 
 
 def test_envelope_extract_zero_trace(prototype):
-    trace = make_sine_trace(prototype, amp=0.0)
-    _, peaks = analysis.envelope_extract(trace, side=2)
+    peaks = envelope_extract(make_sine_current(prototype, amp=0.0), 64)
     assert np.all(peaks == 0.0)
 
 
 def test_envelope_extract_recovers_modulation_depth(prototype):
     # 20 kHz AM on the carrier; per-half-cycle peaks trace the envelope
-    trace = make_sine_trace(prototype, amp=3.0, mod_freq=20e3, depth=0.3,
-                            n_half=240, steps=128)
-    _, peaks = analysis.envelope_extract(trace, side=1)
+    peaks = envelope_extract(make_sine_current(prototype, amp=3.0, mod_freq=20e3,
+                                               depth=0.3, n_half=240, steps=128), 128)
     depth = (peaks.max() - peaks.min()) / (peaks.max() + peaks.min())
     assert depth == pytest.approx(0.3, rel=0.02)
 
 
-def test_envelope_extract_matches_inline_envelope(prototype, full_power_trace):
-    t, peaks = analysis.envelope_extract(full_power_trace, side=1)
-    assert np.allclose(peaks, full_power_trace.envelope_i1, rtol=1e-12)
-    assert np.allclose(t, full_power_trace.envelope_t, rtol=1e-12)
+def test_envelope_extract_matches_inline_envelope(full_power_trace):
+    steps = full_power_trace.config.steps_per_half_cycle
+    for col, env in ((0, full_power_trace.envelope_i1), (1, full_power_trace.envelope_i2)):
+        assert np.array_equal(envelope_extract(full_power_trace.states[:, col], steps), env)
 
 
-def test_envelope_extract_validation(prototype, full_power_trace):
-    with pytest.raises(ValueError):
-        analysis.envelope_extract(full_power_trace, side=3)
-    short = make_sine_trace(prototype, n_half=10)
-    with pytest.raises(ValueError):
-        analysis.envelope_extract(short, side=1)
+# 1 ms runs that skip pulses: (params, ntf, d1, d2)
+SKIPPING_RUNS = {
+    "primary-tse": (plant.DEFAULT_PARAMS, NTF3, 0.963, 1.0),
+    "secondary-tse-detuned": (dataclasses.replace(plant.DEFAULT_PARAMS, k=0.13),
+                              build_third_order(NtfDesignSpec(0.065, 0.9)), 1.0, 0.983),
+    "primary-first": (plant.DEFAULT_PARAMS, NTF1, 0.503, 1.0),
+    "secondary-first": (plant.DEFAULT_PARAMS, NTF1, 1.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("steps", [64, 256])
+@pytest.mark.parametrize("case", SKIPPING_RUNS)
+def test_envelope_extract_equals_inline_envelope_on_skipping_runs(case, steps):
+    params, tf, d1, d2 = SKIPPING_RUNS[case]
+    cfg = plant.SimConfig(duration=1e-3, steps_per_half_cycle=steps)
+    tr = plant.simulate(params, cfg, PulseDensityModulator(tf), PulseDensityModulator(tf),
+                        d1, d2)
+    side = "primary" if d1 < 1.0 else "secondary"
+    assert any(ev.y == 0 for ev in tr.events if ev.side == side)  # pulses were skipped
+    assert np.array_equal(envelope_extract(tr.states[:, 0], steps), tr.envelope_i1)
+    assert np.array_equal(envelope_extract(tr.states[:, 1], steps), tr.envelope_i2)
+
+
+def test_envelope_extract_validation(prototype):
+    # no samples (a run without collected samples), or a partial half cycle
+    for col in (np.empty(0), make_sine_current(prototype, n_half=10)[:-1]):
+        with pytest.raises(ValueError):
+            envelope_extract(col, 64)
 
 
 def test_fluctuation_constant_envelope():
@@ -201,68 +221,3 @@ def test_fluctuation_ordering_invariant():
     rep = analysis.fluctuation(t, env)
     assert rep.i_min <= rep.i_mean <= rep.i_max
     assert rep.fluctuation_pct >= 0.0
-
-
-def test_zvs_all_pass_at_full_power(prototype, full_power_trace):
-    # after the startup beat transient (~5 envelope time constants) every
-    # commutation is soft; at exact resonance the toggle-instant current is
-    # small, so the transient's phase wobble fails a few early edges
-    checks = analysis.zvs_polarity_check(full_power_trace)
-    steady = [c for c in checks if c.t > 1.5e-3]
-    assert steady
-    assert all(c.ok for c in steady)
-    assert analysis.zvs_pass_rate(checks, "secondary") == 1.0
-
-
-def test_zvs_pass_rate_of_empty_selection_is_nan(full_power_trace):
-    # an empty selection is no evidence of soft switching, so it must not
-    # read as a perfect pass
-    checks = analysis.zvs_polarity_check(full_power_trace)
-    primary = [c for c in checks if c.side == "primary"]
-    assert primary and len(primary) < len(checks)
-    # no secondary event at all
-    assert math.isnan(analysis.zvs_pass_rate(primary, "secondary"))
-    assert math.isnan(analysis.zvs_pass_rate([]))
-    # a threshold above every edge's current
-    above = 2.0 * max(abs(c.current) for c in checks)
-    assert math.isnan(analysis.zvs_pass_rate(checks, min_current=above))
-    assert math.isnan(analysis.zvs_pass_rate(checks, "secondary", min_current=above))
-    assert 0.0 <= analysis.zvs_pass_rate(primary, "primary") <= 1.0
-
-
-def test_zvs_zero_current_edge_fails(prototype):
-    cfg = plant.SimConfig(duration=0.2e-3, collect_samples=True)
-    trace = make_sine_trace(prototype, amp=0.0, n_half=40)
-    trace.events.append(plant.GateEvent(0, "primary", 1, 1, 0.0))
-    trace.events.append(plant.GateEvent(0, "secondary", 1, 1, 5e-6))
-    checks = analysis.zvs_polarity_check(trace)
-    assert not any(c.ok for c in checks)
-
-
-def test_zvs_requires_samples(prototype):
-    cfg = plant.SimConfig(duration=0.2e-3, collect_samples=False)
-    trace = plant.simulate(prototype, cfg, PulseDensityModulator(NTF1),
-                           PulseDensityModulator(NTF1), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        analysis.zvs_polarity_check(trace)
-
-
-@pytest.mark.slow
-def test_zvs_pass_rate_tse_not_worse_than_first_order(prototype):
-    # decisive commutations only: at 5% of the operating amplitude the edge
-    # moves real charge; the abnormal oscillation under the first-order NTF
-    # throws such edges onto the wrong polarity, the notch NTF does not
-    I1, _ = plant.phasor_steady_state(prototype)
-    threshold = 0.05 * abs(I1)
-    rates = {}
-    for name, tf in (("first", NTF1), ("tse", NTF3)):
-        cfg = plant.SimConfig(duration=5e-3, collect_samples=True)
-        trace = plant.simulate(prototype, cfg, PulseDensityModulator(tf),
-                               PulseDensityModulator(tf), 0.963, 1.0)
-        checks = [c for c in analysis.zvs_polarity_check(trace) if c.t > 2e-3]
-        rates[name] = analysis.zvs_pass_rate(checks, "primary",
-                                             min_current=threshold)
-    # Under the notch NTF no primary edge is decisive: none moves enough
-    # charge to switch hard, and there is no rate to compare (NaN).
-    assert math.isnan(rates["tse"])
-    assert rates["first"] < 1.0  # the oscillation really disrupts commutation

@@ -219,6 +219,33 @@ def test_bad_tick_counts_and_shapes_are_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mod.run(NTF1, "0.5", n_ticks=2),
+    lambda: mod.run(NTF1, "0.5"),
+    lambda: mod.run(NTF1, True, n_ticks=2),
+    lambda: mod.run(NTF1, [True, False]),
+    lambda: mod.run(NTF1, ["0.5", "0.9"]),
+    lambda: mod.run_const_grid(NTF1, ["0.5", "0.9"], 3),
+    lambda: mod.run_const_grid(NTF1, [True, False], 3),
+    lambda: mod.stability_probe(NTF1, "0.5", n_ticks=2),
+], ids=["run-str", "run-str-no-ticks", "run-bool", "run-bool-list", "run-str-list",
+        "grid-str", "grid-bool", "probe-str"])
+def test_non_real_densities_are_rejected(call):
+    with pytest.raises(TypeError, match="densities must be real numbers"):
+        call()
+
+
+def test_int_and_numpy_densities_run_as_floats():
+    for tf in (NTF1, NTF3):
+        for got, want in (
+                (mod.run(tf, [0, 1, 1] * 20), mod.run(tf, [0.0, 1.0, 1.0] * 20)),
+                (mod.run(tf, np.float32([0.5, 0.25] * 30)), mod.run(tf, [0.5, 0.25] * 30)),
+                (mod.run(tf, np.float32(0.5), n_ticks=8), mod.run(tf, 0.5, n_ticks=8)),
+                (mod.run_const_grid(tf, np.array([0, 1]), 5),
+                 mod.run_const_grid(tf, [0.0, 1.0], 5))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_first_order_error_stays_in_band():
     rng = np.random.default_rng(123)
     for _ in range(10):

@@ -346,7 +346,7 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_
     half = 0.5 / params.fs
     tr = plant.simulate(params, plant.SimConfig(duration=70 * half, initial_state=x0),
                         *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
-    steps, h, x, u = tr.steps_per_half_cycle, tr.dt, tr.states, tr.u
+    steps, h, x, u = tr.config.steps_per_half_cycle, tr.dt, tr.states, tr.u
     assert np.array_equal(x[0], x0)
     primary = [ev for ev in tr.events if ev.side == "primary"]
     secondary = [ev for ev in tr.events if ev.side == "secondary"]
@@ -428,7 +428,7 @@ def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d
     np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
     # each envelope peak is the largest |current| over the half cycle's samples
-    steps = full.steps_per_half_cycle
+    steps = full.config.steps_per_half_cycle
     for hc in (0, n_half - 1):
         window = np.abs(full.states[hc * steps:(hc + 1) * steps + 1, :2])
         assert np.array_equal(window.max(axis=0),
@@ -447,7 +447,7 @@ def test_run_is_a_prefix_of_a_longer_run(collect):
                                                           collect_samples=collect),
                                   *fresh_mods(), 1.0, 1.0)
                    for n in (1, plant.CHUNK + 2)]
-    assert short.events[-1].t > half * (1.0 - 1.0 / short.steps_per_half_cycle)
+    assert short.events[-1].t > half * (1.0 - 1.0 / short.config.steps_per_half_cycle)
     assert short.events == long.events[:len(short.events)]
     n = len(short.t)
     assert np.array_equal(short.states, long.states[:n])
@@ -704,6 +704,30 @@ def test_density_outside_range_rejected(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     with pytest.raises(ValueError):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.2, 1.0)
+
+
+@pytest.mark.parametrize("form", ["constant", "callable"])
+@pytest.mark.parametrize("name, value", [
+    ("d1", "0.5"), ("d1", True), ("d1", 0.5j), ("d2", "0.5"), ("d2", False),
+    ("d2", np.True_), ("vg_of_t", "50"), ("vg_of_t", True),
+])
+def test_non_real_drives_are_rejected(prototype, name, value, form):
+    # like PlantParams(Vg="50"): a str or bool drive is an error, not a number
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
+    drives = {"d1": 1.0, "d2": 1.0, "vg_of_t": None,
+              name: (lambda t: value) if form == "callable" else value}
+    with pytest.raises(TypeError, match=rf"{name}\(.*\) must be a real number"):
+        plant.simulate(prototype, cfg, *fresh_mods(), **drives)
+
+
+def test_int_and_numpy_drives_run_as_floats(prototype):
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
+    ref = plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 0.5, vg_of_t=lambda t: 50.0)
+    alt = plant.simulate(prototype, cfg, *fresh_mods(), 1, np.float64(0.5),
+                         vg_of_t=lambda t: np.float32(50.0))
+    assert alt.events == ref.events
+    assert np.array_equal(alt.envelope_i1, ref.envelope_i1)
+    assert np.array_equal(alt.envelope_i2, ref.envelope_i2)
 
 
 @pytest.mark.slow
