@@ -30,6 +30,7 @@ stacked blocks of ``BODE_BLOCK`` frequencies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +241,15 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
 
     RK4 runs on the complex state z itself: every stage is the same IEEE
     operation per real and imaginary part as the stacked real 8-state form,
-    so the result is bit-identical to it. Raises ValueError on a
+    so the result is bit-identical to it. Raises TypeError on a constant
+    amplitude that is a str, bool or other non-real value; ValueError on a
     non-positive or non-finite ``dt``, a ``duration`` shorter than one step
     and a malformed ``initial``; `plant.SimulationDiverged` when the result
     is not finite.
     """
+    for name, amp in (("a1", a1), ("a2", a2)):
+        if not callable(amp) and (isinstance(amp, bool) or not isinstance(amp, numbers.Real)):
+            raise TypeError(f"{name} must be a real number or a callable, got {amp!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     steps = duration / dt

@@ -17,12 +17,12 @@ loops are probed empirically with `stability_probe`.
 
 The recurrence is written once, in the source template of `_kernel`. For
 each filter order it is generated once into a function whose every tick is
-straight-line code on local variables, with plain arithmetic so that the
-same code advances one modulator (``d`` a float) or many modulators in
-lockstep (``d`` an ndarray of lanes). `PulseDensityModulator.step` ticks one
-modulator inside the co-simulation, `run` runs a fresh one over a waveform
-and `run_const_grid` runs one lane per constant density; all three tick
-through the same kernel.
+straight-line code on float locals. `PulseDensityModulator.step` ticks one
+modulator through it inside the co-simulation and `run` runs a fresh one
+over a waveform. `run_const_grid` runs one lane per constant density in its
+own lane kernel, `_run_lanes`: each tick is five numpy calls on (m,) lanes
+at any filter order, with the feedback sum in the float kernel's order, so
+every lane is bit-identical to `run` (a one-lane grid runs the float kernel).
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into the signed samples
@@ -32,9 +32,9 @@ s = y * carrier; s > 0 drives the leading leg and s < 0 the lagging leg.
 from __future__ import annotations
 
 import functools
-import itertools
 import linecache
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,11 @@ from .ntf import RationalTransferFunction, to_error_filter
 # Tolerance on the stability band e in [-1, 0]: excursions beyond this are
 # counted as violations.
 STABILITY_TOL = 1e-9
+
+# Ticks per block of `_run_lanes`' e/w history: it holds order + LANE_BLOCK
+# rows of lanes whatever the run length, and each block's errors are copied
+# out in one call.
+LANE_BLOCK = 256
 
 
 def _coefficients(ntf: RationalTransferFunction) -> tuple[tuple, tuple]:
@@ -59,8 +64,8 @@ def _coefficients(ntf: RationalTransferFunction) -> tuple[tuple, tuple]:
 
 # One source for every filter order: ``{...}`` fields name the per-order
 # locals. The feedback sum is one left-to-right expression, 0.0 first and
-# all b terms before the a terms, so a float modulator and an (m,) lane
-# array see the same IEEE operations in the same order.
+# all b terms before the a terms; `_run_lanes` sums its lanes in the same
+# order.
 _KERNEL_SOURCE = """\
 def kernel(b, a, ds, state, y_out, e_out):
     {unpack}
@@ -83,7 +88,7 @@ def _kernel(order: int):
     ``kernel(b, a, ds, state, y_out, e_out)`` ticks once per density in
     ``ds``, stores tick i's y and e in ``y_out[i]`` and ``e_out[i]`` and
     returns the new state. A state is the tuple ``(e[n-1], ..., e[n-order],
-    w[n-1], ..., w[n-order])`` of floats or ``(m,)`` lane arrays.
+    w[n-1], ..., w[n-order])`` of floats.
     """
     es = [f"e{j}" for j in range(1, order + 1)]
     ws = [f"w{j}" for j in range(1, order + 1)]
@@ -122,7 +127,12 @@ class PulseDensityModulator:
         self._e = [0.0]
 
     def step(self, d: float) -> int:
-        """Advance one half cycle with commanded density ``d``; return y."""
+        """Advance one half cycle with commanded density ``d``; return y.
+        A str, bool or other non-real ``d`` raises TypeError."""
+        if type(d) is not float:  # a plain float needs no type check
+            if isinstance(d, bool) or not isinstance(d, numbers.Real):
+                raise TypeError(f"pulse density must be a real number, got {d!r}")
+            d = float(d)
         if not math.isfinite(d):
             raise ValueError(f"pulse density must be finite, got {d}")
         self.state = self._kernel(self._b, self._a, (d,), self.state, self._y, self._e)
@@ -161,6 +171,15 @@ def _waveform(d, n_ticks: int | None) -> np.ndarray:
     return d_arr
 
 
+def _run_floats(b: tuple, a: tuple, ds: list) -> tuple[np.ndarray, np.ndarray]:
+    """(y, e) of a fresh modulator over the float densities ``ds``, through
+    the float kernel."""
+    y_out = [False] * len(ds)
+    e_out = [0.0] * len(ds)
+    _kernel(len(a))(b, a, ds, (0.0,) * (2 * len(a)), y_out, e_out)
+    return np.array(y_out, dtype=np.int8), np.array(e_out)
+
+
 def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Run a fresh modulator over a waveform.
@@ -171,11 +190,52 @@ def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
     Returns the (y, e) sequences; deterministic given inputs.
     """
     d_arr = _waveform(d_waveform, n_ticks)
-    b, a = _coefficients(ntf)
-    y_out = [False] * d_arr.shape[0]
-    e_out = [0.0] * d_arr.shape[0]
-    _kernel(len(a))(b, a, d_arr.tolist(), (0.0,) * (2 * len(a)), y_out, e_out)
-    return np.array(y_out, dtype=np.int8), np.array(e_out)
+    return _run_floats(*_coefficients(ntf), d_arr.tolist())
+
+
+def _run_lanes(b: tuple, a: tuple, d_arr: np.ndarray,
+               n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, e) of shape (n_ticks, m) of m fresh modulators in lockstep, lane j
+    at the constant density ``d_arr[j]``; needs m != 1.
+
+    Each tick multiplies the stacked coefficients ``[b; -a]`` (x - a w and
+    x + (-a) w are the same IEEE operation) by the e/w lag window, newest
+    first, and sums the 2 * order products with one ``np.add.reduce`` from
+    0.0. With m >= 2 lanes numpy reduces axis 0 row by row, the float
+    kernel's order; with one lane it switches to pairwise summation from
+    eight terms on, which is why m = 1 is left to the float kernel.
+    """
+    order, m = len(a), d_arr.shape[0]
+    coef = np.empty((2, order, m))
+    coef[0] = np.reshape(b, (order, 1))
+    coef[1] = np.negative(np.reshape(a, (order, 1)))
+    y_out = np.empty((n_ticks, m), dtype=np.int8)
+    e_out = np.empty((n_ticks, m))
+    # Slot s of the history holds tick LANE_BLOCK - 1 - s of the current
+    # block (e in row 0, w in row 1), so a tick's lag window is the order
+    # slots above its own; the last order slots carry the previous block.
+    hist = np.zeros((2, order + LANE_BLOCK, m))
+    slots = [(hist[:, s + 1:s + 1 + order], hist[1, s], hist[0, s])
+             for s in range(LANE_BLOCK - 1, -1, -1)]
+    terms = np.empty((2, order, m))
+    flat_terms = terms.reshape(2 * order, m)
+    v = np.empty(m)
+    # bound once and called with positional out: keywords cost more than
+    # the arithmetic on a few dozen lanes
+    multiply, add_reduce = np.multiply, np.add.reduce
+    subtract, greater_equal = np.subtract, np.greater_equal
+    for start in range(0, n_ticks, LANE_BLOCK):
+        stop = min(start + LANE_BLOCK, n_ticks)
+        for (window, w, e), y in zip(slots, y_out[start:stop].view(np.bool_)):
+            multiply(coef, window, terms)
+            add_reduce(flat_terms, 0, None, w, False, 0.0)
+            subtract(d_arr, w, v)
+            greater_equal(v, 1.0, y)
+            subtract(y, v, e)
+        free = LANE_BLOCK - (stop - start)  # slots a short last block left unused
+        e_out[start:stop] = hist[0, free:LANE_BLOCK][::-1]
+        hist[:, LANE_BLOCK:] = hist[:, free:free + order]
+    return y_out, e_out
 
 
 def run_const_grid(ntf: RationalTransferFunction, d_values,
@@ -191,11 +251,10 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     d_arr = _waveform(np.asarray(d_values), None)
     _check_tick_count(n_ticks)
     b, a = _coefficients(ntf)
-    y_out = np.empty((n_ticks, d_arr.shape[0]), dtype=np.int8)
-    e_out = np.empty((n_ticks, d_arr.shape[0]))
-    _kernel(len(a))(b, a, itertools.repeat(d_arr, n_ticks),
-                    (np.zeros(d_arr.shape[0]),) * (2 * len(a)), y_out, e_out)
-    return y_out, e_out
+    if d_arr.shape[0] != 1:
+        return _run_lanes(b, a, d_arr, n_ticks)
+    y, e = _run_floats(b, a, d_arr.tolist() * n_ticks)
+    return y.reshape(n_ticks, 1), e.reshape(n_ticks, 1)
 
 
 def gate_split(y) -> np.ndarray:

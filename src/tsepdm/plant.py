@@ -91,6 +91,8 @@ class PlantParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{f.name} must be a real number, got {value!r}")
             if f.name != "k" and not 0.0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
         if not (0.0 < self.k < 1.0):

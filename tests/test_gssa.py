@@ -248,6 +248,15 @@ def test_simulate_envelope_rejects_bad_input(prototype, kwargs, name):
         gssa.simulate_envelope(prototype, 1.0, 1.0, **args)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("a1", "1.0"), ("a1", True), ("a1", 1.0 + 0j), ("a2", "1.0"), ("a2", False), ("a2", np.True_),
+])
+def test_simulate_envelope_rejects_non_real_amplitudes(prototype, name, value):
+    amps = {"a1": 1.0, "a2": 1.0, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+        gssa.simulate_envelope(prototype, duration=1e-6, **amps)
+
+
 def test_simulate_envelope_reports_divergence(prototype):
     # a step far outside the RK4 stability region blows the state up
     with np.errstate(all="ignore"), pytest.raises(plant.SimulationDiverged):

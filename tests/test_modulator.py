@@ -1,5 +1,7 @@
 """Error-feedback modulator: recurrences, stability band, gating."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -198,6 +200,22 @@ def test_step_rejects_non_finite_density():
         m.step(float("nan"))
 
 
+@pytest.mark.parametrize("d", ["0.5", True, np.True_, 0.5j, None],
+                         ids=["str", "bool", "numpy-bool", "complex", "none"])
+def test_step_rejects_non_real_density(d):
+    m = mod.PulseDensityModulator(NTF3)
+    with pytest.raises(TypeError, match="pulse density must be a real number"):
+        m.step(d)
+    assert m.state == (0.0,) * 6
+
+
+def test_step_takes_int_and_numpy_densities_as_floats():
+    for xs in ([1, 0, 1, 1], [np.float64(0.7), np.float32(0.5), np.int64(1), 0]):
+        m, ref = mod.PulseDensityModulator(NTF3), mod.PulseDensityModulator(NTF3)
+        assert [m.step(x) for x in xs] == [ref.step(float(x)) for x in xs]
+        assert np.array(m.state).tobytes() == np.array(ref.state).tobytes()
+
+
 def test_run_rejects_out_of_range_density():
     with pytest.raises(ValueError):
         mod.run(NTF1, np.array([0.5, 1.2]))
@@ -317,6 +335,34 @@ def test_kernel_matches_reference_loop_bit_for_bit(d, tf):
         y_ref, e_ref, _ = reference_run(tf, [x] * len(d))
         assert y_b[:, j].tobytes() == y_ref.tobytes()
         assert e_b[:, j].tobytes() == e_ref.tobytes()
+
+
+@pytest.mark.parametrize("tf", ORACLE_NTFS,
+                         ids=[f"ntf{i}-order{tf.order}" for i, tf in enumerate(ORACLE_NTFS)])
+def test_const_grid_lanes_equal_reference_loop_bytes(tf):
+    # One lane runs the float kernel: numpy's one-lane reduce sums eight or
+    # more terms pairwise, which drifts from the loop from order 4 on.
+    B = mod.LANE_BLOCK
+    for lanes in ([0.37], [0.0, 0.963], np.linspace(0.0, 1.0, 45)):
+        refs = [reference_run(tf, [x] * (B + 1))[:2] for x in lanes]
+        for n_ticks in (0, 1, B - 1, B, B + 1):
+            y, e = mod.run_const_grid(tf, lanes, n_ticks)
+            assert (y.dtype, e.dtype) == (np.int8, np.float64)
+            assert y.shape == e.shape == (n_ticks, len(lanes))
+            for j, (y_ref, e_ref) in enumerate(refs):
+                assert y[:, j].tobytes() == y_ref[:n_ticks].tobytes()
+                assert e[:, j].tobytes() == e_ref[:n_ticks].tobytes()
+
+
+def test_const_grid_memory_is_its_outputs_plus_a_block():
+    grid = np.linspace(0.05, 0.95, 45)
+    tracemalloc.start()
+    try:
+        y, e = mod.run_const_grid(NTF3, grid, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + e.nbytes + 1_000_000
 
 
 def test_determinism_bit_identical():

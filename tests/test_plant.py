@@ -52,6 +52,19 @@ def test_params_validation():
         plant.PlantParams(k=math.nan)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("Vg", True), ("Vg", "50"), ("k", np.True_), ("L1", 1e-6 + 0j), ("fs", None),
+])
+def test_params_reject_non_real_values(name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+        plant.PlantParams(**{name: value})
+
+
+def test_params_take_int_and_numpy_values():
+    p = plant.PlantParams(Vg=50, Vo=np.float64(50.0), fs=np.int64(300_000))
+    assert (p.Vg, p.Vo, p.fs) == (50, 50.0, 300_000)
+
+
 @pytest.mark.parametrize("duration", [0.0, -1e-3, math.nan, math.inf])
 def test_sim_config_rejects_bad_duration(duration):
     with pytest.raises(ValueError, match="duration must be finite and positive"):
