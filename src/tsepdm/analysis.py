@@ -33,7 +33,6 @@ class Spectrum:
 
     ratios: np.ndarray
     magnitudes: np.ndarray
-    length: int
 
     def band(self, center: float, half_width: float) -> np.ndarray:
         """Magnitudes of all bins within +/- half_width of a center ratio."""
@@ -57,7 +56,7 @@ def spectrum_of_sequence(x, window: str = "rectangular") -> Spectrum:
         raise ValueError(f"unknown window {window!r}")
     mags = np.abs(np.fft.rfft(x_arr * WINDOWS[window](n)))
     ratios = 2.0 * np.arange(mags.shape[0]) / n
-    return Spectrum(ratios=ratios, magnitudes=mags, length=n)
+    return Spectrum(ratios=ratios, magnitudes=mags)
 
 
 def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
@@ -72,12 +71,11 @@ def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
     if oversample < 2:
         raise ValueError("oversample must be >= 2")
     s_arr = np.asarray(s, dtype=float)
-    zoh = np.repeat(s_arr, oversample)
-    mags = np.abs(np.fft.rfft(zoh))
+    mags = np.abs(np.fft.rfft(np.repeat(s_arr, oversample)))
     # Holding each sample `oversample` times keeps the bin spacing of the
     # base sequence (2/N in ratio units) while extending the axis.
     ratios = 2.0 * np.arange(mags.shape[0]) / s_arr.shape[0]
-    return Spectrum(ratios=ratios, magnitudes=mags, length=zoh.shape[0])
+    return Spectrum(ratios=ratios, magnitudes=mags)
 
 
 def band_level_db(spectrum: Spectrum, center: float, half_width: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .modulator import PulseDensityModulator
 from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, build_third_order
-from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
+from .plant import PlantParams, SimConfig, check_real, half_cycle_ends, simulate
 
 NTF_KINDS = ("first", "tse")
 SIDES = ("primary", "secondary")
@@ -92,6 +92,8 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.side not in SIDES:
             raise ValueError("side must be primary or secondary")
+        for i, d in enumerate(self.densities):
+            check_real(f"densities[{i}]", d)
         if any(not (0.0 <= d <= 1.0) for d in self.densities):
             raise ValueError("densities must lie in [0, 1]")
         if not 0.0 <= self.settle < self.duration < math.inf:  # also rejects NaN
@@ -153,11 +155,9 @@ class DynamicResponse:
     the secondary drive amplitude (|I1| ~ d2 * 4 Vo / (pi w M)) while |I2|
     is density-flat (~ U1 / (w M)), so ``corr_i1`` is the meaningful
     tracking figure; ``corr_i2`` is reported alongside for completeness.
-    The commanded density is the known sinusoid d2(t), so no field holds it.
+    No field holds the commanded sinusoid d2(t) or the secondary ticks.
     """
 
-    tick_t: np.ndarray             # secondary tick instants (s)
-    tick_y: np.ndarray             # quantizer outputs at those ticks
     env_t: np.ndarray
     env_i1: np.ndarray
     env_i2: np.ndarray
@@ -198,14 +198,10 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     trace = simulate(params, cfg, PulseDensityModulator(tf),
                      PulseDensityModulator(tf), 1.0, d2_fn)
 
-    tick_t = np.array([ev.t for ev in trace.events if ev.side == "secondary"])
-    tick_y = np.array([ev.y for ev in trace.events if ev.side == "secondary"],
-                      dtype=float)
-
+    ticks = np.array([(ev.t, ev.y) for ev in trace.events  # (t, y) of each secondary tick
+                      if ev.side == "secondary"]).reshape(-1, 2)
     t_hi = settle + n_periods / mod_freq
-    sel = (tick_t >= settle) & (tick_t < t_hi)
-    tt = tick_t[sel]
-    yy = tick_y[sel]
+    tt, yy = ticks[(ticks[:, 0] >= settle) & (ticks[:, 0] < t_hi)].T
     basis = np.column_stack([np.ones_like(tt),
                              np.sin(2.0 * math.pi * mod_freq * tt),
                              np.cos(2.0 * math.pi * mod_freq * tt)])
@@ -218,7 +214,6 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     corr_i1 = float(np.corrcoef(trace.envelope_i1[env_sel], d_ref)[0, 1])
     corr_i2 = float(np.corrcoef(trace.envelope_i2[env_sel], d_ref)[0, 1])
 
-    return DynamicResponse(tick_t=tick_t, tick_y=tick_y,
-                           env_t=trace.envelope_t, env_i1=trace.envelope_i1,
+    return DynamicResponse(env_t=trace.envelope_t, env_i1=trace.envelope_i1,
                            env_i2=trace.envelope_i2, density_amplitude=amp,
                            amplitude_error_pct=amp_err, corr_i1=corr_i1, corr_i2=corr_i2)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantParams, SimulationDiverged, system_matrices
+from .plant import PlantParams, SimulationDiverged, check_real, system_matrices
 
 # Relative step for the central-difference linearization.
 FD_RELATIVE_STEP = 1e-6
@@ -206,11 +206,13 @@ def bode_grid_rows(model: EnvelopeModel, which: str, ratio_min: float,
     spaced from ``ratio_min`` to ``ratio_max``.
 
     Requires finite ``0 < ratio_min < ratio_max`` and ``n_points >= 1``
-    (else ValueError).
+    (else ValueError); ``n_points`` must be an integer (else TypeError).
     """
     if not 0.0 < ratio_min < ratio_max < math.inf:
         raise ValueError(f"require finite 0 < ratio_min < ratio_max, "
                          f"got {ratio_min!r}, {ratio_max!r}")
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral):
+        raise TypeError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
     dw = np.linspace(ratio_min, ratio_max, n_points) * model.params.ws
@@ -248,8 +250,8 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     is not finite.
     """
     for name, amp in (("a1", a1), ("a2", a2)):
-        if not callable(amp) and (isinstance(amp, bool) or not isinstance(amp, numbers.Real)):
-            raise TypeError(f"{name} must be a real number or a callable, got {amp!r}")
+        if not callable(amp):
+            check_real(name, amp)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     steps = duration / dt

@@ -210,9 +210,7 @@ def to_error_filter(tf: RationalTransferFunction) -> RationalTransferFunction:
     """
     if _realizability_residual(tf) > TOL_REALIZABLE:
         raise ValueError("NTF is not realizable (NTF(inf) != 1); cannot form error filter")
-    diff = [d - n for d, n in zip(tf.den, tf.num)]
-    diff[0] = 0.0  # leading terms cancel by the realizability check
-    num = tuple(diff[1:]) if len(diff) > 1 else (0.0,)
+    num = tuple(d - n for d, n in zip(tf.den[1:], tf.num[1:])) or (0.0,)
     # Drop exactly-zero leading coefficients but keep at least one entry.
     while len(num) > 1 and num[0] == 0.0:
         num = num[1:]
@@ -221,9 +219,7 @@ def to_error_filter(tf: RationalTransferFunction) -> RationalTransferFunction:
 
 def zeros_poles(tf: RationalTransferFunction) -> tuple[np.ndarray, np.ndarray]:
     """Roots of numerator and denominator (zeros, poles)."""
-    zeros = np.roots(tf.num) if len(tf.num) > 1 else np.array([], dtype=complex)
-    poles = np.roots(tf.den) if len(tf.den) > 1 else np.array([], dtype=complex)
-    return zeros, poles
+    return np.roots(tf.num), np.roots(tf.den)
 
 
 def bode_data(tf: RationalTransferFunction, n_points: int) -> np.ndarray:

@@ -73,6 +73,13 @@ class SimulationDiverged(ArithmeticError):
     """Raised when the integrator produces a non-finite state."""
 
 
+def check_real(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is a real number: a str, a bool
+    (numpy's too), a complex value or None is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Circuit constants of the coupled resonant network (SI units)."""
@@ -91,8 +98,7 @@ class PlantParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{f.name} must be a real number, got {value!r}")
+            check_real(f.name, value)
             if f.name != "k" and not 0.0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
         if not (0.0 < self.k < 1.0):
@@ -122,12 +128,19 @@ class SimConfig:
     collect_samples: bool = True
 
     def __post_init__(self):
-        if self.steps_per_half_cycle < 32:
+        steps = self.steps_per_half_cycle
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            raise TypeError(f"steps_per_half_cycle must be an integer, got {steps!r}")
+        if steps < 32:
             raise ValueError("steps_per_half_cycle must be >= 32")
+        check_real("blanking_fraction", self.blanking_fraction)
         if not (0.0 < self.blanking_fraction < 0.5):
             raise ValueError("blanking_fraction must be in (0, 0.5)")
+        check_real("duration", self.duration)
         if not 0.0 < self.duration < math.inf:  # also rejects NaN
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        for i, value in enumerate(self.initial_state):
+            check_real(f"initial_state[{i}]", value)
         state = np.asarray(self.initial_state, dtype=float)
         if state.shape != (4,) or not np.isfinite(state).all():
             raise ValueError("initial_state must be 4 finite numbers, "
@@ -144,13 +157,13 @@ class GateEvent(NamedTuple):
 
 @dataclass
 class Trace:
-    """Simulation record.
+    """What a run produced (its params and config are the caller's).
 
-    ``states`` rows are (i1, i2, vC1, vC2) on the uniform step grid and
-    ``u`` rows hold the drive pair active on the step ending at each sample
-    (after a mid-step crossing split, the post-crossing drive). Both are
-    empty when the run was configured not to collect samples. Per-half-cycle
-    current peaks are always recorded in ``envelope_i1``/``envelope_i2``.
+    ``states`` rows are (i1, i2, vC1, vC2) on the step grid ``t`` (step 0.5 /
+    (fs steps_per_half_cycle)), ``u`` rows the drive pair active on the step
+    ending at each sample (after a mid-step crossing split, the post-crossing
+    drive); all three are empty in runs without samples. Per-half-cycle
+    current peaks are always in ``envelope_i1``/``envelope_i2``.
     """
 
     t: np.ndarray
@@ -161,9 +174,6 @@ class Trace:
     envelope_i1: np.ndarray
     envelope_i2: np.ndarray
     diagnostics: list[str]
-    params: PlantParams
-    config: SimConfig
-    dt: float
 
 
 def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +287,7 @@ def _checked_reader(f, name: str, lo: float, hi: float,
     def read(t: float) -> float:
         value = f(t) if callable(f) else f
         if type(value) is not float:  # a plain float needs no type check
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name}({t}) must be a real number, got {value!r}")
+            check_real(f"{name}({t})", value)
             value = float(value)
         if not (lo <= value <= hi if closed else lo < value < hi):
             raise ValueError(f"{name}({t}) = {value} outside {interval}")
@@ -430,9 +439,8 @@ def simulate(params: PlantParams, config: SimConfig,
     t_axis = np.arange(len(u), dtype=float)
     t_axis *= h  # in place: no second sample-sized array
     return Trace(t=t_axis, states=samples if collect else np.empty((0, 4)), u=u,
-                 events=events, envelope_t=env_t,
-                 envelope_i1=env1, envelope_i2=env2,
-                 diagnostics=diagnostics, params=params, config=config, dt=h)
+                 events=events, envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
+                 diagnostics=diagnostics)
 
 
 def resonance_report(params: PlantParams) -> dict[str, float]:

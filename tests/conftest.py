@@ -41,13 +41,18 @@ def prototype():
 
 
 @pytest.fixture(scope="session")
-def full_power_trace(prototype):
+def full_power_config():
+    """The configuration of `full_power_trace`."""
+    return plant.SimConfig(duration=3e-3, collect_samples=True)
+
+
+@pytest.fixture(scope="session")
+def full_power_trace(prototype, full_power_config):
     """3 ms co-simulation at full density on both sides, with samples."""
     from tsepdm.modulator import PulseDensityModulator
     from tsepdm.ntf import build_first_order
 
-    cfg = plant.SimConfig(duration=3e-3, collect_samples=True)
-    return plant.simulate(prototype, cfg,
+    return plant.simulate(prototype, full_power_config,
                           PulseDensityModulator(build_first_order()),
                           PulseDensityModulator(build_first_order()),
                           1.0, 1.0)

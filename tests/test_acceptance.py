@@ -281,7 +281,7 @@ def test_criterion_11_numerical_hygiene(prototype):
     spec = analysis.spectrum_of_sequence(x)
     m = spec.magnitudes
     parseval_rel = abs((m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2))
-                       / spec.length - np.sum(x ** 2)) / np.sum(x ** 2)
+                       / len(x) - np.sum(x ** 2)) / np.sum(x ** 2)
     parseval_ok = parseval_rel <= 1e-9
 
     # bit-identical reruns

@@ -37,7 +37,7 @@ def test_parseval_identity_rectangular():
     rng = np.random.default_rng(11)
     x = rng.normal(size=4096)
     spec = analysis.spectrum_of_sequence(x)
-    n = spec.length
+    n = len(x)
     m = spec.magnitudes
     lhs = (m[0] ** 2 + m[-1] ** 2 + 2.0 * np.sum(m[1:-1] ** 2)) / n
     rhs = np.sum(x ** 2)
@@ -133,8 +133,8 @@ def test_envelope_extract_recovers_modulation_depth(prototype):
     assert depth == pytest.approx(0.3, rel=0.02)
 
 
-def test_envelope_extract_matches_inline_envelope(full_power_trace):
-    steps = full_power_trace.config.steps_per_half_cycle
+def test_envelope_extract_matches_inline_envelope(full_power_config, full_power_trace):
+    steps = full_power_config.steps_per_half_cycle
     for col, env in ((0, full_power_trace.envelope_i1), (1, full_power_trace.envelope_i2)):
         assert np.array_equal(envelope_extract(full_power_trace.states[:, col], steps), env)
 

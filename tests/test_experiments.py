@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsepdm import analysis, experiments
+from tsepdm import analysis, experiments, plant
 
 
 def test_standard_density_grid():
@@ -82,6 +82,14 @@ def test_preset_validation():
                                      blanking_fraction=0.7)
     with pytest.raises(ValueError, match="blanking_fraction"):
         experiments.ExperimentPreset(name="x", side="primary", blanking_fraction=0.7)
+    # integer settings take integers, numpy's too, and densities real numbers
+    for steps in (64.0, True, "64"):
+        with pytest.raises(TypeError, match="steps_per_half_cycle must be an integer"):
+            experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=steps)
+    experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=np.int64(64))
+    for densities in ((True,), (0.5, "0.5"), (0.5 + 0j,), (np.False_,)):
+        with pytest.raises(TypeError, match=r"^densities\[\d\] must be a real number"):
+            experiments.ExperimentPreset(name="x", side="primary", densities=densities)
 
 
 @pytest.mark.parametrize("duration, settle, window", [
@@ -197,14 +205,23 @@ def test_sweep_secondary_side_measures_i2(prototype):
 
 
 @pytest.mark.slow
-def test_dynamic_response_tracks_command(prototype):
+def test_dynamic_response_tracks_command(prototype, monkeypatch):
+    traces = []
+
+    def recording_simulate(*args, **kwargs):
+        traces.append(plant.simulate(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments, "simulate", recording_simulate)
     p15 = dataclasses.replace(prototype, Vg=15.0, Vo=15.0)
     resp = experiments.run_dynamic_response(p15, "tse")
     assert resp.amplitude_error_pct <= 10.0
     assert resp.corr_i1 > 0.9
-    # mean tick density matches the commanded mean over whole periods
-    sel = resp.tick_t >= 2e-3
-    assert np.mean(resp.tick_y[sel]) == pytest.approx(0.5, abs=0.02)
+    # the secondary ticks of the sinusoidal-d2 run hold the commanded mean
+    # density over the whole periods after 2 ms
+    (trace,) = traces
+    y2 = [ev.y for ev in trace.events if ev.side == "secondary" and ev.t >= 2e-3]
+    assert np.mean(y2) == pytest.approx(0.5, abs=0.02)
 
 
 def test_dynamic_response_requires_room_for_a_period(prototype, monkeypatch):

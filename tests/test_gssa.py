@@ -289,8 +289,10 @@ def test_find_bode_peak_is_peak_of_bode_rows(prototype):
     (math.nan, 0.25, 600), (0.01, math.nan, 600), (0.01, math.inf, 600),
     (0.25, 0.01, 600), (0.1, 0.1, 600), (0.0, 0.25, 600), (-0.1, 0.25, 600),
     (0.01, 0.25, 0), (0.01, 0.25, -3),
+    (0.01, 0.25, True), (0.01, 0.25, 600.0), (0.01, 0.25, np.float64(600)),
 ])
 def test_find_bode_peak_rejects_bad_range(prototype, lo, hi, n):
     model = gssa.build_envelope_model(prototype)
-    with pytest.raises(ValueError):
+    # a point count that is not an integer is a TypeError, before its value is read
+    with pytest.raises(ValueError if type(n) is int else TypeError):
         gssa.find_bode_peak(model, "u1->i1", lo, hi, n)

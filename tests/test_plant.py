@@ -1,6 +1,7 @@
 """Coupled-tank network equations, integrator, and co-simulation loop."""
 
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -60,6 +61,28 @@ def test_params_reject_non_real_values(name, value):
         plant.PlantParams(**{name: value})
 
 
+# Values that are not real numbers: a str (numerals too), a bool (numpy's
+# too), a complex value (also with a zero imaginary part) or None.
+_NON_REAL = st.one_of(st.text("0123456789.e-", max_size=6), st.booleans(),
+                      st.booleans().map(np.bool_), st.complex_numbers(), st.none())
+# (record, field, initial_state entry or None) for every real-valued setting
+_REAL_SETTINGS = ([(plant.PlantParams, f.name, None)
+                   for f in dataclasses.fields(plant.PlantParams)]
+                  + [(plant.SimConfig, name, None)
+                     for name in ("steps_per_half_cycle", "duration", "blanking_fraction")]
+                  + [(plant.SimConfig, "initial_state", i) for i in range(4)])
+
+
+@given(setting=st.sampled_from(_REAL_SETTINGS), value=_NON_REAL)
+def test_real_settings_reject_non_real_values(setting, value):
+    record, field, entry = setting
+    label = field if entry is None else f"initial_state[{entry}]"
+    if entry is not None:
+        value = tuple(value if i == entry else 0.0 for i in range(4))
+    with pytest.raises(TypeError, match=rf"^{re.escape(label)} must be a"):
+        record(**{field: value})
+
+
 def test_params_take_int_and_numpy_values():
     p = plant.PlantParams(Vg=50, Vo=np.float64(50.0), fs=np.int64(300_000))
     assert (p.Vg, p.Vo, p.fs) == (50, 50.0, 300_000)
@@ -115,7 +138,6 @@ def test_derivatives_dissipation_identity(prototype):
 
 
 def test_derivatives_decouple_as_k_vanishes(prototype):
-    import dataclasses
     weak = dataclasses.replace(prototype, k=1e-9)
     x = [2.0, -3.0, 100.0, -50.0]
     f = derivatives(x, 40.0, 10.0, weak)
@@ -357,9 +379,10 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_
     tf = (build_first_order() if kind == "first"
           else build_third_order(NtfDesignSpec(0.075, 0.9)))
     half = 0.5 / params.fs
-    tr = plant.simulate(params, plant.SimConfig(duration=70 * half, initial_state=x0),
-                        *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
-    steps, h, x, u = tr.config.steps_per_half_cycle, tr.dt, tr.states, tr.u
+    cfg = plant.SimConfig(duration=70 * half, initial_state=x0)
+    tr = plant.simulate(params, cfg, *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
+    steps, x, u = cfg.steps_per_half_cycle, tr.states, tr.u
+    h = half / steps
     assert np.array_equal(x[0], x0)
     primary = [ev for ev in tr.events if ev.side == "primary"]
     secondary = [ev for ev in tr.events if ev.side == "secondary"]
@@ -441,7 +464,7 @@ def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d
     np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
     # each envelope peak is the largest |current| over the half cycle's samples
-    steps = full.config.steps_per_half_cycle
+    steps = plant.SimConfig.steps_per_half_cycle  # both runs take the default
     for hc in (0, n_half - 1):
         window = np.abs(full.states[hc * steps:(hc + 1) * steps + 1, :2])
         assert np.array_equal(window.max(axis=0),
@@ -460,7 +483,7 @@ def test_run_is_a_prefix_of_a_longer_run(collect):
                                                           collect_samples=collect),
                                   *fresh_mods(), 1.0, 1.0)
                    for n in (1, plant.CHUNK + 2)]
-    assert short.events[-1].t > half * (1.0 - 1.0 / short.config.steps_per_half_cycle)
+    assert short.events[-1].t > half * (1.0 - 1.0 / plant.SimConfig.steps_per_half_cycle)
     assert short.events == long.events[:len(short.events)]
     n = len(short.t)
     assert np.array_equal(short.states, long.states[:n])
@@ -691,9 +714,10 @@ def test_secondary_sync_spacing_and_blanking(prototype, full_power_trace):
     assert abs(np.median(gaps) - half) < 0.1 * half
 
 
-def test_active_rectifier_polarity(prototype, full_power_trace):
+def test_active_rectifier_polarity(prototype, full_power_config, full_power_trace):
     # u2 * i2 >= 0 away from commutation instants in steady state
     tr = full_power_trace
+    h = 0.5 / prototype.fs / full_power_config.steps_per_half_cycle
     mask = tr.t > 2e-3
     sec_times = np.array([ev.t for ev in tr.events if ev.side == "secondary"])
     idx = np.flatnonzero(mask)
@@ -701,7 +725,7 @@ def test_active_rectifier_polarity(prototype, full_power_trace):
     t_sel = tr.t[idx]
     near = np.zeros(len(idx), dtype=bool)
     for et in sec_times[sec_times > 2e-3 - 1e-6]:
-        near |= np.abs(t_sel - et) <= 1.5 * tr.dt
+        near |= np.abs(t_sel - et) <= 1.5 * h
     bad = (power < -1e-6) & ~near
     assert not np.any(bad)
 
@@ -776,16 +800,17 @@ def test_primary_carrier_is_gate_split_carrier(prototype, kind):
     assert np.array_equal(s, gate_split(y))
 
 
-def test_trace_drive_column_matches_events(full_power_trace):
+def test_trace_drive_column_matches_events(prototype, full_power_config, full_power_trace):
     # the u1 column right after each primary tick equals Vg * s of the event
     tr = full_power_trace
+    h = 0.5 / prototype.fs / full_power_config.steps_per_half_cycle
     assert tr.t.shape == tr.u.shape[:1] == tr.states.shape[:1]
-    assert tr.t[-1] == pytest.approx(tr.config.duration)
+    assert tr.t[-1] == pytest.approx(full_power_config.duration)
     for ev in tr.events[:40]:
         if ev.side != "primary":
             continue
-        idx = int(round(ev.t / tr.dt))
-        assert tr.u[idx + 1, 0] == ev.s * tr.params.Vg
+        idx = int(round(ev.t / h))
+        assert tr.u[idx + 1, 0] == ev.s * prototype.Vg
 
 
 def test_rail_modulation_hook(prototype):
