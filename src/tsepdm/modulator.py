@@ -17,12 +17,14 @@ loops are probed empirically with `stability_probe`.
 
 The recurrence is written once, in the source template of `_kernel`. For
 each filter order it is generated once into a function whose every tick is
-straight-line code on float locals. `PulseDensityModulator.step` ticks one
-modulator through it inside the co-simulation and `run` runs a fresh one
-over a waveform. `run_const_grid` runs one lane per constant density in its
-own lane kernel, `_run_lanes`: each tick is five numpy calls on (m,) lanes
-at any filter order, with the feedback sum in the float kernel's order, so
-every lane is bit-identical to `run` (a one-lane grid runs the float kernel).
+straight-line code on float locals. `PulseDensityModulator.ticks` advances
+one modulator through it over a list of densities in one call (the
+co-simulation computes its pulses ahead of the plant this way) and `step`
+is that call on one density; `run` runs a fresh modulator over a waveform.
+`run_const_grid` runs one lane per constant density in its own lane
+kernel, `_run_lanes`: each tick is five numpy calls on (m,) lanes at any
+filter order, with the feedback sum in the float kernel's order, so every
+lane is bit-identical to `run` (a one-lane grid runs the float kernel).
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into the signed samples
@@ -112,6 +114,18 @@ def _kernel(order: int):
     return namespace["kernel"]
 
 
+def _density(d) -> float:
+    """``d`` as a float; a str, bool or other non-real ``d`` raises
+    TypeError and a non-finite one ValueError."""
+    if type(d) is not float:  # a plain float needs no type check
+        if isinstance(d, bool) or not isinstance(d, numbers.Real):
+            raise TypeError(f"pulse density must be a real number, got {d!r}")
+        d = float(d)
+    if not math.isfinite(d):
+        raise ValueError(f"pulse density must be finite, got {d}")
+    return d
+
+
 class PulseDensityModulator:
     """Stateful modulator for one bridge; tick once per half cycle.
 
@@ -123,20 +137,24 @@ class PulseDensityModulator:
         self._b, self._a = _coefficients(ntf)
         self._kernel = _kernel(len(self._a))
         self.state = (0.0,) * (2 * len(self._a))
-        self._y = [False]
-        self._e = [0.0]
 
     def step(self, d: float) -> int:
         """Advance one half cycle with commanded density ``d``; return y.
         A str, bool or other non-real ``d`` raises TypeError."""
-        if type(d) is not float:  # a plain float needs no type check
-            if isinstance(d, bool) or not isinstance(d, numbers.Real):
-                raise TypeError(f"pulse density must be a real number, got {d!r}")
-            d = float(d)
-        if not math.isfinite(d):
-            raise ValueError(f"pulse density must be finite, got {d}")
-        self.state = self._kernel(self._b, self._a, (d,), self.state, self._y, self._e)
-        return 1 if self._y[0] else 0
+        return self.ticks((d,))[0]
+
+    def ticks(self, ds) -> list[int]:
+        """Advance one half cycle per density in ``ds``; return each y.
+
+        One kernel call over the whole sequence. The kernel carries its state
+        from tick to tick as it does from call to call, so the outputs and
+        the new state are bit-identical to one `step` per density. Every
+        density is checked before the first tick.
+        """
+        ds = [_density(d) for d in ds]
+        y_out = [False] * len(ds)
+        self.state = self._kernel(self._b, self._a, ds, self.state, y_out, [0.0] * len(ds))
+        return [1 if y else 0 for y in y_out]
 
 
 def _check_tick_count(n_ticks: int, available: int | None = None):

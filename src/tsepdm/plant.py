@@ -32,17 +32,24 @@ stack with z = (x, u): ``[I | 0]`` followed by the rows of every
 ``G[i] = [CM_i | CN_i]``. It writes samples pos..steps of the half cycle in
 place into one array, all four states of every sample in collecting runs,
 only i1/i2 in a ring of CHUNK half cycles otherwise; the next segment
-overwrites the rows after a crossing. The state handed on is
-``G[j - 1].dot(z)`` as Python floats, in collecting runs the same bits as
-the row the product wrote. ``ndarray.dot`` runs the same BLAS
+overwrites the rows after a crossing. ``ndarray.dot`` runs the same BLAS
 matrix-vector product as ``@`` without the ufunc dispatch. The loop reads
-the mode only at the crossing split. Collecting runs build both sub-step
-maps in one stacked `rk4_affine_maps` call, kept because the
-``simulate --trace/--events`` CSV files are compared byte for byte between
-versions. The others evaluate each sub-step by Horner's rule on the
-precomputed powers of the augmented generator [[A, B], [0, 0]], stored as
-one flat (20, 6) table (row 5 r + k for state r and power k), the same
-degree-4 polynomial; event times and envelopes agree to rounding.
+the mode only at the crossing split. Collecting runs hand on
+``G[j - 1].dot(z)`` as Python floats, the same bits as the row the product
+wrote, and build both sub-step maps in one stacked `rk4_affine_maps` call,
+kept because the ``simulate --trace/--events`` CSV files are compared byte
+for byte between versions. The others take the state after the crossing
+from z and the new drive in one product with ``Q[j]``: the two sub-steps'
+degree-4 polynomials in the split fraction alpha, composed with the
+segment's first j steps into one degree-8 polynomial per state, evaluated
+by Horner's rule in alpha on Python floats; event times and envelopes agree
+with the collecting runs to rounding. The maps are built once per process
+for each (PlantParams, steps) pair and shared read-only.
+
+The modulators need nothing from the plant: the primary ticks at each
+half-cycle start, so its whole pulse sequence is one batch before the loop,
+and a constant d2 is ticked CHUNK crossings ahead. Only a callable d2 ticks
+at each crossing.
 
 The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
 reduced once per CHUNK half cycles from that array. Collecting runs build
@@ -67,6 +74,9 @@ from .modulator import PulseDensityModulator
 # Half cycles whose envelope peaks are reduced together; runs without
 # samples keep the currents of this many half cycles.
 CHUNK = 64
+
+# (PlantParams, steps) pairs whose half-cycle maps `_propagator` keeps.
+PROPAGATORS = 8
 
 
 class SimulationDiverged(ArithmeticError):
@@ -232,8 +242,13 @@ class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
     ``G[i] = [CM_i | CN_i]`` maps z = (x, u) at a segment start to the state
-    i + 1 steps on. Row 5 r + k of ``P`` is row r of Abar^k / k!, k = 0..4,
-    for the augmented generator Abar = [[A, B], [0, 0]].
+    i + 1 steps on. ``stacks[width]`` is ``[I | 0]`` followed by every
+    ``G[i]``, the first ``width`` state rows of each, as one contiguous
+    ((steps + 1) width, 6) matrix. Row 9 r + n of ``Q[j]`` maps
+    (z, u_new) to the alpha^n coefficient (n = 0..8) of state r after a
+    segment's first j steps and step j split at fraction alpha: RK4 over
+    alpha h under u, then over (1 - alpha) h under u_new. Every array is
+    read-only, so that `_propagator` can share one instance.
     """
 
     def __init__(self, A, B, h, steps):
@@ -249,20 +264,33 @@ class _AffinePropagator:
             CM[i] = M @ CM[i - 1]
             CN[i] = M @ CN[i - 1] + N
         self.G = np.concatenate((CM, CN), axis=2)
+        K = np.concatenate((np.eye(4, 6)[None], self.G))  # z -> state after j steps
+        self.stacks = {width: np.ascontiguousarray(K[:, :width].reshape(-1, 6))
+                       for width in (2, 4)}
+        # An RK4 sub-step of width tau maps (x, u) to sum_k E[k] (tau / h)^k
+        # (x, u), E[k] the top rows of (h Abar)^k / k! for Abar = [[A, B],
+        # [0, 0]]. The first sub-step is sum_k E[k] alpha^k, the second
+        # sum_k E[k] (1 - alpha)^k = sum_i F[i] alpha^i, and C is the alpha^n
+        # coefficient of their composition on (K[j] z, u).
         Abar = np.zeros((6, 6))
         Abar[:4, :4] = A
         Abar[:4, 4:] = B
         term = np.eye(6)
-        powers = [term[:4]]
+        E = [term[:4]]
         for kk in range(1, 5):
-            term = term @ Abar / kk
-            powers.append(term[:4])
-        self.P = np.stack(powers, axis=1).reshape(20, 6)
-
-    def stack(self, width):
-        """``[I | 0]`` followed by every ``G[i]``, the first ``width`` state
-        rows of each, as one contiguous ((steps + 1) width, 6) matrix."""
-        return np.concatenate((np.eye(4, 6)[None], self.G))[:, :width].reshape(-1, 6)
+            term = term @ (h * Abar) / kk
+            E.append(term[:4])
+        F = [sum(math.comb(k, i) * (-1) ** i * E[k] for k in range(i, 5)) for i in range(5)]
+        Q = np.zeros((steps + 1, 4, 9, 8))
+        for n in range(9):
+            C = sum(F[i][:, :4] @ E[n - i] for i in range(max(0, n - 4), min(n, 4) + 1))
+            Q[:, :, n, :6] = C[:, :4] @ K
+            Q[:, :, n, 4:6] += C[:, 4:]
+            if n <= 4:
+                Q[:, :, n, 6:] = F[n][:, 4:]
+        self.Q = Q.reshape(steps + 1, 36, 8)
+        for a in (A, B, self.G, self.Q, *self.stacks.values()):
+            a.flags.writeable = False
 
     def cross(self, x, u_old, u_new, alpha):
         """The step split at fraction alpha: RK4 under u_old, then under u_new."""
@@ -270,13 +298,13 @@ class _AffinePropagator:
         (Ma, Mb), (Na, Nb) = rk4_affine_maps(self.A, self.B, widths)
         return Mb @ (Ma @ x + Na @ u_old) + Nb @ u_new
 
-    def split(self, x, u, dt):
-        """RK4 step of width dt by Horner's rule on the stored powers, as a list."""
-        # Python floats: the same IEEE operations as numpy, at a fraction of
-        # the per-call cost on four-element vectors.
-        c = self.P.dot(np.array([*x, *u])).tolist()
-        return [(((c[k + 4] * dt + c[k + 3]) * dt + c[k + 2]) * dt + c[k + 1]) * dt + c[k]
-                for k in (0, 5, 10, 15)]
+
+@functools.lru_cache(maxsize=PROPAGATORS)
+def _propagator(params: PlantParams, steps: int) -> _AffinePropagator:
+    """The read-only maps of a run with these constants and steps per half
+    cycle, built once per process for the last PROPAGATORS pairs."""
+    A, B = system_matrices(params)
+    return _AffinePropagator(A, B, 0.5 / params.fs / steps, steps)
 
 
 def _checked_reader(f, name: str, lo: float, hi: float,
@@ -323,8 +351,8 @@ def simulate(params: PlantParams, config: SimConfig,
     if n_half < 1:
         raise ValueError("duration shorter than one half cycle")
     Tsw = 1.0 / params.fs
-    A, B = system_matrices(params)
-    prop = _AffinePropagator(A, B, h, steps)
+    prop = _propagator(params, steps)
+    G, Q = prop.G, prop.Q
     read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
     read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
     read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, closed=False)
@@ -335,7 +363,7 @@ def simulate(params: PlantParams, config: SimConfig,
     # (hc % ring) steps; consecutive half cycles share their boundary row.
     width = 4 if collect else 2
     ring = n_half if collect else CHUNK
-    stack = prop.stack(width)
+    stack = prop.stacks[width]
     samples = np.empty((ring * steps + 1, width))
     flat = samples.reshape(-1)
     x = [float(v) for v in config.initial_state]
@@ -352,10 +380,14 @@ def simulate(params: PlantParams, config: SimConfig,
     last_crossing = 0.0
     starved = False
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
+    # The modulators need nothing from the plant: the primary ticks at every
+    # half-cycle start, and a constant d2 ticks CHUNK crossings ahead.
+    y1_seq = primary_modulator.ticks([read_d1(hc * half) for hc in range(n_half)])
+    dynamic_d2 = callable(d2)
 
     for hc in range(n_half):
         t0 = hc * half
-        y1 = primary_modulator.step(read_d1(t0))
+        y1 = y1_seq[hc]
         s1 = -y1 if hc % 2 else y1  # the carrier alternates every half cycle
         rail1 = params.Vg if vg_of_t is None else read_vg(t0)
         u1 = u1_log[hc] = rail1 * s1
@@ -379,24 +411,38 @@ def simulate(params: PlantParams, config: SimConfig,
                 if t0 + (pos + j + alpha) * h >= blanking_until:
                     accept = j
                     break
-            # samples before the accepted crossing (the whole rest if none)
-            j = n_rem if accept < 0 else accept
-            if j > 0:
-                x = prop.G[j - 1].dot(z).tolist()
             if accept < 0:
+                x = G[n_rem - 1].dot(z).tolist()
                 break
 
+            j = accept
             t_x = t0 + (pos + j + alpha) * h
-            u_old = (u1, u2)
+            u2_old = u2
             c2 = 1 if i2_right > i2_left else -1
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
-            y2 = secondary_modulator.step(read_d2(t_x))
+            n_cross = len(cross_rows)
+            if dynamic_d2:
+                y2 = secondary_modulator.step(read_d2(t_x))
+            else:
+                if n_cross % CHUNK == 0:
+                    y2_ahead = secondary_modulator.ticks([read_d2(t_x)] * CHUNK)
+                y2 = y2_ahead[n_cross % CHUNK]
             s2 = y2 * c2
             u2 = params.Vo * s2
-            events.append(GateEvent(len(cross_rows), "secondary", y2, s2, t_x))
-            x = (prop.cross(x, u_old, (u1, u2), alpha).tolist() if collect else
-                 prop.split(prop.split(x, u_old, alpha * h), (u1, u2), (1.0 - alpha) * h))
+            events.append(GateEvent(n_cross, "secondary", y2, s2, t_x))
+            if collect:
+                if j > 0:
+                    x = G[j - 1].dot(z).tolist()
+                x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
+            else:
+                # Python floats: the same IEEE operations as numpy, at a
+                # fraction of the per-call cost on a few coefficients
+                c = Q[j].dot(np.array(x + [u1, u2_old, u1, u2])).tolist()
+                x = [(((((((c[r + 8] * alpha + c[r + 7]) * alpha + c[r + 6]) * alpha
+                            + c[r + 5]) * alpha + c[r + 4]) * alpha + c[r + 3]) * alpha
+                         + c[r + 2]) * alpha + c[r + 1]) * alpha + c[r]
+                     for r in (0, 9, 18, 27)]
             pos += j + 1
             # x is sample pos; a next segment writes it and the rows after it
             cross_rows.append(hc * steps + pos)

@@ -1,4 +1,4 @@
-import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import configuration, settings
@@ -10,18 +10,12 @@ from tsepdm import plant
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
 
-_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
-
-
-def pytest_configure(config):
-    # Hypothesis caches constants read from the source at collection time;
-    # keep that cache in a temporary directory, not ``.hypothesis/``.
-    config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
-    configuration.set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME].name)
-
-
-def pytest_unconfigure(config):
-    config.stash[_HYPOTHESIS_HOME].cleanup()
+# Hypothesis keeps its caches in the checkout's gitignored ``.hypothesis/``,
+# whatever the working directory: the constants it reads from each source
+# file (keyed by the file's hash, so an edit never reads stale ones) and the
+# unicode charmap that ``st.text()`` draws from, which takes seconds to
+# build. Later runs reuse both; with ``database=None`` no example is stored.
+configuration.set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".hypothesis")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import signal
 
 from tsepdm import modulator as mod
 from tsepdm import ntf
+from tsepdm.plant import CHUNK
 
 
 NTF1 = ntf.build_first_order()
@@ -214,6 +215,41 @@ def test_step_takes_int_and_numpy_densities_as_floats():
         m, ref = mod.PulseDensityModulator(NTF3), mod.PulseDensityModulator(NTF3)
         assert [m.step(x) for x in xs] == [ref.step(float(x)) for x in xs]
         assert np.array(m.state).tobytes() == np.array(ref.state).tobytes()
+
+
+@st.composite
+def _split_densities(draw):
+    """A density list and the cut points of its batches, sorted."""
+    d = draw(st.lists(st.floats(0.0, 1.0), max_size=3 * CHUNK + 2))
+    cuts = draw(st.lists(st.integers(0, len(d)), max_size=6))
+    return d, sorted(cuts)
+
+
+@given(split=_split_densities(), tf=st.sampled_from([NTF1, NTF3]))
+@example(split=([0.963] * (2 * CHUNK + 1), [CHUNK, 2 * CHUNK]), tf=NTF3)
+@example(split=([0.983] * (2 * CHUNK), [CHUNK - 1, CHUNK, CHUNK + 1]), tf=NTF1)
+def test_batch_ticks_equal_per_tick_steps_bit_for_bit(split, tf):
+    # The co-simulation ticks the primary in one batch and a constant
+    # secondary CHUNK ticks at a time; any cut of the sequence into batches
+    # gives the pulses and the state of one step per density.
+    d, cuts = split
+    m, ref = mod.PulseDensityModulator(tf), mod.PulseDensityModulator(tf)
+    batched = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(d)]):
+        batched += m.ticks(d[lo:hi])
+    stepped = [ref.step(x) for x in d]
+    assert batched == stepped
+    assert all(type(y) is int for y in batched)
+    assert np.array(m.state).tobytes() == np.array(ref.state).tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [(float("nan"), ValueError), ("0.5", TypeError),
+                                        (True, TypeError)], ids=["nan", "str", "bool"])
+def test_ticks_checks_every_density_before_the_first_tick(bad, error):
+    m = mod.PulseDensityModulator(NTF3)
+    with pytest.raises(error):
+        m.ticks([0.5, 0.7, bad, 0.9])
+    assert m.state == (0.0,) * 6
 
 
 def test_run_rejects_out_of_range_density():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
-from scipy.optimize import fsolve
+from scipy.optimize import brentq, fsolve
 
 from tsepdm import plant
 from tsepdm.modulator import PulseDensityModulator, gate_split, run
@@ -226,7 +226,7 @@ def eye_rk4_affine_maps(A, B, h):
 
 _A, _B = plant.system_matrices(plant.DEFAULT_PARAMS)
 _H = 0.5 / plant.DEFAULT_PARAMS.fs / 256
-_PROP = plant._AffinePropagator(_A, _B, _H, 256)
+_PROP = plant._propagator(plant.DEFAULT_PARAMS, 256)
 _V = plant.DEFAULT_PARAMS.Vg
 
 
@@ -275,20 +275,58 @@ def test_cached_identity_is_read_only():
     assert np.array_equal(eye, np.eye(4))
 
 
+def crossing_state(j, z, u_new, alpha):
+    """The state after a crossing at fraction ``alpha`` of step j of a
+    segment from z = (x, u), as the no-sample loop computes it: Horner's
+    rule in alpha on row 9 r + n of ``Q[j]`` applied to (z, u_new)."""
+    c = _PROP.Q[j].dot(np.r_[z, u_new]).tolist()
+    x = []
+    for r in range(0, 36, 9):
+        acc = c[r + 8]
+        for n in range(7, -1, -1):
+            acc = acc * alpha + c[r + n]
+        x.append(acc)
+    return np.array(x)
+
+
+_STEPS = _PROP.G.shape[0]
+_STATE = st.tuples(*(st.floats(-lim, lim) for lim in (20.0, 20.0, 2000.0, 2000.0)))
+_BRIDGE = st.tuples(*(st.sampled_from((-_V, 0.0, _V)),) * 2)
+
+
 @settings(max_examples=300, deadline=None)
-@given(x=st.tuples(*(st.floats(-lim, lim) for lim in (20.0, 20.0, 2000.0, 2000.0))),
-       u=st.tuples(*(st.sampled_from((-_V, 0.0, _V)),) * 2),
-       frac=st.floats(0.0, 1.0, exclude_min=True))
-def test_horner_split_equals_rk4_affine_maps(x, u, frac):
-    # Relative to the magnitude of the summed terms, the rounding scale of
-    # both evaluation orders; subnormal results carry no relative precision,
-    # hence the floor at the smallest normal float.
-    x, u, tau = np.array(x), np.array(u), frac * _H
-    M, N = plant.rk4_affine_maps(_A, _B, tau)
-    expected = M @ x + N @ u
-    scale = np.abs(M) @ np.abs(x) + np.abs(N) @ np.abs(u)
-    err = np.abs(_PROP.split(x, u, tau) - expected)
+@given(x=_STATE, u_old=_BRIDGE, u_new=_BRIDGE, j=st.integers(0, _STEPS),
+       alpha=st.floats(0.0, 1.0, exclude_min=True))
+@example(x=(3.0, -2.0, 400.0, -900.0), u_old=(_V, _V), u_new=(_V, -_V), j=0, alpha=1e-300)
+@example(x=(3.0, -2.0, 400.0, -900.0), u_old=(-_V, 0.0), u_new=(-_V, _V), j=_STEPS, alpha=1.0)
+def test_crossing_table_equals_two_step_rk4_affine_maps(x, u_old, u_new, j, alpha):
+    # The oracle: j steps by the stacked maps G, then the split step as two
+    # RK4 sub-steps from one stacked rk4_affine_maps call, over alpha h
+    # under u_old and (1 - alpha) h under u_new. The error is relative to
+    # the magnitude of the oracle's summed terms; subnormal results carry no
+    # relative precision, hence the floor at the smallest normal float.
+    z = np.r_[x, u_old]
+    K = np.concatenate((np.eye(4, 6)[None], _PROP.G))[j]
+    widths = np.array((alpha * _H, (1.0 - alpha) * _H)).reshape(2, 1, 1)
+    (Ma, Mb), (Na, Nb) = plant.rk4_affine_maps(_A, _B, widths)
+    expected = Mb @ (Ma @ (K @ z) + Na @ u_old) + Nb @ u_new
+    scale = (np.abs(Mb) @ (np.abs(Ma) @ (np.abs(K) @ np.abs(z)) + np.abs(Na) @ np.abs(u_old))
+             + np.abs(Nb) @ np.abs(u_new))
+    err = np.abs(crossing_state(j, z, u_new, alpha) - expected)
     assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
+
+
+def test_propagator_is_built_once_per_params_and_steps_and_read_only():
+    assert plant._propagator(plant.DEFAULT_PARAMS, 256) is _PROP
+    assert plant._propagator(plant.PlantParams(), 256) is _PROP  # equal params, one entry
+    assert plant._propagator(plant.DEFAULT_PARAMS, 64) is not _PROP
+    assert _PROP.Q.shape == (_STEPS + 1, 36, 8)
+    assert _PROP.stacks[4].shape == ((_STEPS + 1) * 4, 6)
+    assert _PROP.stacks[2].shape == ((_STEPS + 1) * 2, 6)
+    for a in (_PROP.A, _PROP.B, _PROP.G, _PROP.Q, *_PROP.stacks.values()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
 
 
 _FINITE_STATE = st.tuples(*(st.floats(-lim, lim) for lim in (1e3, 1e3, 1e5, 1e5)))
@@ -307,7 +345,7 @@ def check_segment_stack(n, x, u):
     """
     z = np.array([*x, *u])
     G = _PROP.G
-    stack = _PROP.stack(4)[:4 * (n + 1)]
+    stack = _PROP.stacks[4][:4 * (n + 1)]
     rows = np.full(4 * (n + 3), np.nan)
     seg = rows[4:4 * (n + 2)]
     np.dot(stack, z, out=seg)
@@ -320,7 +358,7 @@ def check_segment_stack(n, x, u):
         assert np.array_equal(G[i].dot(z), seg[i + 1])
         assert np.array_equal(G[i] @ z, seg[i + 1])
     currents = np.empty(2 * (n + 1))
-    np.dot(_PROP.stack(2)[:2 * (n + 1)], z, out=currents)
+    np.dot(_PROP.stacks[2][:2 * (n + 1)], z, out=currents)
     scale = (np.abs(stack) @ np.abs(z)).reshape(n + 1, 4)[:, :2]
     err = np.abs(currents.reshape(n + 1, 2) - seg[:, :2])
     assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
@@ -636,6 +674,113 @@ def test_settled_full_power_run_matches_exact_periodic_orbit(
     assert abs(tau_sim - tau) <= crossing_gap
 
 
+class ExactTank:
+    """The exact flow of the tank under a constant drive, in modal form.
+
+    A has four distinct eigenvalues, A = V diag(lam) V^-1, so from x0 under
+    u the state is x(t) = V e^{lam t} w0 + xp, with xp = -A^-1 B u and
+    w0 = V^-1 (x0 - xp).
+    """
+
+    def __init__(self, params):
+        A, B = plant.system_matrices(params)
+        self.lam, self.V = np.linalg.eig(A)
+        self.V_inv = np.linalg.inv(self.V)
+        self.A_inv_B = np.linalg.solve(A, B)
+
+    def modes(self, x0, u):
+        xp = -self.A_inv_B @ u
+        return self.V_inv @ (x0 - xp), xp
+
+    def states(self, w0, xp, tau):
+        """The states at the times ``tau`` after the segment start, (len(tau), 4)."""
+        return ((np.exp(np.outer(tau, self.lam)) * w0) @ self.V.T).real + xp
+
+    def i2(self, w0, xp, tau):
+        return (self.V[1] @ (np.exp(self.lam * tau) * w0)).real + xp[1]
+
+
+def exact_run(params, tf, d1, d2, n_half, blanking=plant.SimConfig.blanking_fraction, scan=64):
+    """Secondary events (t, y, s) and constant-drive segments (start, end, w0,
+    xp) of a run from rest integrated exactly, with fresh modulators ticked
+    as `plant.simulate` ticks them. Each crossing is the first sign change of
+    i2 after the blanking window, on a scan of ``scan`` points per segment,
+    refined by brentq on the closed form."""
+    tank = ExactTank(params)
+    half = 0.5 / params.fs
+    primary, secondary = PulseDensityModulator(tf), PulseDensityModulator(tf)
+    x, u2, blanking_until = np.zeros(4), 0.0, -math.inf
+    events, segments = [], []
+    for hc in range(n_half):
+        y1 = primary.step(d1)
+        u1 = params.Vg * (-y1 if hc % 2 else y1)
+        start, end = hc * half, (hc + 1) * half
+        while True:
+            w0, xp = tank.modes(x, np.array([u1, u2]))
+            tau = np.linspace(max(0.0, blanking_until - start), end - start, scan + 1)
+            i2 = tank.states(w0, xp, tau)[:, 1] if tau[0] < tau[-1] else np.zeros(1)
+            changes = np.flatnonzero(i2[:-1] * i2[1:] < 0.0)
+            if not changes.size:
+                segments.append((start, end, w0, xp))
+                x = tank.states(w0, xp, [end - start])[0]
+                break
+            k = changes[0]
+            root = brentq(lambda t: tank.i2(w0, xp, t), tau[k], tau[k + 1],
+                          xtol=1e-24, rtol=4 * np.finfo(float).eps)
+            segments.append((start, start + root, w0, xp))
+            x = tank.states(w0, xp, [root])[0]
+            start += root
+            blanking_until = start + blanking * half
+            y2 = secondary.step(d2)
+            s2 = y2 if i2[k + 1] > i2[k] else -y2
+            u2 = params.Vo * s2
+            events.append((start, y2, s2))
+    return tank, events, segments
+
+
+def exact_grid_envelopes(params, tank, segments, n_half, steps):
+    """Per half cycle, max |i1| and max |i2| of the exact flow over the
+    simulator's samples t0 + k h, k = 0..steps."""
+    h = 0.5 / params.fs / steps
+    n = n_half * steps + 1
+    currents = np.empty((n, 2))
+    for start, end, w0, xp in segments:
+        k = np.arange(math.ceil(start / h - 1e-9), min(math.floor(end / h + 1e-9), n - 1) + 1)
+        currents[k] = tank.states(w0, xp, k * h - start)[:, :2]
+    a = np.abs(currents)
+    env = np.maximum(a[:-1].reshape(n_half, steps, 2).max(axis=1), a[steps::steps])
+    return env[:, 0], env[:, 1]
+
+
+@pytest.mark.parametrize("side, kind, rho, d", [
+    ("primary", "tse", 0.075, 0.963), ("secondary", "tse", 0.065, 0.983),
+    ("primary", "first", 0.075, 0.963), ("secondary", "tse", 0.075, 0.503)])
+def test_no_sample_runs_match_exact_event_driven_reference(prototype, side, kind, rho, d):
+    # 1 ms runs that skip pulses, against the exact flow between drive
+    # changes: the same gate sequence, and crossing times (in half cycles)
+    # and sample-grid envelopes (relative to their peak) within about twice
+    # the gaps measured over these four cases, where the first-order case
+    # is the largest: 1.9e-4 and 3.8e-5 at 64 steps, 1.13e-5 and 2.6e-6 at
+    # 256 steps. Both fall with the step size, as the RK4 sub-steps'
+    # linearly interpolated crossings make them O(h^2).
+    half = 0.5 / prototype.fs
+    n_half = round(1e-3 / half)
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(rho, 0.9)))
+    d1, d2 = (d, 1.0) if side == "primary" else (1.0, d)
+    tank, events, segments = exact_run(prototype, tf, d1, d2, n_half)
+    for steps, crossing_gap, envelope_gap in ((64, 4e-4, 8e-5), (256, 2.5e-5, 5e-6)):
+        cfg = plant.SimConfig(steps_per_half_cycle=steps, duration=n_half * half,
+                              collect_samples=False)
+        tr = plant.simulate(prototype, cfg, *fresh_mods(tf), d1, d2)
+        secondary = [ev for ev in tr.events if ev.side == "secondary"]
+        assert [(ev.y, ev.s) for ev in secondary] == [(y, s) for _, y, s in events]
+        assert max(abs(ev.t - t) for ev, (t, _, _) in zip(secondary, events)) <= crossing_gap * half
+        for sim, ref in zip((tr.envelope_i1, tr.envelope_i2),
+                            exact_grid_envelopes(prototype, tank, segments, n_half, steps)):
+            assert np.max(np.abs(sim - ref)) <= envelope_gap * ref.max()
+
+
 def test_full_power_phase_matches_phasor_oracle(prototype, full_power_trace):
     # At full density with carrier phase +1 the drive fundamental is exactly
     # sin(ws t), so fitting i1 on a (sin, cos) basis yields the drive-relative
@@ -839,3 +984,13 @@ def test_rail_turning_bad_mid_run_is_rejected_at_its_tick(prototype):
     with pytest.raises(ValueError, match=re.escape(f"vg_of_t({t_bad}) = nan")):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
                        vg_of_t=lambda t: 50.0 if t < t_bad else math.nan)
+
+
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_density_turning_bad_mid_run_is_rejected_at_its_tick(prototype, collect, bad):
+    # the primary pulses are computed before the loop, from every tick's d1
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
+    t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
+    with pytest.raises(ValueError, match=re.escape(f"d1({t_bad}) = {bad} outside [0, 1]")):
+        plant.simulate(prototype, cfg, *fresh_mods(), lambda t: 0.9 if t < t_bad else bad, 1.0)
