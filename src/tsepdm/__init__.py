@@ -5,11 +5,11 @@ verification: notch NTF construction (`ntf`), the 1-bit error-feedback
 modulator (`modulator`), the switched resonant-tank co-simulator (`plant`),
 the envelope small-signal model (`gssa`), measurement utilities
 (`analysis`), experiment presets (`experiments`), and the command-line
-front end (`cli`).
+front end (`cli`). The input rules they share live in `checks`.
 """
 
-from . import analysis, datafiles, experiments, gssa, modulator, ntf, plant
+from . import analysis, checks, datafiles, experiments, gssa, modulator, ntf, plant
 
-__all__ = ["analysis", "datafiles", "experiments", "gssa", "modulator",
+__all__ = ["analysis", "checks", "datafiles", "experiments", "gssa", "modulator",
            "ntf", "plant"]
 __version__ = "0.1.0"

@@ -292,12 +292,12 @@ def cmd_stability(args) -> int:
         y_all, e_all = modulator.run_const_grid(tf, grid, args.ticks)
         probes += [("const", d, modulator.StabilityReport.of(y, e, d))
                    for d, y, e in zip(grid, y_all.T, e_all.T)]
-    if args.probe in ("sin", "all"):
-        probes.append(("sin", 0.5, modulator.stability_probe(
-            tf, modulator.sinusoid_density(args.ticks))))
-    if args.probe in ("ramp", "all"):
-        probes.append(("ramp", 0.5, modulator.stability_probe(
-            tf, modulator.ramp_density(args.ticks))))
+    for probe, waveform in (("sin", modulator.sinusoid_density),
+                            ("ramp", modulator.ramp_density)):
+        if args.probe in (probe, "all"):
+            d = waveform(args.ticks)
+            probes.append((probe, 0.5, modulator.StabilityReport.of(
+                *modulator.run(tf, d), d.mean())))
     rows = [[probe, d, rep.e_min, rep.e_max, rep.violation_count, rep.mean_density_error]
             for probe, d, rep in probes]
     total_violations = sum(rep.violation_count for _, _, rep in probes)

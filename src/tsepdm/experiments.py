@@ -18,9 +18,10 @@ from itertools import repeat
 import numpy as np
 
 from . import analysis
+from .checks import check_interval
 from .modulator import PulseDensityModulator
 from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, build_third_order
-from .plant import PlantParams, SimConfig, check_real, half_cycle_ends, simulate
+from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
 
 NTF_KINDS = ("first", "tse")
 SIDES = ("primary", "secondary")
@@ -93,16 +94,14 @@ class ExperimentPreset:
         if self.side not in SIDES:
             raise ValueError("side must be primary or secondary")
         for i, d in enumerate(self.densities):
-            check_real(f"densities[{i}]", d)
-        if any(not (0.0 <= d <= 1.0) for d in self.densities):
-            raise ValueError("densities must lie in [0, 1]")
-        if not 0.0 <= self.settle < self.duration < math.inf:  # also rejects NaN
-            raise ValueError("need finite 0 <= settle < duration, got "
-                             f"settle={self.settle!r}, duration={self.duration!r}")
-        if not 0.0 < self.window < math.inf:
-            raise ValueError(f"window must be finite and positive, got {self.window!r}")
+            check_interval(f"densities[{i}]", d, 0.0, 1.0)
         make_ntf(self.ntf_kind, self.rho, self.r)  # validates kind and rho/r
-        self.sim_config  # validates steps and blanking
+        self.sim_config  # validates steps, duration and blanking
+        check_interval("settle", self.settle, 0.0, math.inf, "[)")
+        check_interval("window", self.window, 0.0, math.inf, "()")
+        if not self.settle < self.duration:
+            raise ValueError("need settle < duration, got "
+                             f"settle={self.settle!r}, duration={self.duration!r}")
 
     @property
     def sim_config(self) -> SimConfig:
@@ -186,8 +185,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     tf = make_ntf(ntf_kind, rho, r)
     cfg = SimConfig(steps_per_half_cycle=steps_per_half_cycle,
                     duration=duration, collect_samples=False)
-    if not 0.0 < mod_freq < math.inf:
-        raise ValueError(f"mod_freq must be finite and positive, got {mod_freq!r}")
+    check_interval("mod_freq", mod_freq, 0.0, math.inf, "()")
     n_periods = int(math.floor((duration - settle) * mod_freq))
     if n_periods < 1:
         raise ValueError("duration too short for one modulation period after settle")

@@ -30,12 +30,12 @@ stacked blocks of ``BODE_BLOCK`` frequencies.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantParams, SimulationDiverged, check_real, system_matrices
+from .checks import check_integer, check_interval, check_real
+from .plant import PlantParams, SimulationDiverged, system_matrices
 
 # Relative step for the central-difference linearization.
 FD_RELATIVE_STEP = 1e-6
@@ -205,16 +205,15 @@ def bode_grid_rows(model: EnvelopeModel, which: str, ratio_min: float,
     """`amplitude_bode` rows on ``n_points`` ratios delta_omega/ws evenly
     spaced from ``ratio_min`` to ``ratio_max``.
 
-    Requires finite ``0 < ratio_min < ratio_max`` and ``n_points >= 1``
-    (else ValueError); ``n_points`` must be an integer (else TypeError).
+    Requires real ratios with finite ``0 < ratio_min < ratio_max`` and an
+    integer ``n_points >= 1``: TypeError for a value of another kind,
+    ValueError for one out of range.
     """
-    if not 0.0 < ratio_min < ratio_max < math.inf:
-        raise ValueError(f"require finite 0 < ratio_min < ratio_max, "
-                         f"got {ratio_min!r}, {ratio_max!r}")
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral):
-        raise TypeError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
+    check_interval("ratio_min", ratio_min, 0.0, math.inf, "()")
+    check_interval("ratio_max", ratio_max, 0.0, math.inf, "()")
+    if not ratio_min < ratio_max:
+        raise ValueError(f"need ratio_min < ratio_max, got {ratio_min!r}, {ratio_max!r}")
+    check_integer("n_points", n_points, 1)
     dw = np.linspace(ratio_min, ratio_max, n_points) * model.params.ws
     return amplitude_bode(model, which, dw)
 
@@ -244,20 +243,17 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     RK4 runs on the complex state z itself: every stage is the same IEEE
     operation per real and imaginary part as the stacked real 8-state form,
     so the result is bit-identical to it. Raises TypeError on a constant
-    amplitude that is a str, bool or other non-real value; ValueError on a
-    non-positive or non-finite ``dt``, a ``duration`` shorter than one step
-    and a malformed ``initial``; `plant.SimulationDiverged` when the result
-    is not finite.
+    amplitude, ``dt`` or ``duration`` that is a str, bool or other non-real
+    value; ValueError on a ``dt`` or ``duration`` outside (0, inf), a
+    ``duration`` shorter than one step and a malformed ``initial``;
+    `plant.SimulationDiverged` when the result is not finite.
     """
     for name, amp in (("a1", a1), ("a2", a2)):
         if not callable(amp):
             check_real(name, amp)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    steps = duration / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"duration must be finite, got {duration!r}")
-    n = int(round(steps))
+    check_interval("dt", dt, 0.0, math.inf, "()")
+    check_interval("duration", duration, 0.0, math.inf, "()")
+    n = int(round(duration / dt))
     if n < 1:
         raise ValueError(f"duration {duration!r} is shorter than one step of {dt!r}")
     x = np.zeros(8) if initial is None else np.asarray(initial, dtype=float)

@@ -13,7 +13,7 @@ which realizes Y(z) = D(z) + E(z) NTF(z) (the error-feedback structure of
 Schreier & Temes, *Understanding Delta-Sigma Data Converters*, ch. 4). With
 threshold 1 and output levels {0, 1} a stable modulator keeps e inside
 [-1, 0]; the first-order loop provably never leaves that band, high-order
-loops are probed empirically with `stability_probe`.
+loops are probed empirically with `run` and `StabilityReport`.
 
 The recurrence is written once, in the source template of `_kernel`. For
 each filter order it is generated once into a function whose every tick is
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import linecache
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_interval
 from .ntf import RationalTransferFunction, to_error_filter
 
 # Tolerance on the stability band e in [-1, 0]: excursions beyond this are
@@ -114,18 +113,6 @@ def _kernel(order: int):
     return namespace["kernel"]
 
 
-def _density(d) -> float:
-    """``d`` as a float; a str, bool or other non-real ``d`` raises
-    TypeError and a non-finite one ValueError."""
-    if type(d) is not float:  # a plain float needs no type check
-        if isinstance(d, bool) or not isinstance(d, numbers.Real):
-            raise TypeError(f"pulse density must be a real number, got {d!r}")
-        d = float(d)
-    if not math.isfinite(d):
-        raise ValueError(f"pulse density must be finite, got {d}")
-    return d
-
-
 class PulseDensityModulator:
     """Stateful modulator for one bridge; tick once per half cycle.
 
@@ -139,8 +126,7 @@ class PulseDensityModulator:
         self.state = (0.0,) * (2 * len(self._a))
 
     def step(self, d: float) -> int:
-        """Advance one half cycle with commanded density ``d``; return y.
-        A str, bool or other non-real ``d`` raises TypeError."""
+        """Advance one half cycle with commanded density ``d``; return y."""
         return self.ticks((d,))[0]
 
     def ticks(self, ds) -> list[int]:
@@ -149,9 +135,10 @@ class PulseDensityModulator:
         One kernel call over the whole sequence. The kernel carries its state
         from tick to tick as it does from call to call, so the outputs and
         the new state are bit-identical to one `step` per density. Every
-        density is checked before the first tick.
+        density is checked before the first tick: a str, bool or other
+        non-real one raises TypeError, one outside [0, 1] ValueError.
         """
-        ds = [_density(d) for d in ds]
+        ds = [check_interval("pulse density", d, 0.0, 1.0) for d in ds]
         y_out = [False] * len(ds)
         self.state = self._kernel(self._b, self._a, ds, self.state, y_out, [0.0] * len(ds))
         return [1 if y else 0 for y in y_out]
@@ -291,7 +278,8 @@ def gate_split(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Extremes of the quantization error over a probe run."""
+    """Extremes of the quantization error over a probe run of at least one
+    tick; the modulator is stable on it when ``violation_count`` is 0."""
 
     e_min: float
     e_max: float
@@ -310,21 +298,6 @@ class StabilityReport:
 def count_violations(e: np.ndarray) -> int:
     """Excursions of e outside [-1, 0] beyond the boundary tolerance."""
     return int(np.count_nonzero((e < -1.0 - STABILITY_TOL) | (e > STABILITY_TOL)))
-
-
-def stability_probe(ntf: RationalTransferFunction, d_waveform,
-                    n_ticks: int | None = None) -> StabilityReport:
-    """Run the modulator and report the quantization-error extremes.
-
-    The modulator is considered stable when e never leaves [-1, 0]
-    (tolerance ``STABILITY_TOL`` on the boundaries). A probe needs at
-    least one tick.
-    """
-    d_arr = _waveform(d_waveform, n_ticks)
-    y, e = run(ntf, d_arr)
-    if not y.size:
-        raise ValueError("a stability probe needs at least one tick")
-    return StabilityReport.of(y, e, d_arr.mean())
 
 
 def sinusoid_density(n_ticks: int) -> np.ndarray:

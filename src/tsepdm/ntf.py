@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_integer, check_interval
+
 # Magnitude tolerances for the static design checks: DC zero, notch zero,
 # and realizability |NTF(inf) - 1|.
 TOL_DC = 1e-9
@@ -83,10 +85,8 @@ class NtfDesignSpec:
     pole_radius: float = 0.9
 
     def __post_init__(self):
-        if not (0.0 < self.notch_ratio < 1.0):
-            raise ValueError(f"notch_ratio must be in (0, 1), got {self.notch_ratio}")
-        if not (0.0 < self.pole_radius < 1.0):
-            raise ValueError(f"pole_radius must be in (0, 1), got {self.pole_radius}")
+        check_interval("notch_ratio", self.notch_ratio, 0.0, 1.0, "()")
+        check_interval("pole_radius", self.pole_radius, 0.0, 1.0, "()")
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,7 @@ def bode_data(tf: RationalTransferFunction, n_points: int) -> np.ndarray:
     so ratio 1.0 (angle pi) corresponds to the switching frequency itself.
     Magnitudes are clamped at ``DB_FLOOR`` dB.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    check_integer("n_points", n_points, 2)
     rows = np.empty((n_points, 3))
     for i in range(1, n_points + 1):
         ratio = i / n_points

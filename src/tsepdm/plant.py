@@ -48,8 +48,8 @@ for each (PlantParams, steps) pair and shared read-only.
 
 The modulators need nothing from the plant: the primary ticks at each
 half-cycle start, so its whole pulse sequence is one batch before the loop,
-and a constant d2 is ticked CHUNK crossings ahead. Only a callable d2 ticks
-at each crossing.
+gated by the `modulator.gate_split` carrier. The secondary ticks a block of
+crossings ahead at a time: CHUNK for a constant d2, one for a callable d2.
 
 The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
 reduced once per CHUNK half cycles from that array. Collecting runs build
@@ -61,14 +61,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .modulator import PulseDensityModulator
+from .checks import check_integer, check_interval, check_real
+from .modulator import PulseDensityModulator, gate_split
 
 
 # Half cycles whose envelope peaks are reduced together; runs without
@@ -81,13 +81,6 @@ PROPAGATORS = 8
 
 class SimulationDiverged(ArithmeticError):
     """Raised when the integrator produces a non-finite state."""
-
-
-def check_real(name: str, value) -> None:
-    """Raise TypeError unless ``value`` is a real number: a str, a bool
-    (numpy's too), a complex value or None is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,8 @@ class PlantParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            check_real(f.name, value)
-            if f.name != "k" and not 0.0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
-        if not (0.0 < self.k < 1.0):
-            raise ValueError("coupling coefficient k must be in (0, 1)")
+            check_interval(f.name, getattr(self, f.name), 0.0,
+                           1.0 if f.name == "k" else math.inf, "()")
 
     @property
     def M(self) -> float:
@@ -138,17 +127,9 @@ class SimConfig:
     collect_samples: bool = True
 
     def __post_init__(self):
-        steps = self.steps_per_half_cycle
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-            raise TypeError(f"steps_per_half_cycle must be an integer, got {steps!r}")
-        if steps < 32:
-            raise ValueError("steps_per_half_cycle must be >= 32")
-        check_real("blanking_fraction", self.blanking_fraction)
-        if not (0.0 < self.blanking_fraction < 0.5):
-            raise ValueError("blanking_fraction must be in (0, 0.5)")
-        check_real("duration", self.duration)
-        if not 0.0 < self.duration < math.inf:  # also rejects NaN
-            raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        check_integer("steps_per_half_cycle", self.steps_per_half_cycle, 32)
+        check_interval("blanking_fraction", self.blanking_fraction, 0.0, 0.5, "()")
+        check_interval("duration", self.duration, 0.0, math.inf, "()")
         for i, value in enumerate(self.initial_state):
             check_real(f"initial_state[{i}]", value)
         state = np.asarray(self.initial_state, dtype=float)
@@ -308,19 +289,11 @@ def _propagator(params: PlantParams, steps: int) -> _AffinePropagator:
 
 
 def _checked_reader(f, name: str, lo: float, hi: float,
-                    closed: bool = True) -> Callable[[float], float]:
-    """Reader of ``f`` (a value or callable of time), a real number checked in
-    [lo, hi], or in (lo, hi) when not ``closed``; a str, bool or other
-    non-real value raises TypeError."""
+                    ends: str = "[]") -> Callable[[float], float]:
+    """Reader of ``f`` (a value or callable of time): its value at t, checked
+    by `check_interval` and named ``name(t)`` when it raises."""
     def read(t: float) -> float:
-        value = f(t) if callable(f) else f
-        if type(value) is not float:  # a plain float needs no type check
-            check_real(f"{name}({t})", value)
-            value = float(value)
-        if not (lo <= value <= hi if closed else lo < value < hi):
-            raise ValueError(f"{name}({t}) = {value} outside {interval}")
-        return value
-    interval = f"[{lo:g}, {hi:g}]" if closed else f"({lo:g}, {hi:g})"
+        return check_interval(name, f(t) if callable(f) else f, lo, hi, ends, t)
     return read
 
 
@@ -355,7 +328,7 @@ def simulate(params: PlantParams, config: SimConfig,
     G, Q = prop.G, prop.Q
     read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
     read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
-    read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, closed=False)
+    read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, "()")
 
     collect = config.collect_samples
     # Sample rows: all states of the whole run, or i1/i2 of a ring of CHUNK
@@ -381,14 +354,15 @@ def simulate(params: PlantParams, config: SimConfig,
     starved = False
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
     # The modulators need nothing from the plant: the primary ticks at every
-    # half-cycle start, and a constant d2 ticks CHUNK crossings ahead.
+    # half-cycle start, and the secondary ticks ``ahead`` crossings at a
+    # time: one for a callable d2, read at each crossing.
     y1_seq = primary_modulator.ticks([read_d1(hc * half) for hc in range(n_half)])
-    dynamic_d2 = callable(d2)
+    s1_seq = gate_split(y1_seq).tolist()
+    ahead = 1 if callable(d2) else CHUNK
 
     for hc in range(n_half):
         t0 = hc * half
-        y1 = y1_seq[hc]
-        s1 = -y1 if hc % 2 else y1  # the carrier alternates every half cycle
+        y1, s1 = y1_seq[hc], s1_seq[hc]
         rail1 = params.Vg if vg_of_t is None else read_vg(t0)
         u1 = u1_log[hc] = rail1 * s1
         events.append(GateEvent(hc, "primary", y1, s1, t0))
@@ -422,12 +396,9 @@ def simulate(params: PlantParams, config: SimConfig,
             blanking_until = t_x + config.blanking_fraction * half
             last_crossing = t_x
             n_cross = len(cross_rows)
-            if dynamic_d2:
-                y2 = secondary_modulator.step(read_d2(t_x))
-            else:
-                if n_cross % CHUNK == 0:
-                    y2_ahead = secondary_modulator.ticks([read_d2(t_x)] * CHUNK)
-                y2 = y2_ahead[n_cross % CHUNK]
+            if n_cross % ahead == 0:
+                y2_ahead = secondary_modulator.ticks([read_d2(t_x)] * ahead)
+            y2 = y2_ahead[n_cross % ahead]
             s2 = y2 * c2
             u2 = params.Vo * s2
             events.append(GateEvent(n_cross, "secondary", y2, s2, t_x))

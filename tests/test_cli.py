@@ -302,7 +302,7 @@ def test_non_finite_config_value_exits_2_before_writing(tmp_path, capsys, comman
     assert main([command[0], "--config", str(cfg), *command[1:],
                  str(tmp_path / "out.csv")]) == 2
     symbol = line.split()[0]
-    assert f"{symbol} must be finite and positive" in capsys.readouterr().err
+    assert f"{symbol} must be in (0, inf)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -310,7 +310,7 @@ def test_non_finite_config_value_exits_2_before_writing(tmp_path, capsys, comman
 def test_simulate_rejects_bad_duration_before_writing(tmp_path, capsys, duration):
     assert main(["simulate", "--duration", duration,
                  "--trace", str(tmp_path / "t.csv")]) == 2
-    assert "duration must be finite and positive" in capsys.readouterr().err
+    assert "duration must be in (0, inf)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -361,14 +361,18 @@ def test_sweep_summary_skips_nan_points(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--duration", "1e-3", "--settle", "2e-3"], "settle < duration"),
-    (["--settle=-1e-4"], "settle < duration"),
-    (["--duration", "nan"], "settle < duration"),
-    (["--window", "0"], "window must be finite and positive"),
-    (["--window", "inf"], "window must be finite and positive"),
+    (["--settle=-1e-4"], "settle must be in [0, inf)"),
+    (["--duration", "nan"], "duration must be in (0, inf)"),
+    (["--window", "0"], "window must be in (0, inf)"),
+    (["--window", "inf"], "window must be in (0, inf)"),
     (["--workers", "0"], "workers must be at least 1"),
     (["--workers", "-3"], "workers must be at least 1"),
-    (["--steps", "16"], "steps_per_half_cycle must be >= 32"),
-])
+    (["--steps", "16"], "steps_per_half_cycle must be in [32, inf)"),
+], ids=[  # the rule each case breaks
+    "flags0-settle < duration", "flags1-settle < duration", "flags2-settle < duration",
+    "flags3-window must be finite and positive", "flags4-window must be finite and positive",
+    "flags5-workers must be at least 1", "flags6-workers must be at least 1",
+    "flags7-steps_per_half_cycle must be >= 32"])
 def test_sweep_rejects_bad_window_or_workers_before_simulating(tmp_path, capsys, monkeypatch,
                                                               flags, message):
     def no_simulation(*args, **kwargs):
@@ -418,7 +422,8 @@ def test_gssa_rejects_bad_frequency_range(tmp_path):
 def test_gssa_rejects_non_finite_frequency_range(tmp_path, capsys, fmin, fmax):
     assert main(["gssa", "--fmin", fmin, "--fmax", fmax,
                  "--out", str(tmp_path / "x.csv")]) == 2
-    assert "finite" in capsys.readouterr().err
+    bad = "ratio_min" if fmin == "nan" else "ratio_max"
+    assert f"{bad} must be in (0, inf)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -463,7 +468,7 @@ def test_stability_grid_zero_violations(tmp_path, capsys):
 
 def test_stability_csv_matches_direct_probe_reports(tmp_path):
     # constant lanes: the mean density error is |mean(y) - d| against the
-    # lane's own d; the sin and ramp rows are `stability_probe` reports
+    # lane's own d; the sin and ramp rows report `run` on each waveform
     out, ref = tmp_path / "stab.csv", tmp_path / "ref.csv"
     assert main(["stability", "--probe", "all", "--ticks", "3000", "--out", str(out)]) == 0
     tf = experiments.make_ntf("tse")
@@ -473,7 +478,7 @@ def test_stability_csv_matches_direct_probe_reports(tmp_path):
              float(abs(y.mean() - d))] for d, y, e in zip(grid, y_all.T, e_all.T)]
     for probe, wave in (("sin", modulator.sinusoid_density(3000)),
                         ("ramp", modulator.ramp_density(3000))):
-        rep = modulator.stability_probe(tf, wave)
+        rep = modulator.StabilityReport.of(*modulator.run(tf, wave), wave.mean())
         rows.append([probe, 0.5, rep.e_min, rep.e_max, rep.violation_count,
                      rep.mean_density_error])
     datafiles.write_rows(ref, ["probe", "d", "e_min", "e_max", "violations",

@@ -210,6 +210,17 @@ def test_step_rejects_non_real_density(d):
     assert m.state == (0.0,) * 6
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: m.step(1.5), lambda m: m.step(-0.1), lambda m: m.ticks([0.5, 1.01]),
+], ids=["step-above", "step-below", "ticks-above"])
+def test_densities_outside_the_unit_interval_are_rejected(call):
+    # as `run` rejects them, and before the first tick
+    m = mod.PulseDensityModulator(NTF3)
+    with pytest.raises(ValueError, match=r"^pulse density must be in \[0, 1\], got"):
+        call(m)
+    assert m.state == (0.0,) * 6
+
+
 def test_step_takes_int_and_numpy_densities_as_floats():
     for xs in ([1, 0, 1, 1], [np.float64(0.7), np.float32(0.5), np.int64(1), 0]):
         m, ref = mod.PulseDensityModulator(NTF3), mod.PulseDensityModulator(NTF3)
@@ -264,10 +275,8 @@ def test_run_rejects_out_of_range_density():
     (lambda: mod.run(NTF1, [[0.5, 0.5], [0.5, 0.5]]), "one-dimensional"),
     (lambda: mod.run_const_grid(NTF1, [[0.25, 0.5]], 4), "one-dimensional"),
     (lambda: mod.run_const_grid(NTF1, [0.25, 0.5], -1), "non-negative"),
-    (lambda: mod.stability_probe(NTF1, []), "at least one tick"),
-    (lambda: mod.stability_probe(NTF1, 0.5, n_ticks=0), "at least one tick"),
 ], ids=["run-negative", "run-scalar-negative", "run-too-many", "run-2d",
-        "grid-2d", "grid-negative", "probe-empty", "probe-zero"])
+        "grid-2d", "grid-negative"])
 def test_bad_tick_counts_and_shapes_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -281,7 +290,7 @@ def test_bad_tick_counts_and_shapes_are_rejected(call, message):
     lambda: mod.run(NTF1, ["0.5", "0.9"]),
     lambda: mod.run_const_grid(NTF1, ["0.5", "0.9"], 3),
     lambda: mod.run_const_grid(NTF1, [True, False], 3),
-    lambda: mod.stability_probe(NTF1, "0.5", n_ticks=2),
+    lambda: mod.StabilityReport.of(*mod.run(NTF1, "0.5", n_ticks=2), 0.5),
 ], ids=["run-str", "run-str-no-ticks", "run-bool", "run-bool-list", "run-str-list",
         "grid-str", "grid-bool", "probe-str"])
 def test_non_real_densities_are_rejected(call):
@@ -316,21 +325,25 @@ def test_first_order_error_band_for_any_density_sequence(d):
     assert e.max() <= mod.STABILITY_TOL
 
 
+def _probe(tf, d: np.ndarray) -> mod.StabilityReport:
+    """The `tsepdm stability` report of one probe waveform."""
+    return mod.StabilityReport.of(*mod.run(tf, d), d.mean())
+
+
 def test_stability_probe_third_order_sinusoid():
-    d = mod.sinusoid_density(20_000)
-    report = mod.stability_probe(NTF3, d)
+    report = _probe(NTF3, mod.sinusoid_density(20_000))
     assert report.violation_count == 0
     assert -1.0 - 1e-9 <= report.e_min and report.e_max <= 1e-9
 
 
 def test_stability_probe_third_order_ramp():
-    report = mod.stability_probe(NTF3, mod.ramp_density(20_000))
+    report = _probe(NTF3, mod.ramp_density(20_000))
     assert report.violation_count == 0
 
 
 def test_stability_probe_first_order_constant_grid():
     for d in np.arange(0.1, 0.95, 0.1):
-        report = mod.stability_probe(NTF1, float(d), n_ticks=5000)
+        report = _probe(NTF1, np.full(5000, d))
         assert report.violation_count == 0
         assert report.mean_density_error < 1e-3
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 from scipy.optimize import brentq, fsolve
 
-from tsepdm import plant
+from tsepdm import experiments, gssa, plant
 from tsepdm.modulator import PulseDensityModulator, gate_split, run
 from tsepdm.ntf import NtfDesignSpec, build_first_order, build_third_order
 
@@ -47,7 +48,7 @@ def test_params_validation():
         plant.PlantParams(L1=-1e-6)
     for name in ("L1", "L2", "C1", "C2", "R1", "R2", "Vg", "Vo", "fs"):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \(0, inf\), got"):
                 plant.PlantParams(**{name: bad})
     with pytest.raises(ValueError):
         plant.PlantParams(k=math.nan)
@@ -65,22 +66,58 @@ def test_params_reject_non_real_values(name, value):
 # too), a complex value (also with a zero imaginary part) or None.
 _NON_REAL = st.one_of(st.text("0123456789.e-", max_size=6), st.booleans(),
                       st.booleans().map(np.bool_), st.complex_numbers(), st.none())
-# (record, field, initial_state entry or None) for every real-valued setting
-_REAL_SETTINGS = ([(plant.PlantParams, f.name, None)
-                   for f in dataclasses.fields(plant.PlantParams)]
-                  + [(plant.SimConfig, name, None)
-                     for name in ("steps_per_half_cycle", "duration", "blanking_fraction")]
-                  + [(plant.SimConfig, "initial_state", i) for i in range(4)])
+# The preset and the dynamic run check rho and r as the NtfDesignSpec's.
+_SPEC_NAMES = {"rho": "notch_ratio", "r": "pole_radius"}
+_PRESET_SETTINGS = [f.name for f in dataclasses.fields(experiments.ExperimentPreset)
+                    if f.name not in ("name", "side", "densities", "ntf_kind")]
 
 
-@given(setting=st.sampled_from(_REAL_SETTINGS), value=_NON_REAL)
-def test_real_settings_reject_non_real_values(setting, value):
-    record, field, entry = setting
-    label = field if entry is None else f"initial_state[{entry}]"
-    if entry is not None:
-        value = tuple(value if i == entry else 0.0 for i in range(4))
-    with pytest.raises(TypeError, match=rf"^{re.escape(label)} must be a"):
-        record(**{field: value})
+def _preset(**kwargs):
+    return experiments.ExperimentPreset(name="x", side="primary", **kwargs)
+
+
+def _envelope(**kwargs):
+    args = {"a1": 1.0, "a2": 1.0, "duration": 1e-6, "dt": 1e-7} | kwargs
+    return gssa.simulate_envelope(plant.DEFAULT_PARAMS, **args)
+
+
+@functools.cache
+def _envelope_model():
+    return gssa.build_envelope_model(plant.DEFAULT_PARAMS)
+
+
+def _bode(**kwargs):
+    args = {"ratio_min": 0.01, "ratio_max": 0.25, "n_points": 4} | kwargs
+    return gssa.bode_grid_rows(_envelope_model(), "u1->i1", **args)
+
+
+# (name in the error, call that sets the value) for every real-valued setting
+_REAL_SETTINGS = (
+    [(f.name, lambda v, name=f.name: plant.PlantParams(**{name: v}))
+     for f in dataclasses.fields(plant.PlantParams)]
+    + [(name, lambda v, name=name: plant.SimConfig(**{name: v}))
+       for name in ("steps_per_half_cycle", "duration", "blanking_fraction")]
+    + [(f"initial_state[{i}]", lambda v, i=i: plant.SimConfig(
+        initial_state=tuple(v if j == i else 0.0 for j in range(4)))) for i in range(4)]
+    + [(f.name, lambda v, name=f.name: NtfDesignSpec(**{name: v}))
+       for f in dataclasses.fields(NtfDesignSpec)]
+    + [(_SPEC_NAMES.get(name, name), lambda v, name=name: _preset(**{name: v}))
+       for name in _PRESET_SETTINGS]
+    + [("densities[0]", lambda v: _preset(densities=(v,)))]
+    + [(_SPEC_NAMES.get(name, name), lambda v, name=name: experiments.run_dynamic_response(
+        plant.DEFAULT_PARAMS, "tse", **{name: v}))
+       for name in ("rho", "r", "duration", "mod_freq", "steps_per_half_cycle")]
+    + [(name, lambda v, name=name: _envelope(**{name: v}))
+       for name in ("a1", "a2", "duration", "dt")]
+    + [(name, lambda v, name=name: _bode(**{name: v}))
+       for name in ("ratio_min", "ratio_max", "n_points")])
+
+
+@given(value=_NON_REAL)
+def test_real_settings_reject_non_real_values(value):
+    for label, call in _REAL_SETTINGS:
+        with pytest.raises(TypeError, match=rf"^{re.escape(label)} must be a"):
+            call(value)
 
 
 def test_params_take_int_and_numpy_values():
@@ -90,7 +127,7 @@ def test_params_take_int_and_numpy_values():
 
 @pytest.mark.parametrize("duration", [0.0, -1e-3, math.nan, math.inf])
 def test_sim_config_rejects_bad_duration(duration):
-    with pytest.raises(ValueError, match="duration must be finite and positive"):
+    with pytest.raises(ValueError, match=r"^duration must be in \(0, inf\), got"):
         plant.SimConfig(duration=duration)
 
 
@@ -945,6 +982,24 @@ def test_primary_carrier_is_gate_split_carrier(prototype, kind):
     assert np.array_equal(s, gate_split(y))
 
 
+@pytest.mark.parametrize("kind", ["first", "tse"])
+def test_callable_d2_is_read_at_each_crossing(prototype, kind):
+    # a constant d2 ticks CHUNK crossings ahead, a callable one at each
+    # crossing, on its value at that crossing
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+
+    def d2(t):
+        return 0.6 + 0.3 * math.sin(2.0 * math.pi * 25e3 * t)
+
+    tr = plant.simulate(prototype, plant.SimConfig(duration=0.3e-3, collect_samples=False),
+                        *fresh_mods(tf), 1.0, d2)
+    secondary = [ev for ev in tr.events if ev.side == "secondary"]
+    assert len(secondary) > plant.CHUNK
+    ref = PulseDensityModulator(tf).ticks([d2(ev.t) for ev in secondary])
+    assert [ev.y for ev in secondary] == ref
+
+
 def test_trace_drive_column_matches_events(prototype, full_power_config, full_power_trace):
     # the u1 column right after each primary tick equals Vg * s of the event
     tr = full_power_trace
@@ -974,14 +1029,15 @@ def test_rail_modulation_hook(prototype):
 def test_rail_must_be_finite_and_positive(prototype, rail, collect):
     # the rail obeys PlantParams' rule for Vg, read like the densities
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
-    with pytest.raises(ValueError, match=r"vg_of_t\(0\.0\) = .* outside \(0, inf\)"):
+    with pytest.raises(ValueError, match=r"^vg_of_t\(0\.0\) must be in \(0, inf\), got"):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg_of_t=lambda t: rail)
 
 
 def test_rail_turning_bad_mid_run_is_rejected_at_its_tick(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
-    with pytest.raises(ValueError, match=re.escape(f"vg_of_t({t_bad}) = nan")):
+    with pytest.raises(ValueError, match=re.escape(f"vg_of_t({t_bad}) must be in (0, inf), "
+                                                   "got nan")):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
                        vg_of_t=lambda t: 50.0 if t < t_bad else math.nan)
 
@@ -992,5 +1048,5 @@ def test_density_turning_bad_mid_run_is_rejected_at_its_tick(prototype, collect,
     # the primary pulses are computed before the loop, from every tick's d1
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
-    with pytest.raises(ValueError, match=re.escape(f"d1({t_bad}) = {bad} outside [0, 1]")):
+    with pytest.raises(ValueError, match=re.escape(f"d1({t_bad}) must be in [0, 1], got {bad}")):
         plant.simulate(prototype, cfg, *fresh_mods(), lambda t: 0.9 if t < t_bad else bad, 1.0)
