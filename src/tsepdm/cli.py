@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, datafiles, experiments, gssa, modulator, ntf, plant
+from .checks import check_integer
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -170,13 +171,8 @@ def cmd_ntf(args) -> int:
     return 0
 
 
-def _check_ticks(args):
-    if args.ticks < 1:
-        raise datafiles.ConfigError(f"--ticks must be at least 1, got {args.ticks}")
-
-
 def cmd_modulate(args) -> int:
-    _check_ticks(args)
+    check_integer("--ticks", args.ticks, 1)
     tf = experiments.make_ntf(args.ntf, args.rho, args.r)
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     # the spectrum validates length and window before any file is written
@@ -284,7 +280,7 @@ def cmd_gssa(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _check_ticks(args)
+    check_integer("--ticks", args.ticks, 1)
     tf = experiments.make_ntf(args.ntf, args.rho, args.r)
     probes = []  # (probe, d, StabilityReport)
     if args.probe in ("grid", "all"):

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from . import analysis
-from .checks import check_interval
+from .checks import check_integer, check_interval
 from .modulator import PulseDensityModulator
 from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, build_third_order
 from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
@@ -33,10 +33,11 @@ DYNAMIC_FREQ = 500.0
 def make_ntf(kind: str, rho: float = NtfDesignSpec.notch_ratio,
              r: float = NtfDesignSpec.pole_radius) -> RationalTransferFunction:
     """Resolve an NTF choice: ``first`` (conventional) or ``tse`` (notch)."""
+    spec = NtfDesignSpec(notch_ratio=rho, pole_radius=r)  # checked for either kind
     if kind == "first":
         return build_first_order()
     if kind == "tse":
-        return build_third_order(NtfDesignSpec(notch_ratio=rho, pole_radius=r))
+        return build_third_order(spec)
     raise ValueError(f"unknown NTF kind {kind!r}; choose from {NTF_KINDS}")
 
 
@@ -124,20 +125,18 @@ def run_sweep_point(params: PlantParams, preset: ExperimentPreset,
 
 
 def run_density_sweep(params: PlantParams, preset: ExperimentPreset,
-                      workers: int | None = None
-                      ) -> list[analysis.FluctuationReport]:
+                      workers: int = 1) -> list[analysis.FluctuationReport]:
     """One `run_sweep_point` per density of the preset, ordered by density;
     on a pool of ``workers`` processes, at most one per density, when more
-    than one (same reports). ``None`` runs serially. Raises ValueError, before
-    simulating, for fewer than one worker or a window with no half-cycle end."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    than one (same reports). Raises, before simulating, unless ``workers``
+    is an integer of at least 1 and a half cycle ends in the window."""
+    workers = check_integer("workers", workers, 1)
     env_t = half_cycle_ends(params, preset.duration)
     if not analysis.window_mask(env_t, preset.settle, preset.window).any():
         raise ValueError(f"analysis window is empty: no half cycle of a {preset.duration!r} s "
                          f"run ends in ({preset.settle}, {preset.settle} + {preset.window}] s")
     args = (run_sweep_point, repeat(params), repeat(preset), preset.densities)
-    workers = min(workers or 1, len(preset.densities))
+    workers = min(workers, len(preset.densities))
     if workers <= 1:
         reports = list(map(*args))
     else:
@@ -196,10 +195,9 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     trace = simulate(params, cfg, PulseDensityModulator(tf),
                      PulseDensityModulator(tf), 1.0, d2_fn)
 
-    ticks = np.array([(ev.t, ev.y) for ev in trace.events  # (t, y) of each secondary tick
-                      if ev.side == "secondary"]).reshape(-1, 2)
     t_hi = settle + n_periods / mod_freq
-    tt, yy = ticks[(ticks[:, 0] >= settle) & (ticks[:, 0] < t_hi)].T
+    fit = (trace.cross_t >= settle) & (trace.cross_t < t_hi)  # secondary ticks in the span
+    tt, yy = trace.cross_t[fit], np.abs(trace.s2[fit])
     basis = np.column_stack([np.ones_like(tt),
                              np.sin(2.0 * math.pi * mod_freq * tt),
                              np.cos(2.0 * math.pi * mod_freq * tt)])

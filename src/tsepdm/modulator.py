@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_interval
+from .checks import check_integer, check_interval
 from .ntf import RationalTransferFunction, to_error_filter
 
 # Tolerance on the stability band e in [-1, 0]: excursions beyond this are
@@ -144,31 +144,20 @@ class PulseDensityModulator:
         return [1 if y else 0 for y in y_out]
 
 
-def _check_tick_count(n_ticks: int, available: int | None = None):
-    if n_ticks < 0:
-        raise ValueError(f"n_ticks must be non-negative, got {n_ticks}")
-    if available is not None and n_ticks > available:
-        raise ValueError(f"n_ticks={n_ticks} exceeds the {available} densities given")
-
-
 def _waveform(d, n_ticks: int | None) -> np.ndarray:
     """The checked densities: a scalar ``d`` replicated over ``n_ticks``, or
-    the first ``n_ticks`` (all if None) of a one-dimensional sequence.
-    Densities that are not integers or floats (str, bool) raise TypeError."""
+    a one-dimensional sequence, which takes no ``n_ticks``. Densities that
+    are not integers or floats (str, bool) raise TypeError."""
     d_arr = np.asarray(d)
     if d_arr.dtype.kind not in "iuf":
         raise TypeError(f"densities must be real numbers, got {d_arr.dtype} values")
-    if np.isscalar(d):
-        if n_ticks is None:
-            raise ValueError("n_ticks required for a scalar density")
-        _check_tick_count(n_ticks)
-        d_arr, n_ticks = np.full(n_ticks, float(d)), None
+    if np.isscalar(d) != (n_ticks is not None):
+        raise ValueError("n_ticks is required for a scalar density and refused for a sequence")
+    if n_ticks is not None:
+        d_arr = np.full(check_integer("n_ticks", n_ticks, 0), float(d))
     d_arr = d_arr.astype(float, copy=False)
     if d_arr.ndim != 1:
         raise ValueError(f"densities must be one-dimensional, got shape {d_arr.shape}")
-    if n_ticks is not None:
-        _check_tick_count(n_ticks, d_arr.shape[0])
-        d_arr = d_arr[:n_ticks]
     if not np.all(np.isfinite(d_arr)):
         raise ValueError("density waveform contains non-finite values")
     if d_arr.size and (d_arr.min() < 0.0 or d_arr.max() > 1.0):
@@ -190,9 +179,8 @@ def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
     """Run a fresh modulator over a waveform.
 
     ``d_waveform`` is a one-dimensional sequence of densities, or a scalar
-    replicated over ``n_ticks``. With a sequence, ``n_ticks`` (if given)
-    runs its first ``n_ticks`` densities and may not exceed its length.
-    Returns the (y, e) sequences; deterministic given inputs.
+    replicated over ``n_ticks``. Returns the (y, e) sequences; deterministic
+    given inputs.
     """
     d_arr = _waveform(d_waveform, n_ticks)
     return _run_floats(*_coefficients(ntf), d_arr.tolist())
@@ -254,7 +242,7 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     """
     # an array, so that a scalar is refused as 0-d instead of replicated
     d_arr = _waveform(np.asarray(d_values), None)
-    _check_tick_count(n_ticks)
+    check_integer("n_ticks", n_ticks, 0)
     b, a = _coefficients(ntf)
     if d_arr.shape[0] != 1:
         return _run_lanes(b, a, d_arr, n_ticks)

@@ -46,15 +46,18 @@ by Horner's rule in alpha on Python floats; event times and envelopes agree
 with the collecting runs to rounding. The maps are built once per process
 for each (PlantParams, steps) pair and shared read-only.
 
-The modulators need nothing from the plant: the primary ticks at each
-half-cycle start, so its whole pulse sequence is one batch before the loop,
-gated by the `modulator.gate_split` carrier. The secondary ticks a block of
-crossings ahead at a time: CHUNK for a constant d2, one for a callable d2.
-
-The envelope peaks (max |i1|, |i2| over the samples of each half cycle) are
-reduced once per CHUNK half cycles from that array. Collecting runs build
-``Trace.u`` after the loop from each half cycle's u1 and each accepted
-crossing's sample row.
+`simulate` runs in three stages. Schedule: the modulators need nothing from
+the plant, so the primary's pulses, gated by the `modulator.gate_split`
+carrier, and its drives (rail times gate) are one batch before the loop;
+the secondary ticks a block of crossings ahead at a time: CHUNK for a
+constant d2, one for a callable d2. Propagate: the half-cycle loop only
+advances the state, reduces the envelope peaks (max |i1|, |i2| over the
+samples of each half cycle) once per CHUNK half cycles from that array, and
+logs each accepted crossing's row, time and secondary gate in flat columns.
+Assemble: after the loop the starvation diagnostic is read from the crossing
+times, and collecting runs build ``Trace.u`` from the drives and crossing
+rows. ``Trace.events`` is built from the gate columns on first read, so
+sweeps, which read only the envelopes, never build it.
 """
 
 from __future__ import annotations
@@ -154,17 +157,35 @@ class Trace:
     (fs steps_per_half_cycle)), ``u`` rows the drive pair active on the step
     ending at each sample (after a mid-step crossing split, the post-crossing
     drive); all three are empty in runs without samples. Per-half-cycle
-    current peaks are always in ``envelope_i1``/``envelope_i2``.
+    current peaks are always in ``envelope_i1``/``envelope_i2``, the signed
+    primary gate in ``s1``, and the half cycle, time and signed secondary
+    gate of each accepted i2 crossing in ``cross_half``, ``cross_t``, ``s2``.
     """
 
     t: np.ndarray
     states: np.ndarray
     u: np.ndarray
-    events: list[GateEvent]
+    s1: np.ndarray
+    cross_half: np.ndarray
+    cross_t: np.ndarray
+    s2: np.ndarray
     envelope_t: np.ndarray
     envelope_i1: np.ndarray
     envelope_i2: np.ndarray
     diagnostics: list[str]
+
+    @functools.cached_property
+    def events(self) -> list[GateEvent]:
+        """Every gate event in time order: each half cycle's primary tick at
+        its start, then the crossings accepted in it. y = |s|, since both
+        carriers are +/-1."""
+        t1 = [0.0, *self.envelope_t[:-1].tolist()]
+        primary = [(hc, GateEvent(hc, "primary", abs(s), s, t))
+                   for hc, (s, t) in enumerate(zip(self.s1.tolist(), t1))]
+        secondary = [(hc, GateEvent(n, "secondary", abs(s), s, t))
+                     for n, (hc, s, t) in enumerate(zip(self.cross_half.tolist(),
+                                                        self.s2.tolist(), self.cross_t.tolist()))]
+        return [ev for _, ev in sorted(primary + secondary, key=lambda pair: pair[0])]
 
 
 def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +344,6 @@ def simulate(params: PlantParams, config: SimConfig,
     n_half = len(env_t)
     if n_half < 1:
         raise ValueError("duration shorter than one half cycle")
-    Tsw = 1.0 / params.fs
     prop = _propagator(params, steps)
     G, Q = prop.G, prop.Q
     read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
@@ -341,32 +361,27 @@ def simulate(params: PlantParams, config: SimConfig,
     flat = samples.reshape(-1)
     x = [float(v) for v in config.initial_state]
 
-    u1_log = np.empty(n_half)  # each half cycle's primary drive
-    cross_rows = array("q")  # each accepted crossing's first row under its drive, as int64
-    env1 = np.empty(n_half)
-    env2 = np.empty(n_half)
-    events: list[GateEvent] = []
-    diagnostics: list[str] = []
-
-    c2 = 1
-    blanking_until = -math.inf
-    last_crossing = 0.0
-    starved = False
-    u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
-    # The modulators need nothing from the plant: the primary ticks at every
-    # half-cycle start, and the secondary ticks ``ahead`` crossings at a
-    # time: one for a callable d2, read at each crossing.
-    y1_seq = primary_modulator.ticks([read_d1(hc * half) for hc in range(n_half)])
-    s1_seq = gate_split(y1_seq).tolist()
+    # Schedule. The modulators need nothing from the plant: the primary ticks
+    # at every half-cycle start, so its drives are known before the loop, and
+    # the secondary ticks ``ahead`` crossings at a time: one for a callable
+    # d2, read at each crossing.
+    s1 = gate_split(primary_modulator.ticks([read_d1(hc * half) for hc in range(n_half)]))
+    rail1 = params.Vg if vg_of_t is None else [read_vg(hc * half) for hc in range(n_half)]
+    u1_log = np.multiply(rail1, s1)  # each half cycle's primary drive
     ahead = 1 if callable(d2) else CHUNK
 
-    for hc in range(n_half):
-        t0 = hc * half
-        y1, s1 = y1_seq[hc], s1_seq[hc]
-        rail1 = params.Vg if vg_of_t is None else read_vg(t0)
-        u1 = u1_log[hc] = rail1 * s1
-        events.append(GateEvent(hc, "primary", y1, s1, t0))
+    # Propagate. Each accepted crossing is logged: its first row under the
+    # new drive, its time and its signed secondary gate.
+    cross_rows = array("q")
+    cross_t = array("d")
+    cross_s = array("b")
+    env1 = np.empty(n_half)
+    env2 = np.empty(n_half)
+    blanking_until = -math.inf
+    u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
 
+    for hc, u1 in enumerate(u1_log.tolist()):
+        t0 = hc * half
         base = (hc % ring) * steps  # also the sample index when collecting
         pos = 0
         while pos < steps:
@@ -394,14 +409,13 @@ def simulate(params: PlantParams, config: SimConfig,
             u2_old = u2
             c2 = 1 if i2_right > i2_left else -1
             blanking_until = t_x + config.blanking_fraction * half
-            last_crossing = t_x
             n_cross = len(cross_rows)
             if n_cross % ahead == 0:
                 y2_ahead = secondary_modulator.ticks([read_d2(t_x)] * ahead)
-            y2 = y2_ahead[n_cross % ahead]
-            s2 = y2 * c2
+            s2 = y2_ahead[n_cross % ahead] * c2
             u2 = params.Vo * s2
-            events.append(GateEvent(n_cross, "secondary", y2, s2, t_x))
+            cross_t.append(t_x)
+            cross_s.append(s2)
             if collect:
                 if j > 0:
                     x = G[j - 1].dot(z).tolist()
@@ -423,13 +437,6 @@ def simulate(params: PlantParams, config: SimConfig,
         if not all(map(math.isfinite, x)):
             raise SimulationDiverged(
                 f"non-finite state at t={t0 + half:.6e}s (half cycle {hc})")
-        t_end = (hc + 1) * half
-        if (not starved and (t_end - last_crossing) > 3.0 * Tsw
-                and read_d2(t_end) < 1.0):
-            diagnostics.append(
-                f"secondary sync starved: no i2 crossing in 3 switching "
-                f"periods before t={t_end:.6e}s; c2 frozen")
-            starved = True
 
         # envelope peaks: max |i| over samples 0..steps of each half cycle,
         # the steps rows it starts plus the boundary row it shares
@@ -442,22 +449,32 @@ def simulate(params: PlantParams, config: SimConfig,
                 env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
                                             w[steps::steps])
 
+    # Assemble. Starved: the first half-cycle end more than 3 Tsw (6 half,
+    # to the bit) after the latest crossing at or before it, or after t = 0,
+    # where d2 < 1.
+    cross_half = (np.array(cross_rows) - 1) // steps
+    last = np.array([0.0, *cross_t])[np.searchsorted(cross_half, np.arange(n_half), "right")]
+    starved = next((t_end for t_end in env_t[env_t - last > 6.0 * half].tolist()
+                    if read_d2(t_end) < 1.0), None)
+    diagnostics = [] if starved is None else [
+        f"secondary sync starved: no i2 crossing in 3 switching periods before "
+        f"t={starved:.6e}s; c2 frozen"]
+
     # drive rows: row 0 and rows hc * steps + 1 .. (hc + 1) * steps take
-    # u1_log[hc]; u2 is 0.0 before the first crossing's row, then Vo * s of
+    # u1_log[hc]; u2 is 0.0 before the first crossing's row, then Vo * s2 of
     # the latest crossing at or before the row
     u = np.empty((n_half * steps + 1 if collect else 0, 2))
     if collect:
         u[0, 0] = u1_log[0]
         u[1:].reshape(n_half, steps, 2)[:, :, 0] = u1_log[:, None]
-        bounds = [0, *cross_rows, len(u)]
-        u2_values = [0.0] + [params.Vo * ev.s for ev in events if ev.side == "secondary"]
-        for lo, hi, u2 in zip(bounds, bounds[1:], u2_values):
-            u[lo:hi, 1] = u2
+        u[:, 1] = np.repeat([0.0, *(params.Vo * s2 for s2 in cross_s)],
+                            np.diff([0, *cross_rows, len(u)]))
     t_axis = np.arange(len(u), dtype=float)
     t_axis *= h  # in place: no second sample-sized array
     return Trace(t=t_axis, states=samples if collect else np.empty((0, 4)), u=u,
-                 events=events, envelope_t=env_t, envelope_i1=env1, envelope_i2=env2,
-                 diagnostics=diagnostics)
+                 s1=s1, cross_half=cross_half, cross_t=np.array(cross_t),
+                 s2=np.array(cross_s), envelope_t=env_t, envelope_i1=env1,
+                 envelope_i2=env2, diagnostics=diagnostics)
 
 
 def resonance_report(params: PlantParams) -> dict[str, float]:

@@ -8,6 +8,7 @@ their tests assert the stated bounds verbatim and are expected to fail
 honestly rather than loosen the check.
 """
 
+import cmath
 import dataclasses
 import math
 import os
@@ -223,6 +224,18 @@ def test_criterion_09_notch_detuning_robustness(sweeps):
                        f"d={worst.d} ({len(over)} pts > 30%)")
     record(9, ok, "; ".join(details))
     assert ok  # same top-of-grid droop floor as criterion 8
+
+
+def test_criterion_09_reason_detuned_notch_passes_the_beat_mode():
+    # The envelope's slowest mode rings at 0.0751 ws (eigenvalues of the
+    # GSSA state matrix at k = 0.15). The tuned notch nearly removes the
+    # shaped noise there; either detuned notch passes more of it than even
+    # the first-order NTF does.
+    z = cmath.exp(1j * math.pi * 0.0751)
+    notch = {rho: abs(ntf.evaluate(ntf.build_third_order(ntf.NtfDesignSpec(rho, 0.9)), z))
+             for rho in (0.065, 0.075, 0.085)}
+    assert notch[0.075] < 0.01
+    assert abs(ntf.evaluate(NTF1, z)) < min(notch[0.065], notch[0.085])
 
 
 def test_criterion_10_dynamic_tracking(prototype):

@@ -365,14 +365,16 @@ def test_sweep_summary_skips_nan_points(tmp_path, capsys):
     (["--duration", "nan"], "duration must be in (0, inf)"),
     (["--window", "0"], "window must be in (0, inf)"),
     (["--window", "inf"], "window must be in (0, inf)"),
-    (["--workers", "0"], "workers must be at least 1"),
-    (["--workers", "-3"], "workers must be at least 1"),
+    (["--workers", "0"], "workers must be in [1, inf)"),
+    (["--workers", "-3"], "workers must be in [1, inf)"),
     (["--steps", "16"], "steps_per_half_cycle must be in [32, inf)"),
+    (["--ntf", "first", "--rho", "5"], "notch_ratio must be in (0, 1)"),
 ], ids=[  # the rule each case breaks
     "flags0-settle < duration", "flags1-settle < duration", "flags2-settle < duration",
     "flags3-window must be finite and positive", "flags4-window must be finite and positive",
     "flags5-workers must be at least 1", "flags6-workers must be at least 1",
-    "flags7-steps_per_half_cycle must be >= 32"])
+    "flags7-steps_per_half_cycle must be >= 32",
+    "flags8-notch settings are checked for either NTF kind"])
 def test_sweep_rejects_bad_window_or_workers_before_simulating(tmp_path, capsys, monkeypatch,
                                                               flags, message):
     def no_simulation(*args, **kwargs):

@@ -76,6 +76,9 @@ def test_preset_validation():
     with pytest.raises(ValueError):
         experiments.ExperimentPreset(name="x", side="primary", ntf_kind="tse",
                                      rho=2.0)
+    # the notch settings go into manifests, so they are checked for either kind
+    with pytest.raises(ValueError, match=r"^notch_ratio must be in \(0, 1\)"):
+        experiments.ExperimentPreset(name="x", side="primary", ntf_kind="first", rho=5.0)
     # the preset's SimConfig is built, and so checked, when the preset is made
     with pytest.raises(ValueError, match=r"^steps_per_half_cycle must be in \[32, inf\)"):
         experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=16,
@@ -122,12 +125,12 @@ def test_sweep_rejects_fewer_than_one_worker(prototype, monkeypatch, workers):
 
     monkeypatch.setattr(experiments, "run_sweep_point", no_simulation)
     preset = experiments.ExperimentPreset(name="x", side="primary", densities=(0.5,))
-    with pytest.raises(ValueError, match="workers must be at least 1"):
+    with pytest.raises(ValueError, match=r"workers must be in \[1, inf\)"):
         experiments.run_density_sweep(prototype, preset, workers=workers)
 
 
 @pytest.mark.parametrize("workers, n_points, pool_sizes", [
-    (8, 2, [2]), (8, 1, []), (2, 3, [2]), (3, 3, [3]), (1, 3, []), (None, 3, [])])
+    (8, 2, [2]), (8, 1, []), (2, 3, [2]), (3, 3, [3]), (1, 3, [])])
 def test_sweep_starts_no_more_workers_than_points(prototype, monkeypatch, workers, n_points,
                                                   pool_sizes):
     # a stand-in pool that maps in this process records each pool's size
@@ -159,7 +162,7 @@ def test_sweep_starts_no_more_workers_than_points(prototype, monkeypatch, worker
     assert [rep.d for rep in reports] == sorted(densities)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_rejects_a_window_after_the_last_half_cycle(prototype, monkeypatch, workers):
     # 3.1008 ms runs round(1860.48) = 1860 half cycles, so the last envelope
     # time is 3.1 ms: settle < duration holds, yet no envelope time is in
@@ -173,6 +176,18 @@ def test_sweep_rejects_a_window_after_the_last_half_cycle(prototype, monkeypatch
                                           duration=3.1008e-3, settle=3.1005e-3, window=1e-3)
     with pytest.raises(ValueError, match="analysis window is empty"):
         experiments.run_density_sweep(prototype, preset, workers=workers)
+
+
+def test_sweep_points_build_no_gate_events(prototype, monkeypatch):
+    # a sweep point reads only the envelopes; its gate events stay columns
+    def no_events(*args):
+        raise AssertionError("built a GateEvent")
+
+    monkeypatch.setattr(plant, "GateEvent", no_events)
+    preset = experiments.ExperimentPreset(name="x", side="secondary", densities=(0.963,),
+                                          duration=1e-3, settle=5e-4, window=5e-4)
+    report = experiments.run_sweep_point(prototype, preset, 0.963)
+    assert report.d == 0.963 and report.i_mean > 0.0
 
 
 def test_sweep_window_check_reads_the_simulated_envelope_axis(prototype):
@@ -190,7 +205,7 @@ def test_sweep_reports_ordered_and_reproducible(prototype):
     preset = experiments.ExperimentPreset(
         name="mini", side="primary", densities=(0.7, 0.5, 0.9),
         ntf_kind="tse", duration=4e-3, settle=2e-3, window=2e-3)
-    seq = experiments.run_density_sweep(prototype, preset, workers=None)
+    seq = experiments.run_density_sweep(prototype, preset)
     par = experiments.run_density_sweep(prototype, preset, workers=2)
     assert [r.d for r in seq] == [0.5, 0.7, 0.9]
     assert seq == par  # worker pool must not change any value

@@ -269,12 +269,12 @@ def test_run_rejects_out_of_range_density():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=-1), "non-negative"),
-    (lambda: mod.run(NTF1, 0.5, n_ticks=-1), "non-negative"),
-    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=5), "exceeds"),
+    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=-1), "refused for a sequence"),
+    (lambda: mod.run(NTF1, 0.5, n_ticks=-1), r"n_ticks must be in \[0, inf\)"),
+    (lambda: mod.run(NTF1, [0.5] * 4, n_ticks=5), "refused for a sequence"),
     (lambda: mod.run(NTF1, [[0.5, 0.5], [0.5, 0.5]]), "one-dimensional"),
     (lambda: mod.run_const_grid(NTF1, [[0.25, 0.5]], 4), "one-dimensional"),
-    (lambda: mod.run_const_grid(NTF1, [0.25, 0.5], -1), "non-negative"),
+    (lambda: mod.run_const_grid(NTF1, [0.25, 0.5], -1), r"n_ticks must be in \[0, inf\)"),
 ], ids=["run-negative", "run-scalar-negative", "run-too-many", "run-2d",
         "grid-2d", "grid-negative"])
 def test_bad_tick_counts_and_shapes_are_rejected(call, message):

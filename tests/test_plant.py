@@ -436,25 +436,38 @@ def _rippled_rail(t):
     return 50.0 * (1.0 + 0.05 * math.cos(2.0 * math.pi * 20e3 * t))
 
 
+# A 3 MHz clock on the 300 kHz tank, undriven (d1 = 0): the free ring
+# crosses i2 every ~4.6 switching periods, so a sync gap opens after each
+# crossing. A 1 V secondary rail barely damps the ring.
+_FAST_CLOCK = dataclasses.replace(plant.DEFAULT_PARAMS, fs=3e6, Vo=1.0)
+_D2_DROP = 60e-6
+
+
+def _d2_drops(t):
+    return 1.0 if t < _D2_DROP else 0.6
+
+
 @pytest.mark.parametrize("kind", ["first", "tse"])
-@pytest.mark.parametrize("x0, d1, d2, vg_of_t", [
-    ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0, None),
-    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, None),
+@pytest.mark.parametrize("x0, d1, d2, vg_of_t, params", [
+    ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0, None, plant.DEFAULT_PARAMS),
+    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, None, plant.DEFAULT_PARAMS),
     # i2 crosses in the last step of half cycle 0
-    ((-0.4, -1.7, 117.1, -1900.3), 1.0, 1.0, None),
-    (_STEP_0_CROSSING_X0, 1.0, 1.0, None),
-    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, _rippled_rail),
-], ids=["x00-0.963-1.0", "x01-0.7-0.6", "x02-1.0-1.0", "step-0-crossing", "rippled-rail"])
-def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_of_t):
+    ((-0.4, -1.7, 117.1, -1900.3), 1.0, 1.0, None, plant.DEFAULT_PARAMS),
+    (_STEP_0_CROSSING_X0, 1.0, 1.0, None, plant.DEFAULT_PARAMS),
+    ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, _rippled_rail, plant.DEFAULT_PARAMS),
+    ((3.0, -2.0, 400.0, -900.0), 0.0, _d2_drops, None, _FAST_CLOCK),
+], ids=["x00-0.963-1.0", "x01-0.7-0.6", "x02-1.0-1.0", "step-0-crossing", "rippled-rail",
+        "sync-gaps-d2-drops"])
+def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_of_t, params):
     # Segments are written in place and the rows after an accepted crossing
     # are overwritten by the next segment. No stale row may survive: every
     # step without a crossing inside is one RK4 map of the row before under
     # the drive booked on it, and every drive row is the one the events set.
-    params = plant.DEFAULT_PARAMS
     tf = (build_first_order() if kind == "first"
           else build_third_order(NtfDesignSpec(0.075, 0.9)))
     half = 0.5 / params.fs
-    cfg = plant.SimConfig(duration=70 * half, initial_state=x0)
+    # 70 half cycles of the 300 kHz clock
+    cfg = plant.SimConfig(duration=70 * 0.5 / plant.DEFAULT_PARAMS.fs, initial_state=x0)
     tr = plant.simulate(params, cfg, *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
     steps, x, u = cfg.steps_per_half_cycle, tr.states, tr.u
     h = half / steps
@@ -490,6 +503,16 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_
     for ev in secondary:
         u2[int(math.floor(ev.t / h)) + 1:] = params.Vo * ev.s
     np.testing.assert_array_equal(u[:, 1], u2)
+
+    # starved: the first half-cycle end more than 3 Tsw after the latest
+    # crossing at or before it (or after t = 0) where d2 < 1
+    gaps = [t for t in tr.envelope_t.tolist()
+            if t - max([0.0] + [ev.t for ev in secondary if ev.t <= t]) > 3.0 / params.fs]
+    starved = [t for t in gaps if (d2(t) if callable(d2) else d2) < 1.0][:1]
+    assert tr.diagnostics == [f"secondary sync starved: no i2 crossing in 3 switching "
+                              f"periods before t={t:.6e}s; c2 frozen" for t in starved]
+    if callable(d2):  # gaps after crossings while d2 = 1 name no end; a later one does
+        assert secondary[0].t < gaps[0] < _D2_DROP < starved[0]
 
 
 @pytest.mark.parametrize("kind", ["first", "tse"])
