@@ -3,9 +3,7 @@ envelope fluctuation metrics.
 
 Frequency axes are expressed as the ratio omega / omega_s. Modulator
 sequences tick at twice the switching frequency, so ratio 1.0 is the
-Nyquist bin of a tick-rate spectrum; the zero-order-hold spectrum
-(`gate_waveform_spectrum`) resolves content above the switching frequency,
-e.g. the paired sidebands of a gated carrier.
+Nyquist bin of a tick-rate spectrum.
 
 The fluctuation percentage is (max - min) / mean over the analysis window.
 That reading makes a 60% fluctuation equivalent to an amplitude swing
@@ -34,13 +32,6 @@ class Spectrum:
     ratios: np.ndarray
     magnitudes: np.ndarray
 
-    def band(self, center: float, half_width: float) -> np.ndarray:
-        """Magnitudes of all bins within +/- half_width of a center ratio."""
-        mask = np.abs(self.ratios - center) <= half_width
-        if not np.any(mask):
-            raise ValueError(f"no bins within {half_width} of ratio {center}")
-        return self.magnitudes[mask]
-
 
 def spectrum_of_sequence(x, window: str = "rectangular") -> Spectrum:
     """DFT magnitude spectrum of a tick-rate (2 fs) sequence.
@@ -57,32 +48,6 @@ def spectrum_of_sequence(x, window: str = "rectangular") -> Spectrum:
     mags = np.abs(np.fft.rfft(x_arr * WINDOWS[window](n)))
     ratios = 2.0 * np.arange(mags.shape[0]) / n
     return Spectrum(ratios=ratios, magnitudes=mags)
-
-
-def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
-    """Spectrum of the zero-order-hold waveform built from gate samples.
-
-    Each half-cycle sample is held for ``oversample`` sub-samples, pushing
-    the Nyquist ratio to ``oversample`` and resolving the paired sidebands
-    around the switching frequency (ratios above 1.0) that alias together
-    in a plain tick-rate spectrum. Bin spacing matches
-    `spectrum_of_sequence` for the same sequence length.
-    """
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
-    s_arr = np.asarray(s, dtype=float)
-    mags = np.abs(np.fft.rfft(np.repeat(s_arr, oversample)))
-    # Holding each sample `oversample` times keeps the bin spacing of the
-    # base sequence (2/N in ratio units) while extending the axis.
-    ratios = 2.0 * np.arange(mags.shape[0]) / s_arr.shape[0]
-    return Spectrum(ratios=ratios, magnitudes=mags)
-
-
-def band_level_db(spectrum: Spectrum, center: float, half_width: float) -> float:
-    """RMS magnitude of the bins in a band, in dB."""
-    band = spectrum.band(center, half_width)
-    rms = math.sqrt(float(np.mean(band ** 2)))
-    return 20.0 * math.log10(rms) if rms > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,6 @@ class EnvelopeModel:
     params: PlantParams
 
 
-def resonant_peak_prediction(params: PlantParams) -> float:
-    """Beat resonance estimate k ws / 2 in rad/s."""
-    return 0.5 * params.k * params.ws
-
-
 def _rates(z: np.ndarray, a1: float, a2: float,
            A: np.ndarray, B: np.ndarray, jws: complex) -> np.ndarray:
     """Nonlinear envelope dynamics dz/dt on the complex (4,) state.

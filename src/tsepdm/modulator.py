@@ -138,7 +138,10 @@ class PulseDensityModulator:
         density is checked before the first tick: a str, bool or other
         non-real one raises TypeError, one outside [0, 1] ValueError.
         """
-        ds = [check_interval("pulse density", d, 0.0, 1.0) for d in ds]
+        return self._advance([check_interval("pulse density", d, 0.0, 1.0) for d in ds])
+
+    def _advance(self, ds: list[float]) -> list[int]:
+        """`ticks` of densities already checked: floats in [0, 1]."""
         y_out = [False] * len(ds)
         self.state = self._kernel(self._b, self._a, ds, self.state, y_out, [0.0] * len(ds))
         return [1 if y else 0 for y in y_out]

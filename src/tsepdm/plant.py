@@ -26,38 +26,47 @@ are located by linear interpolation and the containing step is split there
 so drive changes always land on (sub)step boundaries, keeping the RK4
 order intact.
 
-Both modes of ``SimConfig.collect_samples`` run one half-cycle loop. Each
-segment is one matrix-vector product ``np.dot(stack, z, out=...)`` of a
-stack with z = (x, u): ``[I | 0]`` followed by the rows of every
-``G[i] = [CM_i | CN_i]``. It writes samples pos..steps of the half cycle in
-place into one array, all four states of every sample in collecting runs,
-only i1/i2 in a ring of CHUNK half cycles otherwise; the next segment
-overwrites the rows after a crossing. ``ndarray.dot`` runs the same BLAS
-matrix-vector product as ``@`` without the ufunc dispatch. The loop reads
-the mode only at the crossing split. Collecting runs hand on
-``G[j - 1].dot(z)`` as Python floats, the same bits as the row the product
-wrote, and build both sub-step maps in one stacked `rk4_affine_maps` call,
-kept because the ``simulate --trace/--events`` CSV files are compared byte
-for byte between versions. The others take the state after the crossing
-from z and the new drive in one product with ``Q[j]``: the two sub-steps'
-degree-4 polynomials in the split fraction alpha, composed with the
-segment's first j steps into one degree-8 polynomial per state, evaluated
-by Horner's rule in alpha on Python floats; event times and envelopes agree
-with the collecting runs to rounding. The maps are built once per process
-for each (PlantParams, steps) pair and shared read-only.
+Both modes of ``SimConfig.collect_samples`` run one loop of passes: one
+per accepted i2 crossing, or per two half cycles without one. A pass
+starts at the current sample of half cycle hc with z = (x, u), propagates
+the rest of hc, takes ``G[n - 1].dot(z)`` (n the steps left) as hc's end
+state, and from that state propagates all of hc + 1 into the rows that
+follow. One sign scan covers both half cycles; the pass splits at the
+first crossing outside the blanking window, or, with none, hands on the end
+of hc + 1. Each product
+writes its samples in place into one array: all four states of every sample
+in collecting runs, with the row-major stack ``[I | 0]`` followed by every
+``G[i] = [CM_i | CN_i]`` sliced to the rows kept (``np.dot(stack, z,
+out=...)``); only i1/i2 otherwise, a whole half cycle from the current
+sample in one column-major product ``np.dot(z, ST, out=...)``, into a window
+of CHUNK + 1 half cycles that moves on by CHUNK once a chunk's envelope
+peaks are reduced. Rows after a crossing, and the surplus rows of a
+column-major product, are written again by the next product. Collecting
+runs hand on ``G[j - 1].dot(z)`` as Python floats, the same bits as the row
+the product wrote, and build both sub-step maps in one stacked
+`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
+files are compared byte for byte between versions. The others take the
+state after the crossing from z and the new drive in one product with
+``Q[j]``: the two sub-steps' degree-4 polynomials in the split fraction
+alpha, composed with the segment's first j steps into one degree-8
+polynomial per state, evaluated by Horner's rule in alpha on Python floats;
+event times and envelopes agree with the collecting runs to rounding. The
+maps are built once per process for each (PlantParams, steps) pair and
+shared read-only.
 
 `simulate` runs in three stages. Schedule: the modulators need nothing from
 the plant, so the primary's pulses, gated by the `modulator.gate_split`
-carrier, and its drives (rail times gate) are one batch before the loop;
-the secondary ticks a block of crossings ahead at a time: CHUNK for a
-constant d2, one for a callable d2. Propagate: the half-cycle loop only
-advances the state, reduces the envelope peaks (max |i1|, |i2| over the
-samples of each half cycle) once per CHUNK half cycles from that array, and
-logs each accepted crossing's row, time and secondary gate in flat columns.
-Assemble: after the loop the starvation diagnostic is read from the crossing
-times, and collecting runs build ``Trace.u`` from the drives and crossing
-rows. ``Trace.events`` is built from the gate columns on first read, so
-sweeps, which read only the envelopes, never build it.
+carrier, and its drives (rail times gate) are one batch before the loop, a
+constant d1 read once; the secondary ticks a block of crossings ahead at a
+time: CHUNK for a constant d2, one for a callable d2. Propagate: the passes
+only advance the state, reduce the envelope peaks (max |i1|, |i2| over the
+samples of each half cycle) once per CHUNK half cycles from that array,
+check that each half cycle ends in a finite state, and log each accepted
+crossing's row, time and secondary gate in flat columns. Assemble: after
+the loop the starvation diagnostic is read from the crossing times, and
+collecting runs build ``Trace.u`` from the drives and crossing rows.
+``Trace.events`` is built from the gate columns on first read, so sweeps,
+which read only the envelopes, never build it.
 """
 
 from __future__ import annotations
@@ -244,9 +253,11 @@ class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
     ``G[i] = [CM_i | CN_i]`` maps z = (x, u) at a segment start to the state
-    i + 1 steps on. ``stacks[width]`` is ``[I | 0]`` followed by every
-    ``G[i]``, the first ``width`` state rows of each, as one contiguous
-    ((steps + 1) width, 6) matrix. Row 9 r + n of ``Q[j]`` maps
+    i + 1 steps on. ``stack`` is ``[I | 0]`` followed by every ``G[i]`` as
+    one contiguous (4 (steps + 1), 6) matrix. ``ST`` holds the i1/i2 rows of
+    the same maps column-major, as a contiguous (6, 2 (steps + 1)) matrix:
+    ``np.dot(z, ST)`` gives i1, i2 of every sample of a half cycle in one
+    BLAS product that runs along the columns. Row 9 r + n of ``Q[j]`` maps
     (z, u_new) to the alpha^n coefficient (n = 0..8) of state r after a
     segment's first j steps and step j split at fraction alpha: RK4 over
     alpha h under u, then over (1 - alpha) h under u_new. Every array is
@@ -267,8 +278,8 @@ class _AffinePropagator:
             CN[i] = M @ CN[i - 1] + N
         self.G = np.concatenate((CM, CN), axis=2)
         K = np.concatenate((np.eye(4, 6)[None], self.G))  # z -> state after j steps
-        self.stacks = {width: np.ascontiguousarray(K[:, :width].reshape(-1, 6))
-                       for width in (2, 4)}
+        self.stack = np.ascontiguousarray(K.reshape(-1, 6))
+        self.ST = np.ascontiguousarray(K[:, :2].reshape(-1, 6).T)
         # An RK4 sub-step of width tau maps (x, u) to sum_k E[k] (tau / h)^k
         # (x, u), E[k] the top rows of (h Abar)^k / k! for Abar = [[A, B],
         # [0, 0]]. The first sub-step is sum_k E[k] alpha^k, the second
@@ -291,7 +302,7 @@ class _AffinePropagator:
             if n <= 4:
                 Q[:, :, n, 6:] = F[n][:, 4:]
         self.Q = Q.reshape(steps + 1, 36, 8)
-        for a in (A, B, self.G, self.Q, *self.stacks.values()):
+        for a in (A, B, self.G, self.Q, self.stack, self.ST):
             a.flags.writeable = False
 
     def cross(self, x, u_old, u_new, alpha):
@@ -345,29 +356,35 @@ def simulate(params: PlantParams, config: SimConfig,
     if n_half < 1:
         raise ValueError("duration shorter than one half cycle")
     prop = _propagator(params, steps)
-    G, Q = prop.G, prop.Q
+    G, Q, stack, ST = prop.G, prop.Q, prop.stack, prop.ST
     read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
     read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
     read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, "()")
 
     collect = config.collect_samples
-    # Sample rows: all states of the whole run, or i1/i2 of a ring of CHUNK
-    # half cycles. Half cycle hc holds rows base..base + steps, base =
-    # (hc % ring) steps; consecutive half cycles share their boundary row.
+    # Sample rows: all states of the whole run, or i1/i2 of a window of
+    # CHUNK + 1 half cycles. Half cycle hc holds rows base..base + steps,
+    # base = (hc % ring) steps; consecutive half cycles share their boundary
+    # row. A pass writes up to the end of the half cycle after its own, so
+    # the window holds one more than a chunk; once a chunk is reduced, the
+    # rows of the half cycle after it move to the front.
     width = 4 if collect else 2
     ring = n_half if collect else CHUNK
-    stack = prop.stacks[width]
-    samples = np.empty((ring * steps + 1, width))
+    samples = np.empty(((n_half if collect else CHUNK + 1) * steps + 1, width))
     flat = samples.reshape(-1)
     x = [float(v) for v in config.initial_state]
 
     # Schedule. The modulators need nothing from the plant: the primary ticks
     # at every half-cycle start, so its drives are known before the loop, and
     # the secondary ticks ``ahead`` crossings at a time: one for a callable
-    # d2, read at each crossing.
-    s1 = gate_split(primary_modulator.ticks([read_d1(hc * half) for hc in range(n_half)]))
+    # d2, read at each crossing. The readers check every density, so the
+    # modulators take them unchecked.
+    ds1 = ([read_d1(hc * half) for hc in range(n_half)] if callable(d1)
+           else [read_d1(0.0)] * n_half)
+    s1 = gate_split(primary_modulator._advance(ds1))
     rail1 = params.Vg if vg_of_t is None else [read_vg(hc * half) for hc in range(n_half)]
     u1_log = np.multiply(rail1, s1)  # each half cycle's primary drive
+    u1s = u1_log.tolist()
     ahead = 1 if callable(d2) else CHUNK
 
     # Propagate. Each accepted crossing is logged: its first row under the
@@ -380,74 +397,104 @@ def simulate(params: PlantParams, config: SimConfig,
     blanking_until = -math.inf
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
 
-    for hc, u1 in enumerate(u1_log.tolist()):
-        t0 = hc * half
-        base = (hc % ring) * steps  # also the sample index when collecting
-        pos = 0
-        while pos < steps:
-            n_rem = steps - pos
-            # samples pos..steps of the half cycle, written in place
-            z = np.array(x + [u1, u2])
-            seg = flat[width * (base + pos): width * (base + steps + 1)]
-            np.dot(stack[:width * (n_rem + 1)], z, out=seg)
-            i2 = seg[1::width]
-            left, i2_seq = i2[:-1], i2[1:]
-            cross_candidates = (left * i2_seq < 0.0).nonzero()[0]
-            accept = -1
-            for j in cross_candidates.tolist():
-                i2_left, i2_right = left.item(j), i2_seq.item(j)
-                alpha = i2_left / (i2_left - i2_right)
-                if t0 + (pos + j + alpha) * h >= blanking_until:
-                    accept = j
-                    break
-            if accept < 0:
-                x = G[n_rem - 1].dot(z).tolist()
-                break
-
-            j = accept
-            t_x = t0 + (pos + j + alpha) * h
-            u2_old = u2
-            c2 = 1 if i2_right > i2_left else -1
-            blanking_until = t_x + config.blanking_fraction * half
-            n_cross = len(cross_rows)
-            if n_cross % ahead == 0:
-                y2_ahead = secondary_modulator.ticks([read_d2(t_x)] * ahead)
-            s2 = y2_ahead[n_cross % ahead] * c2
-            u2 = params.Vo * s2
-            cross_t.append(t_x)
-            cross_s.append(s2)
-            if collect:
-                if j > 0:
-                    x = G[j - 1].dot(z).tolist()
-                x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
-            else:
-                # Python floats: the same IEEE operations as numpy, at a
-                # fraction of the per-call cost on a few coefficients
-                c = Q[j].dot(np.array(x + [u1, u2_old, u1, u2])).tolist()
-                x = [(((((((c[r + 8] * alpha + c[r + 7]) * alpha + c[r + 6]) * alpha
-                            + c[r + 5]) * alpha + c[r + 4]) * alpha + c[r + 3]) * alpha
-                         + c[r + 2]) * alpha + c[r + 1]) * alpha + c[r]
-                     for r in (0, 9, 18, 27)]
-            pos += j + 1
-            # x is sample pos; a next segment writes it and the rows after it
-            cross_rows.append(hc * steps + pos)
-            if pos == steps:
-                samples[base + steps] = x[:width]
-
+    def end_half_cycle(hc: int, x: list[float]) -> None:
+        """Half cycle hc ends in state x: it must be finite, and the envelope
+        peaks (max |i| over samples 0..steps of each half cycle, the steps
+        rows it starts plus the boundary row it shares) are reduced once per
+        CHUNK half cycles."""
         if not all(map(math.isfinite, x)):
             raise SimulationDiverged(
-                f"non-finite state at t={t0 + half:.6e}s (half cycle {hc})")
-
-        # envelope peaks: max |i| over samples 0..steps of each half cycle,
-        # the steps rows it starts plus the boundary row it shares
+                f"non-finite state at t={hc * half + half:.6e}s (half cycle {hc})")
         if hc % CHUNK == CHUNK - 1 or hc == n_half - 1:
             lo = hc - hc % CHUNK
             k = hc + 1 - lo
             r0 = (lo % ring) * steps
+            # one column at a time: a (k, steps, 2) max over axis 1 is ~15x slower
             for env, col in ((env1, 0), (env2, 1)):
                 w = np.abs(samples[r0: r0 + k * steps + 1, col])
                 env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
                                             w[steps::steps])
+            if not collect:
+                samples[:steps + 1] = samples[CHUNK * steps:]
+
+    # Each pass starts at sample pos of half cycle hc in state x, writes the
+    # rest of hc and all of hc + 1, and splits at the first crossing accepted
+    # in either; the rows after it are written again by the next pass.
+    hc, pos = 0, 0
+    while hc < n_half:
+        base = (hc % ring) * steps
+        row = base + pos
+        n_rem = steps - pos
+        z = np.array(x + [u1s[hc], u2])
+        if collect:
+            np.dot(stack[:4 * (n_rem + 1)], z, out=flat[4 * row: 4 * (base + steps + 1)])
+        else:
+            np.dot(z, ST, out=flat[2 * row: 2 * (row + steps + 1)])
+        x_end = G[n_rem - 1].dot(z).tolist()  # hc's end state without a crossing
+        end = base + steps
+        if hc + 1 < n_half:
+            z_next = np.array(x_end + [u1s[hc + 1], u2])
+            out = flat[width * end: width * (end + steps + 1)]
+            if collect:
+                np.dot(stack, z_next, out=out)
+            else:
+                np.dot(z_next, ST, out=out)
+            end += steps
+        i2 = samples[row:end + 1, 1]
+        left, i2_seq = i2[:-1], i2[1:]
+        accept = -1
+        for k in (left * i2_seq < 0.0).nonzero()[0].tolist():
+            i2_left, i2_right = left.item(k), i2_seq.item(k)
+            alpha = i2_left / (i2_left - i2_right)
+            t_x = (hc * half + (pos + k + alpha) * h if k < n_rem
+                   else (hc + 1) * half + (k - n_rem + alpha) * h)
+            if t_x >= blanking_until:
+                accept = k
+                break
+
+        if not 0 <= accept < n_rem:  # hc ends without a crossing
+            end_half_cycle(hc, x_end)
+            hc, pos, x = hc + 1, 0, x_end
+            if accept < 0:
+                if hc < n_half:  # and so does hc + 1
+                    x = G[steps - 1].dot(z_next).tolist()
+                    end_half_cycle(hc, x)
+                    hc += 1
+                continue
+            j, z, base = accept - n_rem, z_next, (hc % ring) * steps
+        else:
+            j = accept
+
+        # the crossing in step j of the segment from sample pos of hc
+        u1, u2_old = u1s[hc], u2
+        c2 = 1 if i2_right > i2_left else -1
+        blanking_until = t_x + config.blanking_fraction * half
+        n_cross = len(cross_rows)
+        if n_cross % ahead == 0:
+            y2_ahead = secondary_modulator._advance([read_d2(t_x)] * ahead)
+        s2 = y2_ahead[n_cross % ahead] * c2
+        u2 = params.Vo * s2
+        cross_t.append(t_x)
+        cross_s.append(s2)
+        if collect:
+            if j > 0:
+                x = G[j - 1].dot(z).tolist()
+            x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
+        else:
+            # Python floats: the same IEEE operations as numpy, at a
+            # fraction of the per-call cost on a few coefficients
+            c = Q[j].dot(np.array(x + [u1, u2_old, u1, u2])).tolist()
+            x = [(((((((c[r + 8] * alpha + c[r + 7]) * alpha + c[r + 6]) * alpha
+                        + c[r + 5]) * alpha + c[r + 4]) * alpha + c[r + 3]) * alpha
+                     + c[r + 2]) * alpha + c[r + 1]) * alpha + c[r]
+                 for r in (0, 9, 18, 27)]
+        pos += j + 1
+        # x is sample pos; a next pass writes it and the rows after it
+        cross_rows.append(hc * steps + pos)
+        if pos == steps:
+            samples[base + steps] = x[:width]
+            end_half_cycle(hc, x)
+            hc, pos = hc + 1, 0
 
     # Assemble. Starved: the first half-cycle end more than 3 Tsw (6 half,
     # to the bit) after the latest crossing at or before it, or after t = 0,
@@ -476,41 +523,3 @@ def simulate(params: PlantParams, config: SimConfig,
                  s2=np.array(cross_s), envelope_t=env_t, envelope_i1=env1,
                  envelope_i2=env2, diagnostics=diagnostics)
 
-
-def resonance_report(params: PlantParams) -> dict[str, float]:
-    """Per-side series resonance frequencies in Hz."""
-    return {
-        "f01": 1.0 / (2.0 * math.pi * math.sqrt(params.L1 * params.C1)),
-        "f02": 1.0 / (2.0 * math.pi * math.sqrt(params.L2 * params.C2)),
-    }
-
-
-def phasor_steady_state(params: PlantParams) -> tuple[complex, complex]:
-    """First-harmonic steady-state current phasors (peak amplitudes).
-
-    Solves the complex mesh equations at the switching frequency with the
-    secondary drive amplitude phase-locked to i2 (active rectification):
-
-        Z1 I1 + jwM I2 = U1
-        jwM I1 + Z2 I2 = -U2 e^{j angle(I2)}
-
-    with U1 = 4 Vg / pi and U2 = 4 Vo / pi, the square-wave fundamentals at
-    full pulse density. The phase-locked system is solved by fixed-point
-    iteration on the i2 phase (at most 200 steps, to a 1e-14 rad change).
-    """
-    w = params.ws
-    Z1 = params.R1 + 1j * (w * params.L1 - 1.0 / (w * params.C1))
-    Z2 = params.R2 + 1j * (w * params.L2 - 1.0 / (w * params.C2))
-    jwM = 1j * w * params.M
-    U1 = 4.0 * params.Vg / math.pi
-    U2 = 4.0 * params.Vo / math.pi
-    Z = np.array([[Z1, jwM], [jwM, Z2]])
-    I = np.linalg.solve(Z, np.array([U1, 0.0]))
-    phase = np.angle(I[1])
-    for _ in range(200):
-        I = np.linalg.solve(Z, np.array([U1, -U2 * np.exp(1j * phase)]))
-        new_phase = np.angle(I[1])
-        if abs(new_phase - phase) < 1e-14:
-            break
-        phase = new_phase
-    return complex(I[0]), complex(I[1])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from oracles import band_level_db, gate_waveform_spectrum, phasor_steady_state, resonance_report
 from tsepdm import analysis, experiments, gssa, modulator as mod, ntf, plant
 from tsepdm.modulator import PulseDensityModulator
 
@@ -140,12 +141,11 @@ def test_criterion_05_spectral_notch():
     s_bands = {}
     for name, tf in (("first", NTF1), ("tse", NTF3)):
         y, _ = mod.run(tf, 0.963, n_ticks=n)
-        y_bands[name] = analysis.band_level_db(
+        y_bands[name] = band_level_db(
             analysis.spectrum_of_sequence(y), 0.075, 0.005)
-        spec_s = analysis.gate_waveform_spectrum(mod.gate_split(y),
-                                                 oversample=8)
-        s_bands[name] = (analysis.band_level_db(spec_s, 0.925, 0.005),
-                         analysis.band_level_db(spec_s, 1.075, 0.005))
+        spec_s = gate_waveform_spectrum(mod.gate_split(y), oversample=8)
+        s_bands[name] = (band_level_db(spec_s, 0.925, 0.005),
+                         band_level_db(spec_s, 1.075, 0.005))
     supp_y = y_bands["first"] - y_bands["tse"]
     supp_lo = s_bands["first"][0] - s_bands["tse"][0]
     supp_hi = s_bands["first"][1] - s_bands["tse"][1]
@@ -171,13 +171,13 @@ def test_criterion_06_gssa_peak(prototype):
 
 
 def test_criterion_07_cosim_steady_state(prototype, full_power_trace):
-    I1, I2 = plant.phasor_steady_state(prototype)
+    I1, I2 = phasor_steady_state(prototype)
     tail = full_power_trace.envelope_t > 2.5e-3
     a1 = full_power_trace.envelope_i1[tail].mean()
     a2 = full_power_trace.envelope_i2[tail].mean()
     rel1 = abs(a1 - abs(I1)) / abs(I1)
     rel2 = abs(a2 - abs(I2)) / abs(I2)
-    rep = plant.resonance_report(prototype)
+    rep = resonance_report(prototype)
     f01_ok = abs(rep["f01"] - 1 / (2 * math.pi * math.sqrt(31.7e-6 * 8.88e-9))) < 1.0
     f02_ok = abs(rep["f02"] - 1 / (2 * math.pi * math.sqrt(29.7e-6 * 9.47e-9))) < 1.0
     in_band = 299.5e3 < rep["f01"] < 300.5e3 and 299.6e3 < rep["f02"] < 300.6e3

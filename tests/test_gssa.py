@@ -6,23 +6,24 @@ import math
 import numpy as np
 import pytest
 
+from oracles import phasor_steady_state, resonant_peak_prediction
 from tsepdm import gssa, plant
 from tsepdm.modulator import PulseDensityModulator
 from tsepdm.ntf import build_first_order
 
 
 def test_resonant_peak_prediction(prototype):
-    assert gssa.resonant_peak_prediction(prototype) == pytest.approx(2 * math.pi * 22.5e3)
+    assert resonant_peak_prediction(prototype) == pytest.approx(2 * math.pi * 22.5e3)
     p13 = dataclasses.replace(prototype, k=0.13)
-    assert gssa.resonant_peak_prediction(p13) == pytest.approx(0.065 * prototype.ws)
+    assert resonant_peak_prediction(p13) == pytest.approx(0.065 * prototype.ws)
     # k -> 0 limit (validation forbids exactly zero)
     tiny = dataclasses.replace(prototype, k=1e-12)
-    assert gssa.resonant_peak_prediction(tiny) == pytest.approx(0.0, abs=1e-3)
+    assert resonant_peak_prediction(tiny) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_equilibrium_matches_phasor_oracle(prototype):
     model = gssa.build_envelope_model(prototype)
-    I1, I2 = plant.phasor_steady_state(prototype)
+    I1, I2 = phasor_steady_state(prototype)
     assert model.i1_amp == pytest.approx(abs(I1), rel=0.01)
     assert model.i2_amp == pytest.approx(abs(I2), rel=0.01)
 
@@ -147,7 +148,7 @@ def test_rail_modulation_ripple_peaks_at_beat_frequency(prototype):
     # Drive the switching model with an amplitude-modulated rail and scan the
     # modulation frequency around k ws / 2: the envelope ripple must be
     # largest at the predicted beat resonance (sideband-pair equivalence).
-    beat = gssa.resonant_peak_prediction(prototype)
+    beat = resonant_peak_prediction(prototype)
     ripples = []
     factors = (0.5, 0.75, 1.0, 1.25, 1.5)
     for factor in factors:

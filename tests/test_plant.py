@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 from scipy.optimize import brentq, fsolve
 
+from oracles import phasor_steady_state, resonance_report
 from tsepdm import experiments, gssa, plant
 from tsepdm.modulator import PulseDensityModulator, gate_split, run
 from tsepdm.ntf import NtfDesignSpec, build_first_order, build_third_order
@@ -358,9 +359,9 @@ def test_propagator_is_built_once_per_params_and_steps_and_read_only():
     assert plant._propagator(plant.PlantParams(), 256) is _PROP  # equal params, one entry
     assert plant._propagator(plant.DEFAULT_PARAMS, 64) is not _PROP
     assert _PROP.Q.shape == (_STEPS + 1, 36, 8)
-    assert _PROP.stacks[4].shape == ((_STEPS + 1) * 4, 6)
-    assert _PROP.stacks[2].shape == ((_STEPS + 1) * 2, 6)
-    for a in (_PROP.A, _PROP.B, _PROP.G, _PROP.Q, *_PROP.stacks.values()):
+    assert _PROP.stack.shape == ((_STEPS + 1) * 4, 6)
+    assert _PROP.ST.shape == (6, (_STEPS + 1) * 2) and _PROP.ST.flags.c_contiguous
+    for a in (_PROP.A, _PROP.B, _PROP.G, _PROP.Q, _PROP.stack, _PROP.ST):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -377,12 +378,15 @@ def check_segment_stack(n, x, u):
     The full-state stack, written in place into rows of a larger array by
     ``np.dot(..., out=...)`` as the loop does, gives the rows ``np.matmul``
     gives, x in its first row and the per-step products after it, bit for
-    bit; ``G[j - 1].dot(z)``, the state handed on, equals row j. The i1/i2
-    stack of runs without samples agrees with them to rounding.
+    bit; ``G[j - 1].dot(z)``, the state handed on, equals row j. Runs
+    without samples write a whole half cycle of i1/i2 with the column-major
+    ``np.dot(z, ST, out=...)`` from any row: it leaves the rows around it
+    alone, gives x in its first row, and agrees with the full-state rows to
+    rounding.
     """
     z = np.array([*x, *u])
     G = _PROP.G
-    stack = _PROP.stacks[4][:4 * (n + 1)]
+    stack = _PROP.stack[:4 * (n + 1)]
     rows = np.full(4 * (n + 3), np.nan)
     seg = rows[4:4 * (n + 2)]
     np.dot(stack, z, out=seg)
@@ -394,11 +398,15 @@ def check_segment_stack(n, x, u):
         assert np.array_equal(seg[i + 1], G[i][:, :4] @ z[:4] + G[i][:, 4:] @ z[4:])
         assert np.array_equal(G[i].dot(z), seg[i + 1])
         assert np.array_equal(G[i] @ z, seg[i + 1])
-    currents = np.empty(2 * (n + 1))
-    np.dot(_PROP.stacks[2][:2 * (n + 1)], z, out=currents)
-    scale = (np.abs(stack) @ np.abs(z)).reshape(n + 1, 4)[:, :2]
-    err = np.abs(currents.reshape(n + 1, 2) - seg[:, :2])
-    assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
+    rows = np.full(2 * (n + _STEPS + 2), np.nan)
+    currents = rows[2 * n: 2 * (n + _STEPS + 1)]  # from row n, as from sample pos
+    np.dot(z, _PROP.ST, out=currents)
+    assert np.isnan(rows[:2 * n]).all() and np.isnan(rows[-2:]).all()
+    currents = currents.reshape(-1, 2)
+    assert np.array_equal(currents[0], x[:2])
+    full = np.matmul(_PROP.stack, z).reshape(-1, 4)[:, :2]
+    scale = (np.abs(_PROP.stack) @ np.abs(z)).reshape(-1, 4)[:, :2]
+    assert np.all(np.abs(currents - full) <= 1e-14 * scale + np.finfo(float).tiny)
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,10 +548,13 @@ def test_no_sample_run_matches_sample_run(prototype, kind, d1, d2):
        d1=st.sampled_from([0.5, 0.963, 1.0]), d2=st.sampled_from([0.6, 0.963, 1.0]))
 # i2 crosses in the last step of half cycle 0, where |i1| peaks
 @example(x0=(-0.4, -1.7, 117.1, -1900.3), kind="first", d1=1.0, d2=1.0)
+# i2 crosses in the first step of half cycle 1, the first pass's second half
+@example(x0=_STEP_0_CROSSING_X0, kind="first", d1=1.0, d2=1.0)
 def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d2):
     # The no-sample run reduces envelope peaks per CHUNK half cycles; runs
     # ending before, on and after a chunk boundary must agree with the
-    # sample-collecting run.
+    # sample-collecting run, also where a pass splits at the last step of
+    # its first half cycle or the first step of its second.
     params = plant.DEFAULT_PARAMS
     half = 0.5 / params.fs
     tf = (build_first_order() if kind == "first"
@@ -567,6 +578,29 @@ def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d
         window = np.abs(full.states[hc * steps:(hc + 1) * steps + 1, :2])
         assert np.array_equal(window.max(axis=0),
                               [full.envelope_i1[hc], full.envelope_i2[hc]])
+
+
+@pytest.mark.parametrize("x0, skipped", [((0.0, 1.0, 0.0, 0.0), plant.CHUNK - 1),
+                                         ((3.0, -2.0, 400.0, -900.0), plant.CHUNK - 2)])
+def test_no_sample_run_matches_sample_run_across_crossing_gaps(x0, skipped):
+    # Undriven, the 3 MHz clock's ring crosses i2 every ~9 half cycles, so a
+    # pass without a crossing hands on the end of the half cycle after its
+    # own. Passes from the last crossing before the gap skip half cycles in
+    # pairs, here `skipped` and the one after it: a pair across the chunk
+    # edge, where the window moves between the two, or one ending on it.
+    half = 0.5 / _FAST_CLOCK.fs
+    full, fast = [plant.simulate(_FAST_CLOCK, plant.SimConfig(duration=(2 * plant.CHUNK + 3) * half,
+                                                              initial_state=x0, collect_samples=c),
+                                 *fresh_mods(), 0.0, 0.6)
+                  for c in (True, False)]
+    last = full.cross_half[full.cross_half <= skipped].max()
+    assert (skipped - last) % 2 == 0
+    assert not np.isin(full.cross_half, np.arange(last + 1, skipped + 2)).any()
+    assert [ev[:4] for ev in fast.events] == [ev[:4] for ev in full.events]
+    np.testing.assert_allclose(fast.cross_t, full.cross_t, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.envelope_i1, full.envelope_i1, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.envelope_i2, full.envelope_i2, rtol=1e-12, atol=0.0)
+    assert fast.diagnostics == full.diagnostics != []
 
 
 @pytest.mark.parametrize("collect", [True, False])
@@ -676,7 +710,7 @@ def test_zero_state_zero_drive_stays_zero(prototype):
 
 
 def test_full_power_matches_phasor_oracle(prototype, full_power_trace):
-    I1, I2 = plant.phasor_steady_state(prototype)
+    I1, I2 = phasor_steady_state(prototype)
     tail = full_power_trace.envelope_t > 2.5e-3
     a1 = full_power_trace.envelope_i1[tail].mean()
     a2 = full_power_trace.envelope_i2[tail].mean()
@@ -855,13 +889,13 @@ def test_full_power_phase_matches_phasor_oracle(prototype, full_power_trace):
     basis = np.column_stack([np.sin(ws * t), np.cos(ws * t)])
     ci, *_ = np.linalg.lstsq(basis, tr.states[mask, 0], rcond=None)
     delta = math.atan2(ci[1], ci[0])
-    I1, _ = plant.phasor_steady_state(prototype)
+    I1, _ = phasor_steady_state(prototype)
     expected = math.atan2(I1.imag, I1.real)
     assert delta == pytest.approx(expected, abs=math.radians(3.0))
 
 
 def test_resonance_report(prototype):
-    rep = plant.resonance_report(prototype)
+    rep = resonance_report(prototype)
     assert rep["f01"] == pytest.approx(
         1.0 / (2 * math.pi * math.sqrt(31.7e-6 * 8.88e-9)), rel=1e-12)
     assert rep["f02"] == pytest.approx(
@@ -872,7 +906,7 @@ def test_resonance_report(prototype):
 
 def test_resonance_report_unit_values():
     p = plant.PlantParams(L1=1.0, C1=1.0)
-    assert plant.resonance_report(p)["f01"] == pytest.approx(1.0 / (2 * math.pi))
+    assert resonance_report(p)["f01"] == pytest.approx(1.0 / (2 * math.pi))
 
 
 def test_undriven_energy_non_increasing(prototype):
