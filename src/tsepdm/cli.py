@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -321,7 +320,7 @@ def cmd_dynamic(args) -> int:
                                             duration=args.duration,
                                             mod_freq=args.freq,
                                             steps_per_half_cycle=args.steps)
-    d_ref = 0.5 * np.sin(2.0 * math.pi * args.freq * resp.env_t) + 0.5
+    d_ref = np.array([experiments.dynamic_d2(t, args.freq) for t in resp.env_t.tolist()])
     datafiles.write_rows(args.out, ["t", "d2", "i1_envelope", "i2_envelope"],
                          (resp.env_t, d_ref, resp.env_i1, resp.env_i2))
     datafiles.write_manifest(args.out, {

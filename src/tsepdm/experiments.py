@@ -1,4 +1,4 @@
-"""Experiment presets: density sweeps, stability batteries, dynamic tracking.
+"""Experiment presets: density sweeps and dynamic tracking.
 
 Each preset mirrors one verification scenario: a density sweep holds one
 side's pulse density at a grid value while the other side runs at full
@@ -10,6 +10,7 @@ ordered by density regardless of completion order.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,6 +29,12 @@ SIDES = ("primary", "secondary")
 # The sinusoidal-tracking run of `run_dynamic_response`: duration (s), frequency (Hz).
 DYNAMIC_DURATION = 8e-3
 DYNAMIC_FREQ = 500.0
+
+
+def dynamic_d2(t: float, mod_freq: float) -> float:
+    """The d2 drive of `run_dynamic_response` at time ``t`` (s), a float:
+    0.5 sin(2 pi f t) + 0.5 at f = ``mod_freq`` (Hz)."""
+    return 0.5 * math.sin(2.0 * math.pi * mod_freq * t) + 0.5
 
 
 def make_ntf(kind: str, rho: float = NtfDesignSpec.notch_ratio,
@@ -173,7 +180,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
                          ) -> DynamicResponse:
     """Drive d2 with a full-swing sinusoid and measure tracking.
 
-    d1 stays at 1; d2(t) = 0.5 sin(2 pi f t) + 0.5. The per-half-cycle y2
+    d1 stays at 1; d2(t) is `dynamic_d2`. The per-half-cycle y2
     sequence is fitted with a sinusoid at the modulation frequency over an
     integer number of periods after settling; the fitted amplitude is
     compared against the commanded 0.5. The i2 envelope is correlated with
@@ -188,12 +195,8 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     n_periods = int(math.floor((duration - settle) * mod_freq))
     if n_periods < 1:
         raise ValueError("duration too short for one modulation period after settle")
-
-    def d2_fn(t):
-        return 0.5 * math.sin(2.0 * math.pi * mod_freq * t) + 0.5
-
-    trace = simulate(params, cfg, PulseDensityModulator(tf),
-                     PulseDensityModulator(tf), 1.0, d2_fn)
+    trace = simulate(params, cfg, PulseDensityModulator(tf), PulseDensityModulator(tf),
+                     1.0, functools.partial(dynamic_d2, mod_freq=mod_freq))
 
     t_hi = settle + n_periods / mod_freq
     fit = (trace.cross_t >= settle) & (trace.cross_t < t_hi)  # secondary ticks in the span
@@ -206,7 +209,7 @@ def run_dynamic_response(params: PlantParams, ntf_kind: str,
     amp_err = abs(amp - 0.5) / 0.5 * 100.0
 
     env_sel = (trace.envelope_t >= settle) & (trace.envelope_t < t_hi)
-    d_ref = np.array([d2_fn(t) for t in trace.envelope_t[env_sel]])
+    d_ref = np.array([dynamic_d2(t, mod_freq) for t in trace.envelope_t[env_sel]])
     corr_i1 = float(np.corrcoef(trace.envelope_i1[env_sel], d_ref)[0, 1])
     corr_i2 = float(np.corrcoef(trace.envelope_i2[env_sel], d_ref)[0, 1])
 

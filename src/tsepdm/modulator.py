@@ -17,14 +17,15 @@ loops are probed empirically with `run` and `StabilityReport`.
 
 The recurrence is written once, in the source template of `_kernel`. For
 each filter order it is generated once into a function whose every tick is
-straight-line code on float locals. `PulseDensityModulator.ticks` advances
-one modulator through it over a list of densities in one call (the
-co-simulation computes its pulses ahead of the plant this way) and `step`
-is that call on one density; `run` runs a fresh modulator over a waveform.
-`run_const_grid` runs one lane per constant density in its own lane
-kernel, `_run_lanes`: each tick is five numpy calls on (m,) lanes at any
-filter order, with the feedback sum in the float kernel's order, so every
-lane is bit-identical to `run` (a one-lane grid runs the float kernel).
+straight-line code on float locals. Its one caller is
+`PulseDensityModulator._advance`, which ticks one modulator over a list of
+densities already checked in one call: `step` checks one density and
+advances through it, `run` and a one-lane `run_const_grid` tick a fresh
+modulator over a checked waveform, and the co-simulation computes its
+pulses ahead of the plant with it. `run_const_grid` runs two or more lanes,
+one per constant density, in its own lane kernel, `_run_lanes`: each tick
+is five numpy calls on (m,) lanes at any filter order, with the feedback
+sum in the float kernel's order, so every lane is bit-identical to `run`.
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into the signed samples
@@ -126,25 +127,19 @@ class PulseDensityModulator:
         self.state = (0.0,) * (2 * len(self._a))
 
     def step(self, d: float) -> int:
-        """Advance one half cycle with commanded density ``d``; return y."""
-        return self.ticks((d,))[0]
+        """Advance one half cycle with commanded density ``d``; return y. A
+        non-real ``d`` raises TypeError, one outside [0, 1] ValueError."""
+        return int(self._advance([check_interval("pulse density", d, 0.0, 1.0)])[0])
 
-    def ticks(self, ds) -> list[int]:
-        """Advance one half cycle per density in ``ds``; return each y.
-
-        One kernel call over the whole sequence. The kernel carries its state
-        from tick to tick as it does from call to call, so the outputs and
-        the new state are bit-identical to one `step` per density. Every
-        density is checked before the first tick: a str, bool or other
-        non-real one raises TypeError, one outside [0, 1] ValueError.
-        """
-        return self._advance([check_interval("pulse density", d, 0.0, 1.0) for d in ds])
-
-    def _advance(self, ds: list[float]) -> list[int]:
-        """`ticks` of densities already checked: floats in [0, 1]."""
+    def _advance(self, ds: list[float], e_out: list[float] | None = None) -> list[bool]:
+        """Advance one half cycle per density of ``ds`` (floats in [0, 1],
+        already checked) in one kernel call; return each y as the kernel's
+        bool and store each e in ``e_out`` when given. Any cut of a sequence
+        into calls gives the same outputs and state, bit for bit."""
         y_out = [False] * len(ds)
-        self.state = self._kernel(self._b, self._a, ds, self.state, y_out, [0.0] * len(ds))
-        return [1 if y else 0 for y in y_out]
+        self.state = self._kernel(self._b, self._a, ds, self.state, y_out,
+                                  [0.0] * len(ds) if e_out is None else e_out)
+        return y_out
 
 
 def _waveform(d, n_ticks: int | None) -> np.ndarray:
@@ -168,15 +163,6 @@ def _waveform(d, n_ticks: int | None) -> np.ndarray:
     return d_arr
 
 
-def _run_floats(b: tuple, a: tuple, ds: list) -> tuple[np.ndarray, np.ndarray]:
-    """(y, e) of a fresh modulator over the float densities ``ds``, through
-    the float kernel."""
-    y_out = [False] * len(ds)
-    e_out = [0.0] * len(ds)
-    _kernel(len(a))(b, a, ds, (0.0,) * (2 * len(a)), y_out, e_out)
-    return np.array(y_out, dtype=np.int8), np.array(e_out)
-
-
 def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Run a fresh modulator over a waveform.
@@ -185,8 +171,10 @@ def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
     replicated over ``n_ticks``. Returns the (y, e) sequences; deterministic
     given inputs.
     """
-    d_arr = _waveform(d_waveform, n_ticks)
-    return _run_floats(*_coefficients(ntf), d_arr.tolist())
+    ds = _waveform(d_waveform, n_ticks).tolist()
+    e = [0.0] * len(ds)
+    y = PulseDensityModulator(ntf)._advance(ds, e)
+    return np.array(y, np.int8), np.array(e)
 
 
 def _run_lanes(b: tuple, a: tuple, d_arr: np.ndarray,
@@ -246,11 +234,13 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     # an array, so that a scalar is refused as 0-d instead of replicated
     d_arr = _waveform(np.asarray(d_values), None)
     check_integer("n_ticks", n_ticks, 0)
-    b, a = _coefficients(ntf)
     if d_arr.shape[0] != 1:
-        return _run_lanes(b, a, d_arr, n_ticks)
-    y, e = _run_floats(b, a, d_arr.tolist() * n_ticks)
-    return y.reshape(n_ticks, 1), e.reshape(n_ticks, 1)
+        return _run_lanes(*_coefficients(ntf), d_arr, n_ticks)
+    # the float kernel as `run` runs it, not a `run` call: the benchmark's
+    # tracer counts those as run ticks
+    e = [0.0] * n_ticks
+    y = PulseDensityModulator(ntf)._advance(d_arr.tolist() * n_ticks, e)
+    return np.array(y, np.int8).reshape(n_ticks, 1), np.array(e).reshape(n_ticks, 1)
 
 
 def gate_split(y) -> np.ndarray:

@@ -29,36 +29,39 @@ order intact.
 Both modes of ``SimConfig.collect_samples`` run one loop of passes: one
 per accepted i2 crossing, or per two half cycles without one. A pass
 starts at the current sample of half cycle hc with z = (x, u), propagates
-the rest of hc, takes ``G[n - 1].dot(z)`` (n the steps left) as hc's end
+the rest of hc, takes ``K[n].dot(z)`` (n the steps left) as hc's end
 state, and from that state propagates all of hc + 1 into the rows that
 follow. One sign scan covers both half cycles; the pass splits at the
 first crossing outside the blanking window, or, with none, hands on the end
-of hc + 1. Each product
-writes its samples in place into one array: all four states of every sample
-in collecting runs, with the row-major stack ``[I | 0]`` followed by every
-``G[i] = [CM_i | CN_i]`` sliced to the rows kept (``np.dot(stack, z,
-out=...)``); only i1/i2 otherwise, a whole half cycle from the current
-sample in one column-major product ``np.dot(z, ST, out=...)``, into a window
-of CHUNK + 1 half cycles that moves on by CHUNK once a chunk's envelope
-peaks are reduced. Rows after a crossing, and the surplus rows of a
-column-major product, are written again by the next product. Collecting
-runs hand on ``G[j - 1].dot(z)`` as Python floats, the same bits as the row
-the product wrote, and build both sub-step maps in one stacked
-`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
-files are compared byte for byte between versions. The others take the
-state after the crossing from z and the new drive in one product with
-``Q[j]``: the two sub-steps' degree-4 polynomials in the split fraction
-alpha, composed with the segment's first j steps into one degree-8
-polynomial per state, evaluated by Horner's rule in alpha on Python floats;
-event times and envelopes agree with the collecting runs to rounding. The
-maps are built once per process for each (PlantParams, steps) pair and
-shared read-only.
+of hc + 1. Each product writes its samples in place into one array: all
+four states of every sample in collecting runs, with the row-major stack of
+the maps ``K[j]`` from z to the state j steps on, ``K[0] = [I | 0]``,
+sliced to the rows kept (``np.dot(stack, z, out=...)``); only i1/i2
+otherwise, a whole half cycle from the current sample in one column-major
+product ``np.dot(z, ST, out=...)``, into a window of CHUNK + 1 half cycles
+that moves on by CHUNK once a chunk's envelope peaks are reduced. Rows
+after a crossing, and the surplus rows of a column-major product, are
+written again by the next product. Collecting runs hand on
+``K[j].dot(z)`` as Python floats, the same bits as the row the product
+wrote, and build both sub-step maps in one stacked `rk4_affine_maps`
+call, kept because the ``simulate --trace/--events`` CSV files are
+compared byte for byte between versions. The others take the state after
+the crossing from z and the new drive in one product with ``Q[j]``: the
+two sub-steps' degree-4 polynomials in the split fraction alpha, composed
+with the segment's first j steps into one degree-8 polynomial per state,
+evaluated by Horner's rule in alpha on Python floats. The two modes differ
+by rounding only: on the drives the tests draw, and in every sweep, which
+holds one side at 1, they log the same gate events, with times and
+envelopes equal to rounding; a weakly driven run can part from its twin
+(README). The maps are built once per process for each (PlantParams,
+steps) pair and shared read-only.
 
 `simulate` runs in three stages. Schedule: the modulators need nothing from
 the plant, so the primary's pulses, gated by the `modulator.gate_split`
 carrier, and its drives (rail times gate) are one batch before the loop, a
 constant d1 read once; the secondary ticks a block of crossings ahead at a
-time: CHUNK for a constant d2, one for a callable d2. Propagate: the passes
+time: CHUNK for a constant d2, one for a callable d2, and is left at its
+state after the last crossing the run used. Propagate: the passes
 only advance the state, reduce the envelope peaks (max |i1|, |i2| over the
 samples of each half cycle) once per CHUNK half cycles from that array,
 check that each half cycle ends in a finite state, and log each accepted
@@ -252,8 +255,8 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
 class _AffinePropagator:
     """Per-step affine maps for one half cycle of constant-drive segments.
 
-    ``G[i] = [CM_i | CN_i]`` maps z = (x, u) at a segment start to the state
-    i + 1 steps on. ``stack`` is ``[I | 0]`` followed by every ``G[i]`` as
+    ``K[j]`` maps z = (x, u) at a segment start to the state j steps on
+    (``K[0] = [I | 0]``); ``stack`` is a view of the same maps as
     one contiguous (4 (steps + 1), 6) matrix. ``ST`` holds the i1/i2 rows of
     the same maps column-major, as a contiguous (6, 2 (steps + 1)) matrix:
     ``np.dot(z, ST)`` gives i1, i2 of every sample of a half cycle in one
@@ -276,9 +279,8 @@ class _AffinePropagator:
         for i in range(1, steps):
             CM[i] = M @ CM[i - 1]
             CN[i] = M @ CN[i - 1] + N
-        self.G = np.concatenate((CM, CN), axis=2)
-        K = np.concatenate((np.eye(4, 6)[None], self.G))  # z -> state after j steps
-        self.stack = np.ascontiguousarray(K.reshape(-1, 6))
+        K = self.K = np.concatenate((np.eye(4, 6)[None], np.concatenate((CM, CN), axis=2)))
+        self.stack = K.reshape(-1, 6)  # a view: one copy of the maps
         self.ST = np.ascontiguousarray(K[:, :2].reshape(-1, 6).T)
         # An RK4 sub-step of width tau maps (x, u) to sum_k E[k] (tau / h)^k
         # (x, u), E[k] the top rows of (h Abar)^k / k! for Abar = [[A, B],
@@ -302,7 +304,7 @@ class _AffinePropagator:
             if n <= 4:
                 Q[:, :, n, 6:] = F[n][:, 4:]
         self.Q = Q.reshape(steps + 1, 36, 8)
-        for a in (A, B, self.G, self.Q, self.stack, self.ST):
+        for a in (A, B, self.Q, self.stack, self.K, self.ST):
             a.flags.writeable = False
 
     def cross(self, x, u_old, u_new, alpha):
@@ -356,7 +358,7 @@ def simulate(params: PlantParams, config: SimConfig,
     if n_half < 1:
         raise ValueError("duration shorter than one half cycle")
     prop = _propagator(params, steps)
-    G, Q, stack, ST = prop.G, prop.Q, prop.stack, prop.ST
+    K, Q, stack, ST = prop.K, prop.Q, prop.stack, prop.ST
     read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
     read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
     read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, "()")
@@ -430,7 +432,7 @@ def simulate(params: PlantParams, config: SimConfig,
             np.dot(stack[:4 * (n_rem + 1)], z, out=flat[4 * row: 4 * (base + steps + 1)])
         else:
             np.dot(z, ST, out=flat[2 * row: 2 * (row + steps + 1)])
-        x_end = G[n_rem - 1].dot(z).tolist()  # hc's end state without a crossing
+        x_end = K[n_rem].dot(z).tolist()  # hc's end state without a crossing
         end = base + steps
         if hc + 1 < n_half:
             z_next = np.array(x_end + [u1s[hc + 1], u2])
@@ -457,7 +459,7 @@ def simulate(params: PlantParams, config: SimConfig,
             hc, pos, x = hc + 1, 0, x_end
             if accept < 0:
                 if hc < n_half:  # and so does hc + 1
-                    x = G[steps - 1].dot(z_next).tolist()
+                    x = K[steps].dot(z_next).tolist()
                     end_half_cycle(hc, x)
                     hc += 1
                 continue
@@ -471,14 +473,15 @@ def simulate(params: PlantParams, config: SimConfig,
         blanking_until = t_x + config.blanking_fraction * half
         n_cross = len(cross_rows)
         if n_cross % ahead == 0:
-            y2_ahead = secondary_modulator._advance([read_d2(t_x)] * ahead)
+            block_state, ds2 = secondary_modulator.state, [read_d2(t_x)] * ahead
+            y2_ahead = secondary_modulator._advance(ds2)
         s2 = y2_ahead[n_cross % ahead] * c2
         u2 = params.Vo * s2
         cross_t.append(t_x)
         cross_s.append(s2)
         if collect:
             if j > 0:
-                x = G[j - 1].dot(z).tolist()
+                x = K[j].dot(z).tolist()
             x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
         else:
             # Python floats: the same IEEE operations as numpy, at a
@@ -496,9 +499,13 @@ def simulate(params: PlantParams, config: SimConfig,
             end_half_cycle(hc, x)
             hc, pos = hc + 1, 0
 
-    # Assemble. Starved: the first half-cycle end more than 3 Tsw (6 half,
-    # to the bit) after the latest crossing at or before it, or after t = 0,
-    # where d2 < 1.
+    # Assemble. Leave the secondary after the last crossing: tick it again
+    # from the start of the last block over the crossings the run used.
+    if len(cross_t) % ahead:
+        secondary_modulator.state = block_state
+        secondary_modulator._advance(ds2[:len(cross_t) % ahead])
+    # Starved: the first half-cycle end more than 3 Tsw (6 half, to the bit)
+    # after the latest crossing at or before it, or after t = 0, where d2 < 1.
     cross_half = (np.array(cross_rows) - 1) // steps
     last = np.array([0.0, *cross_t])[np.searchsorted(cross_half, np.arange(n_half), "right")]
     starved = next((t_end for t_end in env_t[env_t - last > 6.0 * half].tolist()

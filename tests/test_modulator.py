@@ -211,8 +211,8 @@ def test_step_rejects_non_real_density(d):
 
 
 @pytest.mark.parametrize("call", [
-    lambda m: m.step(1.5), lambda m: m.step(-0.1), lambda m: m.ticks([0.5, 1.01]),
-], ids=["step-above", "step-below", "ticks-above"])
+    lambda m: m.step(1.5), lambda m: m.step(-0.1),
+], ids=["step-above", "step-below"])
 def test_densities_outside_the_unit_interval_are_rejected(call):
     # as `run` rejects them, and before the first tick
     m = mod.PulseDensityModulator(NTF3)
@@ -240,27 +240,18 @@ def _split_densities(draw):
 @example(split=([0.963] * (2 * CHUNK + 1), [CHUNK, 2 * CHUNK]), tf=NTF3)
 @example(split=([0.983] * (2 * CHUNK), [CHUNK - 1, CHUNK, CHUNK + 1]), tf=NTF1)
 def test_batch_ticks_equal_per_tick_steps_bit_for_bit(split, tf):
-    # The co-simulation ticks the primary in one batch and a constant
-    # secondary CHUNK ticks at a time; any cut of the sequence into batches
-    # gives the pulses and the state of one step per density.
+    # The co-simulation ticks the primary in one `_advance` batch and a
+    # constant secondary CHUNK ticks at a time; any cut of the sequence into
+    # batches gives the pulses and the state of one step per density.
     d, cuts = split
     m, ref = mod.PulseDensityModulator(tf), mod.PulseDensityModulator(tf)
     batched = []
     for lo, hi in zip([0, *cuts], [*cuts, len(d)]):
-        batched += m.ticks(d[lo:hi])
+        batched += m._advance(d[lo:hi])
     stepped = [ref.step(x) for x in d]
     assert batched == stepped
-    assert all(type(y) is int for y in batched)
+    assert all(type(y) is bool for y in batched) and all(type(y) is int for y in stepped)
     assert np.array(m.state).tobytes() == np.array(ref.state).tobytes()
-
-
-@pytest.mark.parametrize("bad, error", [(float("nan"), ValueError), ("0.5", TypeError),
-                                        (True, TypeError)], ids=["nan", "str", "bool"])
-def test_ticks_checks_every_density_before_the_first_tick(bad, error):
-    m = mod.PulseDensityModulator(NTF3)
-    with pytest.raises(error):
-        m.ticks([0.5, 0.7, bad, 0.9])
-    assert m.state == (0.0,) * 6
 
 
 def test_run_rejects_out_of_range_density():

@@ -327,7 +327,7 @@ def crossing_state(j, z, u_new, alpha):
     return np.array(x)
 
 
-_STEPS = _PROP.G.shape[0]
+_STEPS = _PROP.K.shape[0] - 1
 _STATE = st.tuples(*(st.floats(-lim, lim) for lim in (20.0, 20.0, 2000.0, 2000.0)))
 _BRIDGE = st.tuples(*(st.sampled_from((-_V, 0.0, _V)),) * 2)
 
@@ -338,13 +338,13 @@ _BRIDGE = st.tuples(*(st.sampled_from((-_V, 0.0, _V)),) * 2)
 @example(x=(3.0, -2.0, 400.0, -900.0), u_old=(_V, _V), u_new=(_V, -_V), j=0, alpha=1e-300)
 @example(x=(3.0, -2.0, 400.0, -900.0), u_old=(-_V, 0.0), u_new=(-_V, _V), j=_STEPS, alpha=1.0)
 def test_crossing_table_equals_two_step_rk4_affine_maps(x, u_old, u_new, j, alpha):
-    # The oracle: j steps by the stacked maps G, then the split step as two
+    # The oracle: j steps by the stacked maps K, then the split step as two
     # RK4 sub-steps from one stacked rk4_affine_maps call, over alpha h
     # under u_old and (1 - alpha) h under u_new. The error is relative to
     # the magnitude of the oracle's summed terms; subnormal results carry no
     # relative precision, hence the floor at the smallest normal float.
     z = np.r_[x, u_old]
-    K = np.concatenate((np.eye(4, 6)[None], _PROP.G))[j]
+    K = _PROP.K[j]
     widths = np.array((alpha * _H, (1.0 - alpha) * _H)).reshape(2, 1, 1)
     (Ma, Mb), (Na, Nb) = plant.rk4_affine_maps(_A, _B, widths)
     expected = Mb @ (Ma @ (K @ z) + Na @ u_old) + Nb @ u_new
@@ -359,9 +359,11 @@ def test_propagator_is_built_once_per_params_and_steps_and_read_only():
     assert plant._propagator(plant.PlantParams(), 256) is _PROP  # equal params, one entry
     assert plant._propagator(plant.DEFAULT_PARAMS, 64) is not _PROP
     assert _PROP.Q.shape == (_STEPS + 1, 36, 8)
-    assert _PROP.stack.shape == ((_STEPS + 1) * 4, 6)
+    assert _PROP.stack.shape == ((_STEPS + 1) * 4, 6) and _PROP.stack.flags.c_contiguous
+    assert _PROP.K.shape == (_STEPS + 1, 4, 6) and np.shares_memory(_PROP.K, _PROP.stack)
+    assert np.array_equal(_PROP.K[0], np.eye(4, 6))
     assert _PROP.ST.shape == (6, (_STEPS + 1) * 2) and _PROP.ST.flags.c_contiguous
-    for a in (_PROP.A, _PROP.B, _PROP.G, _PROP.Q, _PROP.stack, _PROP.ST):
+    for a in (_PROP.A, _PROP.B, _PROP.K, _PROP.Q, _PROP.stack, _PROP.ST):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -378,14 +380,14 @@ def check_segment_stack(n, x, u):
     The full-state stack, written in place into rows of a larger array by
     ``np.dot(..., out=...)`` as the loop does, gives the rows ``np.matmul``
     gives, x in its first row and the per-step products after it, bit for
-    bit; ``G[j - 1].dot(z)``, the state handed on, equals row j. Runs
+    bit; ``K[j].dot(z)``, the state handed on, equals row j. Runs
     without samples write a whole half cycle of i1/i2 with the column-major
     ``np.dot(z, ST, out=...)`` from any row: it leaves the rows around it
     alone, gives x in its first row, and agrees with the full-state rows to
     rounding.
     """
     z = np.array([*x, *u])
-    G = _PROP.G
+    K = _PROP.K
     stack = _PROP.stack[:4 * (n + 1)]
     rows = np.full(4 * (n + 3), np.nan)
     seg = rows[4:4 * (n + 2)]
@@ -394,10 +396,10 @@ def check_segment_stack(n, x, u):
     assert np.array_equal(seg, np.matmul(stack, z))
     seg = seg.reshape(n + 1, 4)
     assert np.array_equal(seg[0], x)
-    for i in range(n):
-        assert np.array_equal(seg[i + 1], G[i][:, :4] @ z[:4] + G[i][:, 4:] @ z[4:])
-        assert np.array_equal(G[i].dot(z), seg[i + 1])
-        assert np.array_equal(G[i] @ z, seg[i + 1])
+    for j in range(1, n + 1):
+        assert np.array_equal(seg[j], K[j][:, :4] @ z[:4] + K[j][:, 4:] @ z[4:])
+        assert np.array_equal(K[j].dot(z), seg[j])
+        assert np.array_equal(K[j] @ z, seg[j])
     rows = np.full(2 * (n + _STEPS + 2), np.nan)
     currents = rows[2 * n: 2 * (n + _STEPS + 1)]  # from row n, as from sample pos
     np.dot(z, _PROP.ST, out=currents)
@@ -1053,8 +1055,32 @@ def test_callable_d2_is_read_at_each_crossing(prototype, kind):
                         *fresh_mods(tf), 1.0, d2)
     secondary = [ev for ev in tr.events if ev.side == "secondary"]
     assert len(secondary) > plant.CHUNK
-    ref = PulseDensityModulator(tf).ticks([d2(ev.t) for ev in secondary])
-    assert [ev.y for ev in secondary] == ref
+    ref = PulseDensityModulator(tf)
+    assert [ev.y for ev in secondary] == [ref.step(d2(ev.t)) for ev in secondary]
+
+
+def _sine_d2(t):
+    return 0.6 + 0.3 * math.sin(2.0 * math.pi * 25e3 * t)
+
+
+@pytest.mark.parametrize("d2", [0.7, _sine_d2], ids=["constant", "callable"])
+def test_modulators_are_left_after_the_last_tick_the_run_used(prototype, d2):
+    # The primary ticks once per half cycle and the secondary once per
+    # accepted crossing. A constant d2 ticks CHUNK crossings ahead; a run
+    # that uses only part of its last block leaves the secondary after the
+    # last crossing all the same.
+    tf = build_third_order(NtfDesignSpec(0.075, 0.9))
+    primary, secondary = fresh_mods(tf)
+    tr = plant.simulate(prototype, plant.SimConfig(duration=0.1e-3, collect_samples=False),
+                        primary, secondary, 0.8, d2)
+    assert len(tr.cross_t) % plant.CHUNK != 0
+    ref1, ref2 = fresh_mods(tf)
+    for _ in tr.envelope_t:
+        ref1.step(0.8)
+    for t in tr.cross_t.tolist():
+        ref2.step(d2(t) if callable(d2) else d2)
+    assert np.array(primary.state).tobytes() == np.array(ref1.state).tobytes()
+    assert np.array(secondary.state).tobytes() == np.array(ref2.state).tobytes()
 
 
 def test_trace_drive_column_matches_events(prototype, full_power_config, full_power_trace):
