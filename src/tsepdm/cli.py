@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -41,7 +42,10 @@ def _add_ntf_flags(p: argparse.ArgumentParser):
                    help="notch pole radius (default %(default)s)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main`
+    call: parsing reads it and changes nothing in it."""
     root = argparse.ArgumentParser(
         prog="tsepdm",
         description="Pulse-density modulation experiments for an "
@@ -176,9 +180,10 @@ def cmd_modulate(args) -> int:
     y, e = modulator.run(tf, args.d, n_ticks=args.ticks)
     # the spectrum validates length and window before any file is written
     spec = analysis.spectrum_of_sequence(y, window=args.window) if args.spectrum else None
+    # d as one text cell repeated: the writer formats it a chunk at a time
+    d_cells = np.full(args.ticks, datafiles.format_value(args.d))
     datafiles.write_rows(args.out, ["tick", "d", "y", "e", "s"],
-                         (np.arange(args.ticks), [datafiles.format_value(args.d)] * args.ticks,
-                          y, e, modulator.gate_split(y)))
+                         (np.arange(args.ticks), d_cells, y, e, modulator.gate_split(y)))
     if spec is not None:
         datafiles.write_rows(args.spectrum, ["ratio", "magnitude"],
                              (spec.ratios, spec.magnitudes))

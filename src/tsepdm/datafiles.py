@@ -4,8 +4,8 @@ All output files use a comma delimiter with a single header row. Floats
 are written with repr (shortest round-trip form), so identical inputs
 produce byte-identical files. `format_value` defines a cell's text (a
 complex value, Python or numpy, reads like ``str(complex(v))``, e.g.
-``(1+2j)``); the table writer formats integer and float ndarray columns a
-chunk at a time with ``str``/``repr``, which give the same text.
+``(1+2j)``); the table writer formats integer, float and text ndarray
+columns a chunk at a time with ``str``/``repr``, which give the same text.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ CHUNK_ROWS = 1024
 
 def _cell_formatter(column):
     """Formatter for slices of a column, chosen once per column: one
-    ``tolist`` call per slice for integer and float ndarrays, `format_value`
-    per element for everything else (bool, str, complex, lists, objects)."""
+    ``tolist`` call per slice for integer, float and text ndarrays,
+    `format_value` per element for everything else (bool, str lists,
+    complex, lists, objects)."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind in "iu":
+        if column.dtype.kind in "iuU":
             return lambda part: map(str, part.tolist())
         if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
             return lambda part: map(repr, part.tolist())

@@ -31,7 +31,9 @@ per accepted i2 crossing, or per two half cycles without one. A pass
 starts at the current sample of half cycle hc with z = (x, u), propagates
 the rest of hc, takes ``K[n].dot(z)`` (n the steps left) as hc's end
 state, and from that state propagates all of hc + 1 into the rows that
-follow. One sign scan covers both half cycles; the pass splits at the
+follow. One sign scan covers both half cycles. It starts one step before
+the step that holds the end of the blanking window, since a crossing in an
+earlier step is blanked with a full step to spare. The pass splits at the
 first crossing outside the blanking window, or, with none, hands on the end
 of hc + 1. Each product writes its samples in place into one array: all
 four states of every sample in collecting runs, with the row-major stack of
@@ -62,12 +64,16 @@ carrier, and its drives (rail times gate) are one batch before the loop, a
 constant d1 read once; the secondary ticks a block of crossings ahead at a
 time: CHUNK for a constant d2, one for a callable d2, and is left at its
 state after the last crossing the run used. Propagate: the passes
-only advance the state, reduce the envelope peaks (max |i1|, |i2| over the
-samples of each half cycle) once per CHUNK half cycles from that array,
-check that each half cycle ends in a finite state, and log each accepted
-crossing's row, time and secondary gate in flat columns. Assemble: after
-the loop the starvation diagnostic is read from the crossing times, and
-collecting runs build ``Trace.u`` from the drives and crossing rows.
+only advance the state, check inline that each half cycle they end ends in
+a finite state, call the reduction of the envelope peaks (max |i1|, |i2|
+over the samples of each half cycle) from that array only at the end of
+each CHUNK half cycles, and log each accepted crossing's row, time and
+secondary gate in flat columns. The kernels are bound once per run: the
+maps' ``dot`` methods as lists, numpy's functions as locals, and the
+crossing polynomial is Horner's rule written out for each state.
+Assemble: after the loop the starvation diagnostic is read from the
+crossing times, and collecting runs build ``Trace.u`` from the drives and
+crossing rows.
 ``Trace.events`` is built from the gate columns on first read, so sweeps,
 which read only the envelopes, never build it.
 """
@@ -396,57 +402,69 @@ def simulate(params: PlantParams, config: SimConfig,
     cross_s = array("b")
     env1 = np.empty(n_half)
     env2 = np.empty(n_half)
-    blanking_until = -math.inf
+    blanking = config.blanking_fraction * half
+    blanking_until = 0.0  # every crossing time is >= 0: none before the first is blanked
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
+    last_hc = n_half - 1
+    Kdot, Qdot = [k.dot for k in K], [q.dot for q in Q]
+    dot, vector, isfinite = np.dot, np.array, math.isfinite
+    i2_col = samples[:, 1]
+    lefts, rights = i2_col[:-1], i2_col[1:]  # the two ends of each step
 
-    def end_half_cycle(hc: int, x: list[float]) -> None:
-        """Half cycle hc ends in state x: it must be finite, and the envelope
-        peaks (max |i| over samples 0..steps of each half cycle, the steps
-        rows it starts plus the boundary row it shares) are reduced once per
-        CHUNK half cycles."""
-        if not all(map(math.isfinite, x)):
-            raise SimulationDiverged(
-                f"non-finite state at t={hc * half + half:.6e}s (half cycle {hc})")
-        if hc % CHUNK == CHUNK - 1 or hc == n_half - 1:
-            lo = hc - hc % CHUNK
-            k = hc + 1 - lo
-            r0 = (lo % ring) * steps
-            # one column at a time: a (k, steps, 2) max over axis 1 is ~15x slower
-            for env, col in ((env1, 0), (env2, 1)):
-                w = np.abs(samples[r0: r0 + k * steps + 1, col])
-                env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
-                                            w[steps::steps])
-            if not collect:
-                samples[:steps + 1] = samples[CHUNK * steps:]
+    def diverged(hc: int) -> SimulationDiverged:
+        return SimulationDiverged(
+            f"non-finite state at t={hc * half + half:.6e}s (half cycle {hc})")
+
+    def reduce_chunk(hc: int) -> None:
+        """Envelope peaks (max |i| over samples 0..steps of each half cycle,
+        the steps rows it starts plus the boundary row it shares) of the
+        chunk of CHUNK half cycles that hc ends."""
+        lo = hc - hc % CHUNK
+        k = hc + 1 - lo
+        r0 = (lo % ring) * steps
+        # one column at a time: a (k, steps, 2) max over axis 1 is ~15x slower
+        for env, col in ((env1, 0), (env2, 1)):
+            w = np.abs(samples[r0: r0 + k * steps + 1, col])
+            env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
+                                        w[steps::steps])
+        if not collect:
+            samples[:steps + 1] = samples[CHUNK * steps:]
 
     # Each pass starts at sample pos of half cycle hc in state x, writes the
     # rest of hc and all of hc + 1, and splits at the first crossing accepted
-    # in either; the rows after it are written again by the next pass.
+    # in either; the rows after it are written again by the next pass. Each
+    # half cycle that ends must end in a finite state, and a chunk's end
+    # reduces its envelope peaks.
     hc, pos = 0, 0
     while hc < n_half:
         base = (hc % ring) * steps
         row = base + pos
         n_rem = steps - pos
-        z = np.array(x + [u1s[hc], u2])
+        z = vector(x + [u1s[hc], u2])
         if collect:
-            np.dot(stack[:4 * (n_rem + 1)], z, out=flat[4 * row: 4 * (base + steps + 1)])
+            dot(stack[:4 * (n_rem + 1)], z, out=flat[4 * row: 4 * (base + steps + 1)])
         else:
-            np.dot(z, ST, out=flat[2 * row: 2 * (row + steps + 1)])
-        x_end = K[n_rem].dot(z).tolist()  # hc's end state without a crossing
+            dot(z, ST, out=flat[2 * row: 2 * (row + steps + 1)])
+        x_end = Kdot[n_rem](z).tolist()  # hc's end state without a crossing
         end = base + steps
-        if hc + 1 < n_half:
-            z_next = np.array(x_end + [u1s[hc + 1], u2])
+        if hc < last_hc:
+            z_next = vector(x_end + [u1s[hc + 1], u2])
             out = flat[width * end: width * (end + steps + 1)]
             if collect:
-                np.dot(stack, z_next, out=out)
+                dot(stack, z_next, out=out)
             else:
-                np.dot(z_next, ST, out=out)
+                dot(z_next, ST, out=out)
             end += steps
-        i2 = samples[row:end + 1, 1]
-        left, i2_seq = i2[:-1], i2[1:]
+        # Scan from one step before the step that holds blanking_until: a
+        # crossing in an earlier step is at least a step before it.
+        kb = int((blanking_until - hc * half - pos * h) / h) - 1
+        if kb < 0:
+            kb = 0
+        left, right = lefts[row + kb:end], rights[row + kb:end]
         accept = -1
-        for k in (left * i2_seq < 0.0).nonzero()[0].tolist():
-            i2_left, i2_right = left.item(k), i2_seq.item(k)
+        for k in (left * right < 0.0).nonzero()[0].tolist():
+            i2_left, i2_right = left.item(k), right.item(k)
+            k += kb
             alpha = i2_left / (i2_left - i2_right)
             t_x = (hc * half + (pos + k + alpha) * h if k < n_rem
                    else (hc + 1) * half + (k - n_rem + alpha) * h)
@@ -455,12 +473,20 @@ def simulate(params: PlantParams, config: SimConfig,
                 break
 
         if not 0 <= accept < n_rem:  # hc ends without a crossing
-            end_half_cycle(hc, x_end)
+            if not (isfinite(x_end[0]) and isfinite(x_end[1])
+                    and isfinite(x_end[2]) and isfinite(x_end[3])):
+                raise diverged(hc)
+            if hc % CHUNK == CHUNK - 1 or hc == last_hc:
+                reduce_chunk(hc)
             hc, pos, x = hc + 1, 0, x_end
             if accept < 0:
                 if hc < n_half:  # and so does hc + 1
-                    x = K[steps].dot(z_next).tolist()
-                    end_half_cycle(hc, x)
+                    x = Kdot[steps](z_next).tolist()
+                    if not (isfinite(x[0]) and isfinite(x[1])
+                            and isfinite(x[2]) and isfinite(x[3])):
+                        raise diverged(hc)
+                    if hc % CHUNK == CHUNK - 1 or hc == last_hc:
+                        reduce_chunk(hc)
                     hc += 1
                 continue
             j, z, base = accept - n_rem, z_next, (hc % ring) * steps
@@ -470,7 +496,7 @@ def simulate(params: PlantParams, config: SimConfig,
         # the crossing in step j of the segment from sample pos of hc
         u1, u2_old = u1s[hc], u2
         c2 = 1 if i2_right > i2_left else -1
-        blanking_until = t_x + config.blanking_fraction * half
+        blanking_until = t_x + blanking
         n_cross = len(cross_rows)
         if n_cross % ahead == 0:
             block_state, ds2 = secondary_modulator.state, [read_d2(t_x)] * ahead
@@ -481,22 +507,30 @@ def simulate(params: PlantParams, config: SimConfig,
         cross_s.append(s2)
         if collect:
             if j > 0:
-                x = K[j].dot(z).tolist()
+                x = Kdot[j](z).tolist()
             x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
         else:
             # Python floats: the same IEEE operations as numpy, at a
             # fraction of the per-call cost on a few coefficients
-            c = Q[j].dot(np.array(x + [u1, u2_old, u1, u2])).tolist()
-            x = [(((((((c[r + 8] * alpha + c[r + 7]) * alpha + c[r + 6]) * alpha
-                        + c[r + 5]) * alpha + c[r + 4]) * alpha + c[r + 3]) * alpha
-                     + c[r + 2]) * alpha + c[r + 1]) * alpha + c[r]
-                 for r in (0, 9, 18, 27)]
+            c = Qdot[j](vector(x + [u1, u2_old, u1, u2])).tolist()
+            a = alpha
+            x = [(((((((c[8] * a + c[7]) * a + c[6]) * a + c[5]) * a + c[4]) * a
+                     + c[3]) * a + c[2]) * a + c[1]) * a + c[0],
+                 (((((((c[17] * a + c[16]) * a + c[15]) * a + c[14]) * a + c[13]) * a
+                     + c[12]) * a + c[11]) * a + c[10]) * a + c[9],
+                 (((((((c[26] * a + c[25]) * a + c[24]) * a + c[23]) * a + c[22]) * a
+                     + c[21]) * a + c[20]) * a + c[19]) * a + c[18],
+                 (((((((c[35] * a + c[34]) * a + c[33]) * a + c[32]) * a + c[31]) * a
+                     + c[30]) * a + c[29]) * a + c[28]) * a + c[27]]
         pos += j + 1
         # x is sample pos; a next pass writes it and the rows after it
         cross_rows.append(hc * steps + pos)
         if pos == steps:
             samples[base + steps] = x[:width]
-            end_half_cycle(hc, x)
+            if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
+                raise diverged(hc)
+            if hc % CHUNK == CHUNK - 1 or hc == last_hc:
+                reduce_chunk(hc)
             hc, pos = hc + 1, 0
 
     # Assemble. Leave the secondary after the last crossing: tick it again

@@ -507,11 +507,41 @@ def test_dynamic_summary(tmp_path, capsys):
     assert header == ["t", "d2", "i1_envelope", "i2_envelope"]
 
 
-def test_python_dash_m_runs_the_cli():
+def run_alone(argv, cwd=None):
+    """``python -m tsepdm argv`` in a fresh process, from ``cwd``."""
     src = Path(tsepdm.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "tsepdm", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "tsepdm", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60, check=False)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_alone(["--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: tsepdm")
+
+
+def test_calls_in_one_process_write_what_they_write_alone(tmp_path, capsys):
+    # the parser is built once per process; a call after others, with
+    # another subcommand or other flags, reads none of their values
+    calls = [
+        ["modulate", "--d", "0.3", "--ntf", "first", "--ticks", "1100", "--out", "m.csv",
+         "--spectrum", "s.csv", "--json-summary"],
+        ["simulate", "--d2", "0.8", "--duration", "2e-5", "--trace", "t.csv",
+         "--events", "e.csv", "--json-summary"],
+        ["modulate", "--d", "0.9", "--ticks", "300", "--window", "hann", "--out", "m.csv"],
+        ["stability", "--probe", "sin", "--rho", "0.08", "--ticks", "300", "--out", "o.csv"],
+    ]
+    for i, argv in enumerate(calls):
+        alone, shared = tmp_path / f"alone{i}", tmp_path / f"shared{i}"
+        alone.mkdir()
+        shared.mkdir()
+        proc = run_alone(argv, cwd=alone)
+        assert proc.returncode == 0, proc.stderr
+        assert main([str(shared / a) if a.endswith(".csv") else a for a in argv]) == 0
+        assert capsys.readouterr().out == proc.stdout
+        files = sorted(f.name for f in alone.iterdir())
+        assert sorted(f.name for f in shared.iterdir()) == files and files
+        for name in files:
+            assert (shared / name).read_bytes() == (alone / name).read_bytes(), (argv, name)

@@ -166,6 +166,62 @@ def test_mean_density_error_vanishes_with_run_length():
         assert max(devs) <= boundary_charge_bound(tf)
 
 
+def dc_factor(tf, n_taps=2000):
+    """(q, g) for an NTF with a zero at z = 1: NTF = (1 - z^-1) G, with G's
+    numerator q over NTF's denominator (both in powers of z^-1) and g its
+    impulse response."""
+    q, _ = np.polydiv(np.asarray(tf.num), [1.0, -1.0])
+    return q, signal.lfilter(q, tf.den, np.eye(1, n_taps)[0])
+
+
+DC_ZERO_NTFS = [tf for tf in ORACLE_NTFS if abs(ntf.evaluate(tf, 1.0)) < 1e-12]
+
+
+@st.composite
+def density_waveforms(draw):
+    """Up to 16384 densities in [0, 1]: a constant, a clipped sinusoid, a
+    ramp, or a drawn pattern repeated."""
+    n = draw(st.integers(1, 16384))
+    unit = st.floats(0.0, 1.0)
+    kind = draw(st.sampled_from(["const", "sin", "ramp", "pattern"]))
+    if kind == "const":
+        return np.full(n, draw(unit))
+    if kind == "sin":
+        mid, amp, period = draw(unit), draw(unit), draw(st.floats(2.0, 4096.0))
+        return np.clip(mid + amp * np.sin(2.0 * np.pi * np.arange(n) / period), 0.0, 1.0)
+    if kind == "ramp":
+        return np.linspace(draw(unit), draw(unit), n)
+    pattern = draw(st.lists(unit, min_size=1, max_size=40))
+    return np.resize(pattern, n)
+
+
+@given(tf=st.sampled_from(DC_ZERO_NTFS), d=density_waveforms())
+@example(tf=NTF3, d=np.full(16384, 0.283))  # the grid's worst: -7.49 pulses at N = 30
+@example(tf=NTF1, d=np.full(16384, 0.963))
+def test_running_density_error_is_the_error_filtered_by_g(tf, d):
+    # y - d = NTF e and NTF = (1 - z^-1) G, so the running sum of y - d over
+    # the first N ticks is (g * e)[N - 1], for every N. With e in [-1, 0]
+    # it lies in [-sum g+, sum g-]: the standing charge criterion 4 meets.
+    y, e = mod.run(tf, d)
+    q, g = dc_factor(tf)
+    running = np.cumsum(y - d)
+    scale = max(1.0, np.abs(g).sum() * np.abs(e).max())  # a term's size
+    assert np.abs(running - signal.lfilter(q, tf.den, e)).max() <= 1e-9 * scale
+    if e.min() >= -1.0 and e.max() <= 0.0:
+        assert -g[g > 0].sum() - 1e-9 <= running.min()
+        assert running.max() <= -g[g < 0].sum() + 1e-9
+
+
+def test_dc_factor_of_the_notch_and_first_order_ntfs():
+    # the ranges the property gives: [-9.25, 0] pulses for the notch NTF,
+    # whose g is nonnegative with G(1) = 9.25, and [-1, 0] for first order
+    _, g = dc_factor(NTF3)
+    assert -g[g < 0].sum() < 1e-12
+    assert g.sum() == pytest.approx(9.251017, abs=1e-6)
+    _, g = dc_factor(NTF1)
+    assert np.array_equal(g, np.eye(1, len(g))[0])
+
+
 def test_ramp_running_mean_tracks_input():
     n = 10_000
     d = mod.ramp_density(n)

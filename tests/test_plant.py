@@ -955,6 +955,55 @@ def test_secondary_sync_spacing_and_blanking(prototype, full_power_trace):
     assert abs(np.median(gaps) - half) < 0.1 * half
 
 
+@pytest.mark.parametrize("kind", ["first", "tse"])
+@pytest.mark.parametrize("d2", [0.6, 1.0])
+# At 0.0945 and d2 = 1 the window after the fourth crossing ends inside the
+# step of the next sign change, before it: the next crossing is accepted in
+# the step that holds the window's end, which a scan starting there must see.
+@pytest.mark.parametrize("blanking", [0.05, 0.25, 0.45, 0.0945])
+def test_each_crossing_is_the_first_sign_change_after_the_blanking_window(
+        prototype, blanking, d2, kind):
+    # Brute force over the sample run's whole i2 column: each accepted
+    # crossing is the first sign change at or after the previous crossing
+    # plus the blanking window, however far into its pass the scan starts.
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    cfg = plant.SimConfig(duration=1e-3, blanking_fraction=blanking)
+    full, fast = [plant.simulate(prototype, dataclasses.replace(cfg, collect_samples=c),
+                                 *fresh_mods(tf), 0.963, d2)
+                  for c in (True, False)]
+    steps = cfg.steps_per_half_cycle
+    half = 0.5 / prototype.fs
+    h = half / steps
+    M, N = plant.rk4_affine_maps(*plant.system_matrices(prototype), h)
+
+    def crossing_time(k, left, right):  # the linear interpolation in step k
+        return (k // steps) * half + (k % steps + left / (left - right)) * h
+
+    i2 = full.states[:, 1]
+    changes = np.flatnonzero(i2[:-1] * i2[1:] < 0.0)
+    prev, first = -math.inf, 0  # the previous crossing; the first step after it
+    for t_x in full.cross_t.tolist():
+        until = prev + blanking * half
+        assert t_x >= until
+        k = int(t_x / h)
+        # the row after step k was written again after the split: step k
+        # ends, under the drives before it, in M x + N u
+        right = (M @ full.states[k] + N @ (full.u[k + 1, 0], full.u[k, 1]))[1]
+        assert i2[k] * right < 0.0
+        assert crossing_time(k, i2[k], right) == pytest.approx(t_x, abs=1e-6 * h)
+        earlier = changes[(changes >= first) & (changes < k)]
+        assert all(crossing_time(j, i2[j], i2[j + 1]) < until for j in earlier.tolist())
+        prev, first = t_x, k + 1
+    later = changes[changes >= first].tolist()
+    assert all(crossing_time(j, i2[j], i2[j + 1]) < prev + blanking * half for j in later)
+    # the no-sample run logs the same gates, at times equal to rounding
+    assert np.array_equal(fast.s1, full.s1)
+    assert np.array_equal(fast.cross_half, full.cross_half)
+    assert np.array_equal(fast.s2, full.s2)
+    np.testing.assert_allclose(fast.cross_t, full.cross_t, rtol=1e-12, atol=0.0)
+
+
 def test_active_rectifier_polarity(prototype, full_power_config, full_power_trace):
     # u2 * i2 >= 0 away from commutation instants in steady state
     tr = full_power_trace
