@@ -19,12 +19,15 @@ With weak damping, the undamped coupled modes split the resonance around
 k ws / 2 (at ws / sqrt(1 -+ k) - ws), so the half-k-ws rule is the small-k
 symmetric approximation of the true peak pair.
 
-The nonlinear integration (`simulate_envelope`) carries the complex state z
+The rectifier law is written once, in the kernel `_rates` builds with its
+drive and term buffers; the RK4 and the finite differences both call it. The
+nonlinear integration (`simulate_envelope`) carries the complex state z
 itself through RK4, with the terms -j ws z, A z and B u kept apart: folding
 them or switching to a real 8x8 form changes the rounding, and near the
 rectifier's phase singularity (k ~ 0.17) a last-bit change grows to 1e-4.
 The frequency response (`amplitude_bode`) solves its resolvent systems in
-stacked blocks of ``BODE_BLOCK`` frequencies.
+stacked blocks of ``BODE_BLOCK`` frequencies and takes each block's gains
+in one product.
 """
 
 from __future__ import annotations
@@ -75,19 +78,28 @@ class EnvelopeModel:
     params: PlantParams
 
 
-def _rates(z: np.ndarray, a1: float, a2: float,
-           A: np.ndarray, B: np.ndarray, jws: complex) -> np.ndarray:
-    """Nonlinear envelope dynamics dz/dt on the complex (4,) state.
+def _rates(A: np.ndarray, B: np.ndarray, jws: complex):
+    """The rectifier law as a kernel ``rates(z, a1, a2, out)`` that writes the
+    envelope dynamics dz/dt on the complex (4,) state into ``out``.
 
     Below a vanishing current envelope the rectifier has no phase reference
     and idles (u2 contribution zero), mirroring the switching model's
-    unsynced startup.
+    unsynced startup. The drive u and the terms A z, B u and jws z live in
+    buffers made once per kernel, so a call allocates no array.
     """
-    z2 = z[1]
-    mag = abs(z2)
-    u2 = 0.5 * a2 * z2 / mag if mag > 1e-9 else 0.0
-    u = np.array([0.5 * a1, u2])
-    return (A @ z) + (B @ u) - jws * z
+    A, B = A.astype(complex), B.astype(complex)
+    u = np.empty(2, dtype=complex)
+    az, bu, jz = np.empty((3, 4), dtype=complex)
+    dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
+
+    def rates(z, a1, a2, out):
+        z2 = z[1]
+        mag = abs(z2)
+        u[0] = 0.5 * a1
+        u[1] = 0.5 * a2 * z2 / mag if mag > 1e-9 else 0.0
+        add(dot(A, z, az), dot(B, u, bu), out)
+        return subtract(out, multiply(jws, z, jz), out)
+    return rates
 
 
 def _solve_equilibrium(A, B, ws, a1, a2) -> np.ndarray:
@@ -126,11 +138,11 @@ def build_envelope_model(params: PlantParams,
     a1 = 4.0 * params.Vg / math.pi if a1 is None else a1
     a2 = 4.0 * params.Vo / math.pi if a2 is None else a2
     x0 = _solve_equilibrium(A, B, ws, a1, a2)
-    jws = 1j * ws
+    rates = _rates(A, B, 1j * ws)
 
     def f(x, u1a, u2a):
         """`_rates` in stacked real form (Re z, Im z)."""
-        dz = _rates(x[:4] + 1j * x[4:], u1a, u2a, A, B, jws)
+        dz = rates(x[:4] + 1j * x[4:], u1a, u2a, np.empty(4, dtype=complex))
         return np.concatenate([dz.real, dz.imag])
 
     a_mat = np.empty((8, 8))
@@ -167,25 +179,29 @@ def amplitude_bode(model: EnvelopeModel, which: str,
     ``which`` selects the channel (``"u1->i1"`` etc.); ``delta_omega`` is a
     grid of envelope frequencies in rad/s. Returns rows
     (delta_omega / ws, magnitude dB). The resolvent systems are solved
-    ``BODE_BLOCK`` frequencies per stacked `np.linalg.solve` call; each
-    frequency gets the same LAPACK solve as a call of its own.
+    ``BODE_BLOCK`` frequencies per stacked `np.linalg.solve` call, and each
+    block's gains are one `np.matmul`; each frequency gets the same LAPACK
+    solve and dot product as a call of its own. ValueError when
+    ``delta_omega`` is not one-dimensional or not finite.
     """
     if which not in CHANNELS:
         raise ValueError(f"unknown channel {which!r}; choose from {sorted(CHANNELS)}")
-    in_idx, out_idx = CHANNELS[which]
     dw = np.asarray(delta_omega, dtype=float)
+    if dw.ndim != 1 or not np.isfinite(dw).all():
+        raise ValueError("delta_omega must be a one-dimensional array of finite frequencies")
+    in_idx, out_idx = CHANNELS[which]
     a_mat = model.state_matrix
     b_col = model.input_matrix[:, in_idx]
     c_row = model.output_amplitudes[out_idx]
     eye = np.eye(8)
     rows = np.empty((dw.shape[0], 2))
+    rows[:, 0] = dw / model.params.ws
     for lo in range(0, dw.shape[0], BODE_BLOCK):
         w_blk = dw[lo:lo + BODE_BLOCK]
         x = np.linalg.solve(1j * w_blk[:, None, None] * eye - a_mat,
                             np.broadcast_to(b_col[:, None], (len(w_blk), 8, 1)))
-        for i, w in enumerate(w_blk):
-            g = c_row @ x[i, :, 0]
-            rows[lo + i] = (w / model.params.ws, 20.0 * math.log10(abs(g)))
+        gains = np.matmul(c_row, x)[:, 0].tolist()
+        rows[lo:lo + len(w_blk), 1] = [20.0 * math.log10(abs(g)) for g in gains]
     return rows
 
 
@@ -255,23 +271,27 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     if x.shape != (8,) or not np.isfinite(x).all():
         raise ValueError("initial must be 8 finite entries (Re z, Im z)")
     A, B = system_matrices(params)
-    # cast once: matmul with the complex state would cast them on every call
-    A, B = A.astype(complex), B.astype(complex)
-    jws = 1j * params.ws
+    rates = _rates(A, B, 1j * params.ws)
     a1_fn = a1 if callable(a1) else (lambda t, v=float(a1): v)
     a2_fn = a2 if callable(a2) else (lambda t, v=float(a2): v)
     out = np.empty((n + 1, 4), dtype=complex)
-    out[0] = z = x[:4] + 1j * x[4:]
+    out[0] = x[:4] + 1j * x[4:]
+    # classical RK4 with the drive sampled at stage times; the stages k1..k4
+    # are the rows of k, summed as k1 + 2 k2 + 2 k3 + k4 left to right
+    k1, k2, k3, k4 = k = np.empty((4, 4), dtype=complex)
+    weights = np.array([[1.0], [2.0], [2.0], [1.0]])
+    zs = np.empty(4, dtype=complex)
+    h = 0.5 * dt
+    add, multiply, reduce = np.add, np.multiply, np.add.reduce
     for i in range(n):
         t = i * dt
-        # classical RK4 with the drive sampled at stage times
-        k1 = _rates(z, a1_fn(t), a2_fn(t), A, B, jws)
-        k2 = _rates(z + 0.5 * dt * k1, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt),
-                    A, B, jws)
-        k3 = _rates(z + 0.5 * dt * k2, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt),
-                    A, B, jws)
-        k4 = _rates(z + dt * k3, a1_fn(t + dt), a2_fn(t + dt), A, B, jws)
-        z = out[i + 1] = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = out[i]
+        rates(z, a1_fn(t), a2_fn(t), k1)
+        rates(add(z, multiply(h, k1, zs), zs), a1_fn(t + h), a2_fn(t + h), k2)
+        rates(add(z, multiply(h, k2, zs), zs), a1_fn(t + h), a2_fn(t + h), k3)
+        rates(add(z, multiply(dt, k3, zs), zs), a1_fn(t + dt), a2_fn(t + dt), k4)
+        reduce(multiply(k, weights, k), axis=0, out=zs)
+        add(z, multiply(dt / 6.0, zs, zs), out[i + 1])
     if not np.isfinite(out).all():
         raise SimulationDiverged("non-finite envelope state")
     t_axis = np.arange(n + 1) * dt

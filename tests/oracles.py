@@ -1,8 +1,9 @@
 """Reference values the tests check the package against, written from the
 textbook formulas and read by no module of the package: the zero-order-hold
 gate spectrum and band levels (criterion 5), the tank's series resonances
-and first-harmonic phasors (criterion 7), and the beat resonance k ws / 2
-(the Bode-peak tests)."""
+and first-harmonic phasors (criterion 7), the beat resonance k ws / 2
+(the Bode-peak tests), and the envelope model's dynamics in stacked real
+form with its RK4 integration and central-difference linearisation."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from tsepdm.analysis import Spectrum
-from tsepdm.plant import PlantParams
+from tsepdm.plant import PlantParams, system_matrices
 
 
 def gate_waveform_spectrum(s, oversample: int = 8) -> Spectrum:
@@ -82,3 +83,69 @@ def phasor_steady_state(params: PlantParams) -> tuple[complex, complex]:
             break
         phase = new_phase
     return complex(I[0]), complex(I[1])
+
+
+def envelope_rates(params: PlantParams):
+    """The nonlinear envelope dynamics in stacked real 8-state form (Re z,
+    Im z), as ``rates(x8, a1, a2)``: dz/dt = A z + B u - j ws z with the
+    rectifier drive u2 = a2 z2 / (2 |z2|) (zero below |z2| = 1e-9)."""
+    A, B = system_matrices(params)
+    ws = params.ws
+
+    def rates(x8, a1, a2):
+        z = x8[:4] + 1j * x8[4:]
+        z2 = z[1]
+        mag = abs(z2)
+        u2 = 0.5 * a2 * z2 / mag if mag > 1e-9 else 0.0
+        u = np.array([0.5 * a1, u2])
+        dz = (A @ z) + (B @ u) - 1j * ws * z
+        return np.concatenate([dz.real, dz.imag])
+    return rates
+
+
+def simulate_envelope_real_form(params: PlantParams, a1_fn, a2_fn, duration: float,
+                                dt: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 of `envelope_rates` on the stacked real state from
+    ``x``, the drives sampled at stage times; returns (t, z) with z complex
+    of shape (n + 1, 4)."""
+    rates = envelope_rates(params)
+    n = int(round(duration / dt))
+    out = np.empty((n + 1, 4), dtype=complex)
+    out[0] = x[:4] + 1j * x[4:]
+    for i in range(n):
+        t = i * dt
+        k1 = rates(x, a1_fn(t), a2_fn(t))
+        k2 = rates(x + 0.5 * dt * k1, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
+        k3 = rates(x + 0.5 * dt * k2, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
+        k4 = rates(x + dt * k3, a1_fn(t + dt), a2_fn(t + dt))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = x[:4] + 1j * x[4:]
+    return np.arange(n + 1) * dt, out
+
+
+def envelope_linearisation(params: PlantParams, x0: np.ndarray, a1: float, a2: float,
+                           rel_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Central-difference linearisation of `envelope_rates` at the stacked
+    real state ``x0`` and drives (a1, a2): the (8, 8) state matrix, the
+    (8, 2) input matrix (steps ``rel_step`` max(1, |x0_j|) and ``rel_step``
+    a) and the (2, 8) projection onto the peak amplitudes 2 |z_i1|, 2 |z_i2|."""
+    f = envelope_rates(params)
+    a_mat = np.empty((8, 8))
+    for j in range(8):
+        eps = rel_step * max(1.0, abs(x0[j]))
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[j] += eps
+        xm[j] -= eps
+        a_mat[:, j] = (f(xp, a1, a2) - f(xm, a1, a2)) / (2.0 * eps)
+    e1 = rel_step * a1
+    e2 = rel_step * a2
+    b_mat = np.empty((8, 2))
+    b_mat[:, 0] = (f(x0, a1 + e1, a2) - f(x0, a1 - e1, a2)) / (2.0 * e1)
+    b_mat[:, 1] = (f(x0, a1, a2 + e2) - f(x0, a1, a2 - e2)) / (2.0 * e2)
+    c_amp = np.zeros((2, 8))
+    for row, (re, im) in enumerate(((0, 4), (1, 5))):
+        z = complex(x0[re], x0[im])
+        c_amp[row, re] = 2.0 * z.real / abs(z)
+        c_amp[row, im] = 2.0 * z.imag / abs(z)
+    return a_mat, b_mat, c_amp

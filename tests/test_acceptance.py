@@ -212,6 +212,38 @@ def test_criterion_08_oscillation_suppression(sweeps):
     assert tse_ok  # known spec defect at the top of the grid: fails honestly
 
 
+def test_criterion_08_reason_a_single_skip_rings_down_at_the_envelope_time_constant(prototype):
+    # One forced primary skip (d1 = 0 at the tick of half cycle 900, 1.5 ms)
+    # in a full-power notch run dips the envelope by ~22% (21.95% i1,
+    # 22.63% i2 against the same run without it), and the dip rings down
+    # with the time constant of the GSSA model's slowest envelope mode
+    # (0.18601 ms at 0.0751 ws): a log-linear fit over the local maxima of
+    # the relative deviation gives 0.18557 ms (i1) and 0.18541 ms (i2).
+    # Near the top of the density grid skips recur faster than that.
+    eig = np.linalg.eigvals(gssa.build_envelope_model(prototype).state_matrix)
+    slowest = eig[np.argmax(eig.real)]
+    tau_gssa = -1.0 / slowest.real
+    assert abs(slowest.imag) / prototype.ws == pytest.approx(0.0751, abs=5e-4)
+
+    half = 0.5 / prototype.fs
+    cfg = plant.SimConfig(duration=4e-3, collect_samples=False)
+    ref, skip = (plant.simulate(prototype, cfg, PulseDensityModulator(NTF3),
+                                PulseDensityModulator(NTF3), d1, 1.0)
+                 for d1 in (1.0, lambda t: 0.0 if round(t / half) == 900 else 1.0))
+    assert np.flatnonzero(skip.s1 == 0).tolist() == [900]
+    after = ref.envelope_t > 900 * half
+    t = ref.envelope_t[after]
+    for side in ("i1", "i2"):
+        rel = (getattr(skip, f"envelope_{side}")[after]
+               / getattr(ref, f"envelope_{side}")[after] - 1.0)
+        assert 0.20 <= -rel.min() <= 0.24
+        dev = np.abs(rel)
+        peaks = np.flatnonzero((dev[1:-1] > dev[:-2]) & (dev[1:-1] >= dev[2:])) + 1
+        peaks = peaks[dev[peaks] > 1e-3 * dev[peaks].max()]
+        tau_ring = -1.0 / np.polyfit(t[peaks], np.log(dev[peaks]), 1)[0]
+        assert tau_ring == pytest.approx(tau_gssa, rel=0.01)
+
+
 def test_criterion_09_notch_detuning_robustness(sweeps):
     details = []
     ok = True

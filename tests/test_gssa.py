@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import phasor_steady_state, resonant_peak_prediction
+from oracles import (envelope_linearisation, phasor_steady_state, resonant_peak_prediction,
+                     simulate_envelope_real_form)
 from tsepdm import gssa, plant
 from tsepdm.modulator import PulseDensityModulator
 from tsepdm.ntf import build_first_order
@@ -166,32 +168,30 @@ def test_rail_modulation_ripple_peaks_at_beat_frequency(prototype):
     assert int(np.argmax(ripples)) == factors.index(1.0)
 
 
-def _oracle_simulate_envelope(params, a1_fn, a2_fn, duration, dt, x):
-    """The stacked real 8-state RK4 that `simulate_envelope` replaced."""
-    A, B = plant.system_matrices(params)
-    ws = params.ws
+def envelope_and_real_form(params, pulses, x0, n_steps, dt=5e-8):
+    """`simulate_envelope` and the stacked real-form RK4 oracle over
+    ``n_steps`` steps from ``x0``, at full-power amplitudes, the primary
+    drive constant (``pulses`` None) or gated per half cycle by ``pulses``."""
+    amp1 = 4 * params.Vg / math.pi
+    amp2 = 4 * params.Vo / math.pi
+    if pulses is None:
+        a1, a1_fn = amp1, (lambda t: amp1)
+    else:
+        half = 0.5 / params.fs
 
-    def rates(x8, a1, a2):
-        z = x8[:4] + 1j * x8[4:]
-        z2 = z[1]
-        mag = abs(z2)
-        u2 = 0.5 * a2 * z2 / mag if mag > 1e-9 else 0.0
-        u = np.array([0.5 * a1, u2])
-        dz = (A @ z) + (B @ u) - 1j * ws * z
-        return np.concatenate([dz.real, dz.imag])
+        def a1_fn(t):
+            return amp1 * pulses[min(int(t / half), len(pulses) - 1)]
+        a1 = a1_fn
+    duration = n_steps * dt
+    return (gssa.simulate_envelope(params, a1, amp2, duration, dt=dt, initial=x0),
+            simulate_envelope_real_form(params, a1_fn, lambda t: amp2, duration, dt, x0))
 
-    n = int(round(duration / dt))
-    out = np.empty((n + 1, 4), dtype=complex)
-    out[0] = x[:4] + 1j * x[4:]
-    for i in range(n):
-        t = i * dt
-        k1 = rates(x, a1_fn(t), a2_fn(t))
-        k2 = rates(x + 0.5 * dt * k1, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
-        k3 = rates(x + 0.5 * dt * k2, a1_fn(t + 0.5 * dt), a2_fn(t + 0.5 * dt))
-        k4 = rates(x + dt * k3, a1_fn(t + dt), a2_fn(t + dt))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x[:4] + 1j * x[4:]
-    return np.arange(n + 1) * dt, out
+
+PULSES = np.random.default_rng(3).integers(0, 2, size=64).astype(float)
+
+
+def drawn_state(seed):
+    return np.random.default_rng(seed).normal(size=8) * [1, 1, 1, 1, 30, 30, 30, 30]
 
 
 @pytest.mark.parametrize("k", [0.13, 0.17])
@@ -202,25 +202,45 @@ def test_complex_rk4_bit_identical_to_real_form(prototype, k, drive, start):
     # near-singular |z2| dip (~step 198), where k = 0.17 amplifies any
     # last-bit difference to ~1e-4
     params = dataclasses.replace(prototype, k=k)
-    amp1 = 4 * params.Vg / math.pi
-    amp2 = 4 * params.Vo / math.pi
-    if drive == "constant":
-        a1, a1_fn = amp1, (lambda t: amp1)
-    else:
-        half = 0.5 / params.fs
-        y = np.random.default_rng(3).integers(0, 2, size=64).astype(float)
-
-        def a1_fn(t):
-            return amp1 * y[min(int(t / half), len(y) - 1)]
-        a1 = a1_fn
-    x0 = (np.zeros(8) if start == "zero"
-          else np.random.default_rng(11).normal(size=8) * [1, 1, 1, 1, 30, 30, 30, 30])
-    t, z = gssa.simulate_envelope(params, a1, amp2, 2e-5, dt=5e-8, initial=x0)
-    t_ref, z_ref = _oracle_simulate_envelope(params, a1_fn, lambda t: amp2,
-                                             2e-5, 5e-8, x0)
+    x0 = np.zeros(8) if start == "zero" else drawn_state(11)
+    (t, z), (t_ref, z_ref) = envelope_and_real_form(
+        params, None if drive == "constant" else PULSES, x0, 400)
     assert z.shape == (401, 4)
     assert t.tobytes() == t_ref.tobytes()
     assert z.tobytes() == z_ref.tobytes()
+
+
+@settings(max_examples=20)
+@given(k=st.floats(0.13, 0.17),
+       pulses=st.none() | st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=8),
+       seed=st.none() | st.integers(0, 2**32 - 1),
+       n_steps=st.integers(50, 400))
+def test_complex_rk4_bit_identical_to_real_form_on_drawn_runs(k, pulses, seed, n_steps):
+    # the fixed cases above, over drawn couplings, gate patterns, initial
+    # states and lengths
+    params = dataclasses.replace(plant.DEFAULT_PARAMS, k=k)
+    x0 = np.zeros(8) if seed is None else drawn_state(seed)
+    (t, z), (t_ref, z_ref) = envelope_and_real_form(params, pulses, x0, n_steps)
+    assert z.shape == (n_steps + 1, 4)
+    assert t.tobytes() == t_ref.tobytes()
+    assert z.tobytes() == z_ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [0.13, 0.15, 0.17])
+def test_envelope_model_equals_central_difference_oracle(prototype, k):
+    # the finite differences amplify a last-bit change in the rates to
+    # 6e-8..3e-7 in the Bode peaks, so the matrices are compared byte for byte
+    params = dataclasses.replace(prototype, k=k)
+    a1 = 4 * params.Vg / math.pi
+    a2 = 4 * params.Vo / math.pi
+    A, B = plant.system_matrices(params)
+    x0 = gssa._solve_equilibrium(A, B, params.ws, a1, a2)
+    model = gssa.build_envelope_model(params)
+    assert model.i1_amp == 2.0 * abs(complex(x0[0], x0[4]))
+    want = envelope_linearisation(params, x0, a1, a2, gssa.FD_RELATIVE_STEP)
+    got = (model.state_matrix, model.input_matrix, model.output_amplitudes)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_envelope_drive_sampled_at_stage_times(prototype):
@@ -269,13 +289,44 @@ def test_blocked_bode_equals_per_frequency_solves(prototype, n_points):
     model = gssa.build_envelope_model(dataclasses.replace(prototype, k=0.17))
     dw = np.linspace(0.01, 0.25, n_points) * prototype.ws
     for which, (in_idx, out_idx) in gssa.CHANNELS.items():
-        b_col = model.input_matrix[:, in_idx]
-        c_row = model.output_amplitudes[out_idx]
-        ref = np.empty((n_points, 2))
-        for i, w in enumerate(dw):
-            g = c_row @ np.linalg.solve(1j * w * np.eye(8) - model.state_matrix, b_col)
-            ref[i] = (w / prototype.ws, 20.0 * math.log10(abs(g)))
+        ref = per_frequency_bode_rows(model, in_idx, out_idx, dw)
         assert np.array_equal(gssa.amplitude_bode(model, which, dw), ref)
+
+
+def per_frequency_bode_rows(model, in_idx, out_idx, dw):
+    """`amplitude_bode` rows from one resolvent solve per frequency."""
+    b_col = model.input_matrix[:, in_idx]
+    c_row = model.output_amplitudes[out_idx]
+    ref = np.empty((len(dw), 2))
+    for i, w in enumerate(dw):
+        g = c_row @ np.linalg.solve(1j * w * np.eye(8) - model.state_matrix, b_col)
+        ref[i] = (w / model.params.ws, 20.0 * math.log10(abs(g)))
+    return ref
+
+
+def envelope_bit_identities():
+    """Whether, on the running BLAS kernel, a 400-step pulse-driven
+    `simulate_envelope` at k = 0.17 equals the real-form oracle and the
+    blocked Bode rows of all four channels equal per-frequency solves,
+    each byte for byte."""
+    params = dataclasses.replace(plant.DEFAULT_PARAMS, k=0.17)
+    (t, z), (t_ref, z_ref) = envelope_and_real_form(params, PULSES, np.zeros(8), 400)
+    model = gssa.build_envelope_model(params)
+    dw = np.linspace(0.01, 0.25, 600) * params.ws
+    return {"rk4": t.tobytes() == t_ref.tobytes() and z.tobytes() == z_ref.tobytes(),
+            "bode": all(np.array_equal(gssa.amplitude_bode(model, which, dw),
+                                       per_frequency_bode_rows(model, *idx, dw))
+                        for which, idx in gssa.CHANNELS.items())}
+
+
+@pytest.mark.parametrize("delta_omega", [
+    np.array([1e5, math.nan]), np.array([math.inf]), np.array([1e5, -math.inf]),
+    1e5, np.full((2, 3), 1e5),
+], ids=["nan", "inf", "-inf", "scalar", "2-d"])
+def test_amplitude_bode_rejects_bad_frequencies(prototype, delta_omega):
+    model = gssa.build_envelope_model(prototype)
+    with pytest.raises(ValueError, match="delta_omega"):
+        gssa.amplitude_bode(model, "u1->i1", delta_omega)
 
 
 def test_find_bode_peak_is_peak_of_bode_rows(prototype):

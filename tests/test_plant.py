@@ -659,13 +659,14 @@ _OTHER_KERNEL = """
 import json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-import test_plant
+import test_gssa, test_plant
 rng = np.random.default_rng(11)
 lims = np.array([1e3, 1e3, 1e5, 1e5])
 for n in [1, 2, 3, 64, 255, 256] + rng.integers(1, 257, 200).tolist():
     test_plant.check_segment_stack(n, (rng.uniform(-1, 1, 4) * lims).tolist(),
                                    rng.uniform(-1e3, 1e3, 2).tolist())
-print(json.dumps({"core": test_plant.blas_core(), "runs": test_plant.kernel_runs()}))
+print(json.dumps({"core": test_plant.blas_core(), "runs": test_plant.kernel_runs(),
+                  "envelope": test_gssa.envelope_bit_identities()}))
 """
 
 
@@ -673,7 +674,9 @@ def test_runs_agree_across_blas_kernels():
     # Byte identity holds for the same inputs on the same BLAS kernel. Under
     # another OpenBLAS kernel the segment stack keeps its properties, gate
     # sequences are identical, and event times and envelopes agree to
-    # rounding (measured at most 1.2e-15 and 5.4e-13 relative).
+    # rounding (measured at most 1.2e-15 and 5.4e-13 relative). The envelope
+    # route's bit identities (complex RK4 against its real form, blocked
+    # Bode rows against per-frequency solves) hold under that kernel too.
     src = str(Path(plant.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -688,6 +691,7 @@ def test_runs_agree_across_blas_kernels():
         np.testing.assert_allclose(got["t"], want["t"], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got["i1"], want["i1"], rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(got["i2"], want["i2"], rtol=1e-11, atol=0.0)
+    assert other["envelope"] == {"rk4": True, "bode": True}
 
 
 @pytest.mark.parametrize("collect", [True, False])
