@@ -290,8 +290,8 @@ def cmd_stability(args) -> int:
     if args.probe in ("grid", "all"):
         grid = experiments.parse_density_grid(args.grid)
         y_all, e_all = modulator.run_const_grid(tf, grid, args.ticks)
-        probes += [("const", d, modulator.StabilityReport.of(y, e, d))
-                   for d, y, e in zip(grid, y_all.T, e_all.T)]
+        probes += [("const", d, rep) for d, rep in zip(
+            grid, modulator.StabilityReport.of_lanes(y_all, e_all, grid), strict=True)]
     for probe, waveform in (("sin", modulator.sinusoid_density),
                             ("ramp", modulator.ramp_density)):
         if args.probe in (probe, "all"):

@@ -270,10 +270,23 @@ class StabilityReport:
     @classmethod
     def of(cls, y: np.ndarray, e: np.ndarray, d_mean: float) -> "StabilityReport":
         """Report of one run's (y, e) sequences against the mean commanded
-        density ``d_mean``."""
-        return cls(e_min=float(e.min()), e_max=float(e.max()),
-                   violation_count=count_violations(e),
-                   mean_density_error=float(abs(y.mean() - d_mean)))
+        density ``d_mean``: the one-lane case of `of_lanes`."""
+        return cls.of_lanes(y[:, None], e[:, None], [d_mean])[0]
+
+    @classmethod
+    def of_lanes(cls, y: np.ndarray, e: np.ndarray, d_means) -> list["StabilityReport"]:
+        """One report per lane (column) of (n_ticks, m) pulses ``y`` and
+        errors ``e``, lane j against its mean commanded density
+        ``d_means[j]``, from reductions along axis 0. Extremes, counts and
+        the mean of 0/1 pulses are exact in any order, so each report is the
+        one its column alone gives."""
+        e_min, e_max = e.min(axis=0).tolist(), e.max(axis=0).tolist()
+        # only a lane whose extremes leave the band (or are NaN) has
+        # violations to count
+        counts = [0 if -1.0 - STABILITY_TOL <= lo and hi <= STABILITY_TOL
+                  else count_violations(e[:, j]) for j, (lo, hi) in enumerate(zip(e_min, e_max))]
+        errors = np.abs(y.mean(axis=0) - d_means).tolist()
+        return [cls(*fields) for fields in zip(e_min, e_max, counts, errors, strict=True)]
 
 
 def count_violations(e: np.ndarray) -> int:

@@ -43,20 +43,27 @@ otherwise, a whole half cycle from the current sample in one column-major
 product ``np.dot(z, ST, out=...)``, into a window of CHUNK + 1 half cycles
 that moves on by CHUNK once a chunk's envelope peaks are reduced. Rows
 after a crossing, and the surplus rows of a column-major product, are
-written again by the next product. Collecting runs hand on
-``K[j].dot(z)`` as Python floats, the same bits as the row the product
-wrote, and build both sub-step maps in one stacked `rk4_affine_maps`
-call, kept because the ``simulate --trace/--events`` CSV files are
-compared byte for byte between versions. The others take the state after
-the crossing from z and the new drive in one product with ``Q[j]``: the
-two sub-steps' degree-4 polynomials in the split fraction alpha, composed
-with the segment's first j steps into one degree-8 polynomial per state,
-evaluated by Horner's rule in alpha on Python floats. The two modes differ
-by rounding only: on the drives the tests draw, and in every sweep, which
-holds one side at 1, they log the same gate events, with times and
-envelopes equal to rounding; a weakly driven run can part from its twin
-(README). The maps are built once per process for each (PlantParams,
-steps) pair and shared read-only.
+written again by the next product. The run state is two float64 vectors of
+eight slots, (x, u1, u2, u1, u2_new), the column order of ``Q[j]``, made
+once per run with their views: a pass sets the drive slots of the one it
+starts from and its products read z, the first six slots; the hand-off
+writes ``K[n].dot(z, out=...)`` and hc + 1's drives into the other, and the
+two swap roles as the run moves on, so no pass builds an array. At a
+crossing in step j, collecting runs write ``K[j].dot(z)``, the same bits as
+the row the product wrote, into the other vector and build both sub-step
+maps in one stacked `rk4_affine_maps` call, kept because the ``simulate
+--trace/--events`` CSV files are compared byte for byte between versions.
+The others take the state after the crossing in one product of ``Q[j]``
+with all eight slots (z and the new drive): the two sub-steps' degree-4
+polynomials in the split fraction alpha, composed with the segment's first
+j steps into one degree-8 polynomial per state, evaluated by Horner's rule
+in alpha on Python floats and written into the other vector. Either way
+that vector holds the next pass's start. The two modes differ by rounding
+only: on the drives the tests draw, and in every sweep, which holds one
+side at 1, they log the same gate events, with times and envelopes equal to
+rounding; a weakly driven run can part from its twin (README). The maps are
+built once per process for each (PlantParams, steps) pair and shared
+read-only.
 
 `simulate` runs in three stages. Schedule: the modulators need nothing from
 the plant, so the primary's pulses, gated by the `modulator.gate_split`
@@ -313,9 +320,15 @@ class _AffinePropagator:
         for a in (A, B, self.Q, self.stack, self.K, self.ST):
             a.flags.writeable = False
 
-    def cross(self, x, u_old, u_new, alpha):
-        """The step split at fraction alpha: RK4 under u_old, then under u_new."""
-        widths = np.array((alpha * self.h, (1.0 - alpha) * self.h)).reshape(2, 1, 1)
+    def cross(self, x, u_old, u_new, alpha, widths):
+        """The state after the step from ``x`` split at fraction alpha: RK4
+        under ``u_old``, then under ``u_new`` (`simulate` passes the [:4],
+        [4:6] and [6:8] views of a run-state vector). Both sub-step maps come
+        from one stacked call of the module-level `rk4_affine_maps` on
+        ``widths``, a (2, 1, 1) buffer that the caller makes once per run and
+        this fills with alpha h and (1 - alpha) h."""
+        widths[0, 0, 0] = alpha * self.h
+        widths[1, 0, 0] = (1.0 - alpha) * self.h
         (Ma, Mb), (Na, Nb) = rk4_affine_maps(self.A, self.B, widths)
         return Mb @ (Ma @ x + Na @ u_old) + Nb @ u_new
 
@@ -380,7 +393,6 @@ def simulate(params: PlantParams, config: SimConfig,
     ring = n_half if collect else CHUNK
     samples = np.empty(((n_half if collect else CHUNK + 1) * steps + 1, width))
     flat = samples.reshape(-1)
-    x = [float(v) for v in config.initial_state]
 
     # Schedule. The modulators need nothing from the plant: the primary ticks
     # at every half-cycle start, so its drives are known before the loop, and
@@ -407,9 +419,17 @@ def simulate(params: PlantParams, config: SimConfig,
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
     last_hc = n_half - 1
     Kdot, Qdot = [k.dot for k in K], [q.dot for q in Q]
-    dot, vector, isfinite = np.dot, np.array, math.isfinite
+    dot, isfinite = np.dot, math.isfinite
     i2_col = samples[:, 1]
     lefts, rights = i2_col[:-1], i2_col[1:]  # the two ends of each step
+    # The run state: two vectors of slots (x0, x1, x2, x3, u1, u2, u1, u2_new),
+    # the column order of Q[j], each with its views z = [:6], x = [:4] and
+    # the split's drives [4:6], [6:8]. A pass reads ``cur``; the hand-off and
+    # the split write ``oth``, and the two swap roles as the run moves on.
+    start = np.empty(8)
+    start[:4] = config.initial_state
+    cur, oth = [(v, v[:6], v[:4], v[4:6], v[6:]) for v in (start, np.empty(8))]
+    widths = np.empty((2, 1, 1))  # the collecting split's two sub-step widths
 
     def diverged(hc: int) -> SimulationDiverged:
         return SimulationDiverged(
@@ -430,30 +450,34 @@ def simulate(params: PlantParams, config: SimConfig,
         if not collect:
             samples[:steps + 1] = samples[CHUNK * steps:]
 
-    # Each pass starts at sample pos of half cycle hc in state x, writes the
-    # rest of hc and all of hc + 1, and splits at the first crossing accepted
-    # in either; the rows after it are written again by the next pass. Each
-    # half cycle that ends must end in a finite state, and a chunk's end
-    # reduces its envelope peaks.
+    # Each pass starts at sample pos of half cycle hc in the state ``cur``
+    # holds, writes the rest of hc and all of hc + 1, and splits at the first
+    # crossing accepted in either; the rows after it are written again by the
+    # next pass. Each half cycle that ends must end in a finite state, and a
+    # chunk's end reduces its envelope peaks.
     hc, pos = 0, 0
     while hc < n_half:
         base = (hc % ring) * steps
         row = base + pos
         n_rem = steps - pos
-        z = vector(x + [u1s[hc], u2])
+        z8, z6, z4, z_old, z_new = cur
+        o8, o6, o4, _, _ = oth
+        z8[4] = z8[6] = u1s[hc]
+        z8[5] = u2
         if collect:
-            dot(stack[:4 * (n_rem + 1)], z, out=flat[4 * row: 4 * (base + steps + 1)])
+            dot(stack[:4 * (n_rem + 1)], z6, out=flat[4 * row: 4 * (base + steps + 1)])
         else:
-            dot(z, ST, out=flat[2 * row: 2 * (row + steps + 1)])
-        x_end = Kdot[n_rem](z).tolist()  # hc's end state without a crossing
+            dot(z6, ST, out=flat[2 * row: 2 * (row + steps + 1)])
+        Kdot[n_rem](z6, out=o4)  # hc's end state without a crossing
         end = base + steps
         if hc < last_hc:
-            z_next = vector(x_end + [u1s[hc + 1], u2])
+            o8[4] = o8[6] = u1s[hc + 1]
+            o8[5] = u2
             out = flat[width * end: width * (end + steps + 1)]
             if collect:
-                dot(stack, z_next, out=out)
+                dot(stack, o6, out=out)
             else:
-                dot(z_next, ST, out=out)
+                dot(o6, ST, out=out)
             end += steps
         # Scan from one step before the step that holds blanking_until: a
         # crossing in an earlier step is at least a step before it.
@@ -473,28 +497,32 @@ def simulate(params: PlantParams, config: SimConfig,
                 break
 
         if not 0 <= accept < n_rem:  # hc ends without a crossing
-            if not (isfinite(x_end[0]) and isfinite(x_end[1])
-                    and isfinite(x_end[2]) and isfinite(x_end[3])):
+            x0, x1, x2, x3 = o4.tolist()
+            if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
                 raise diverged(hc)
             if hc % CHUNK == CHUNK - 1 or hc == last_hc:
                 reduce_chunk(hc)
-            hc, pos, x = hc + 1, 0, x_end
+            hc, pos = hc + 1, 0
             if accept < 0:
-                if hc < n_half:  # and so does hc + 1
-                    x = Kdot[steps](z_next).tolist()
-                    if not (isfinite(x[0]) and isfinite(x[1])
-                            and isfinite(x[2]) and isfinite(x[3])):
+                if hc < n_half:  # and so does hc + 1, into the vector hc started from
+                    Kdot[steps](o6, out=z4)
+                    x0, x1, x2, x3 = z4.tolist()
+                    if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
                         raise diverged(hc)
                     if hc % CHUNK == CHUNK - 1 or hc == last_hc:
                         reduce_chunk(hc)
                     hc += 1
                 continue
-            j, z, base = accept - n_rem, z_next, (hc % ring) * steps
+            # the segment is hc + 1's, from the hand-off
+            j, base = accept - n_rem, (hc % ring) * steps
+            cur, oth = oth, cur
+            z8, z6, z4, z_old, z_new = cur
+            o8, o6, o4, _, _ = oth
         else:
             j = accept
 
-        # the crossing in step j of the segment from sample pos of hc
-        u1, u2_old = u1s[hc], u2
+        # the crossing in step j of the segment from sample pos of hc; slots
+        # 4-6 of z8 hold (u1, u2_old, u1)
         c2 = 1 if i2_right > i2_left else -1
         blanking_until = t_x + blanking
         n_cross = len(cross_rows)
@@ -502,32 +530,37 @@ def simulate(params: PlantParams, config: SimConfig,
             block_state, ds2 = secondary_modulator.state, [read_d2(t_x)] * ahead
             y2_ahead = secondary_modulator._advance(ds2)
         s2 = y2_ahead[n_cross % ahead] * c2
-        u2 = params.Vo * s2
+        z8[7] = u2 = params.Vo * s2
         cross_t.append(t_x)
         cross_s.append(s2)
         if collect:
-            if j > 0:
-                x = Kdot[j](z).tolist()
-            x = prop.cross(x, (u1, u2_old), (u1, u2), alpha).tolist()
+            if j > 0:  # the state at the start of step j
+                Kdot[j](z6, out=o4)
+            o4[:] = prop.cross(o4 if j else z4, z_old, z_new, alpha, widths)
         else:
             # Python floats: the same IEEE operations as numpy, at a
             # fraction of the per-call cost on a few coefficients
-            c = Qdot[j](vector(x + [u1, u2_old, u1, u2])).tolist()
+            (c00, c01, c02, c03, c04, c05, c06, c07, c08,
+             c10, c11, c12, c13, c14, c15, c16, c17, c18,
+             c20, c21, c22, c23, c24, c25, c26, c27, c28,
+             c30, c31, c32, c33, c34, c35, c36, c37, c38) = Qdot[j](z8).tolist()
             a = alpha
-            x = [(((((((c[8] * a + c[7]) * a + c[6]) * a + c[5]) * a + c[4]) * a
-                     + c[3]) * a + c[2]) * a + c[1]) * a + c[0],
-                 (((((((c[17] * a + c[16]) * a + c[15]) * a + c[14]) * a + c[13]) * a
-                     + c[12]) * a + c[11]) * a + c[10]) * a + c[9],
-                 (((((((c[26] * a + c[25]) * a + c[24]) * a + c[23]) * a + c[22]) * a
-                     + c[21]) * a + c[20]) * a + c[19]) * a + c[18],
-                 (((((((c[35] * a + c[34]) * a + c[33]) * a + c[32]) * a + c[31]) * a
-                     + c[30]) * a + c[29]) * a + c[28]) * a + c[27]]
+            o8[0] = (((((((c08 * a + c07) * a + c06) * a + c05) * a + c04) * a
+                        + c03) * a + c02) * a + c01) * a + c00
+            o8[1] = (((((((c18 * a + c17) * a + c16) * a + c15) * a + c14) * a
+                        + c13) * a + c12) * a + c11) * a + c10
+            o8[2] = (((((((c28 * a + c27) * a + c26) * a + c25) * a + c24) * a
+                        + c23) * a + c22) * a + c21) * a + c20
+            o8[3] = (((((((c38 * a + c37) * a + c36) * a + c35) * a + c34) * a
+                        + c33) * a + c32) * a + c31) * a + c30
+        cur, oth = oth, cur
         pos += j + 1
-        # x is sample pos; a next pass writes it and the rows after it
+        # cur holds sample pos; a next pass writes it and the rows after it
         cross_rows.append(hc * steps + pos)
         if pos == steps:
-            samples[base + steps] = x[:width]
-            if not (isfinite(x[0]) and isfinite(x[1]) and isfinite(x[2]) and isfinite(x[3])):
+            samples[base + steps] = o8[:width]
+            x0, x1, x2, x3 = o4.tolist()
+            if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
                 raise diverged(hc)
             if hc % CHUNK == CHUNK - 1 or hc == last_hc:
                 reduce_chunk(hc)

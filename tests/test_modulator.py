@@ -1,5 +1,6 @@
 """Error-feedback modulator: recurrences, stability band, gating."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -393,6 +394,30 @@ def test_stability_probe_first_order_constant_grid():
         report = _probe(NTF1, np.full(5000, d))
         assert report.violation_count == 0
         assert report.mean_density_error < 1e-3
+
+
+def test_lane_reports_equal_column_reports():
+    # `tsepdm stability` reports its grid from reductions along axis 0 of
+    # the lane arrays. Extremes, counts and the mean of 0/1 pulses are exact,
+    # so each lane's report equals its column's, also on drawn errors that
+    # leave the band on either side, hold a NaN, or both.
+    grid = np.linspace(0.0, 1.0, 45)
+    rng = np.random.default_rng(5)
+    drawn = (rng.integers(0, 2, (3000, 45)).astype(np.int8), rng.uniform(-1.0, 0.0, (3000, 45)))
+    drawn[1][[7, 2000], 10] = -1.5
+    drawn[1][[9, 10, 11], 11] = 0.5
+    drawn[1][[3, 2999], 12] = (np.nan, -1.5)
+    drawn[1][500, 13] = np.nan
+    for y, e in (mod.run_const_grid(NTF1, grid, 3000), mod.run_const_grid(NTF3, grid, 3000), drawn):
+        columns = [mod.StabilityReport(
+            float(e[:, j].min()), float(e[:, j].max()),
+            int(np.count_nonzero((e[:, j] < -1.0 - mod.STABILITY_TOL) | (e[:, j] > mod.STABILITY_TOL))),
+            float(abs(y[:, j].mean() - d))) for j, d in enumerate(grid.tolist())]
+        lanes = mod.StabilityReport.of_lanes(y, e, grid)
+        singles = [mod.StabilityReport.of(y[:, j], e[:, j], d) for j, d in enumerate(grid.tolist())]
+        assert list(map(repr, lanes)) == list(map(repr, singles)) == list(map(repr, columns))
+    assert [rep.violation_count for rep in lanes[9:15]] == [0, 2, 3, 1, 0, 0]
+    assert math.isnan(lanes[12].e_min) and math.isnan(lanes[13].e_max)
 
 
 def test_const_grid_batch_matches_scalar_runs():
