@@ -50,9 +50,10 @@ starts from and its products read z, the first six slots; the hand-off
 writes ``K[n].dot(z, out=...)`` and hc + 1's drives into the other, and the
 two swap roles as the run moves on, so no pass builds an array. At a
 crossing in step j, collecting runs write ``K[j].dot(z)``, the same bits as
-the row the product wrote, into the other vector and build both sub-step
-maps in one stacked `rk4_affine_maps` call, kept because the ``simulate
---trace/--events`` CSV files are compared byte for byte between versions.
+the row the product wrote, into the other vector, and the run's split
+kernel writes the state after both RK4 sub-steps over it with the bits of a
+stacked `rk4_affine_maps` call, kept because the ``simulate --trace/--events``
+CSV files are compared byte for byte between versions.
 The others take the state after the crossing in one product of ``Q[j]``
 with all eight slots (z and the new drive): the two sub-steps' degree-4
 polynomials in the split fraction alpha, composed with the segment's first
@@ -76,8 +77,8 @@ a finite state, call the reduction of the envelope peaks (max |i1|, |i2|
 over the samples of each half cycle) from that array only at the end of
 each CHUNK half cycles, and log each accepted crossing's row, time and
 secondary gate in flat columns. The kernels are bound once per run: the
-maps' ``dot`` methods as lists, numpy's functions as locals, and the
-crossing polynomial is Horner's rule written out for each state.
+maps' ``dot`` methods as lists, numpy's functions as locals, the split
+kernel, and the crossing polynomial is Horner's rule written out.
 Assemble: after the loop the starvation diagnostic is read from the
 crossing times, and collecting runs build ``Trace.u`` from the drives and
 crossing rows.
@@ -230,12 +231,37 @@ def system_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """Read-only ``np.eye(n)``, built once per size; callers only read it."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+def _rk4_kernel(A, B, shape: tuple[int, ...]):
+    """``(series, M, N)``: ``series(h)`` writes `rk4_affine_maps` for widths
+    ``h`` (h A of ``shape``) into M and N, its buffers, and returns them.
+    M's and S's series run as one (2, *shape) stack, matmul by matmul."""
+    pair = (2, *shape)
+    H, P, R, MS = (np.empty(pair) for _ in range(4))
+    (M, S), R0 = MS, R[0]
+    SB, N = np.empty((2, *shape[:-1], B.shape[1]))
+    # Both series start at their first terms, hA (over 1: the same bits) and
+    # hA / 2: I @ hA multiplies by 1 and adds zeros, so it gives the same M
+    # and S. Each power of hA has its divisors; M's last term is over 4.
+    eye = np.broadcast_to(np.eye(A.shape[0]), pair).copy()
+    d01, d23, d34, d44 = np.multiply.outer(((1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 4.0)),
+                                           np.ones(shape))
+    multiply, divide, add, matmul = np.multiply, np.divide, np.add, np.matmul
+
+    def series(h):
+        multiply(h, A, out=H)
+        divide(H, d01, out=P)
+        add(eye, P, out=MS)
+        for d in (d23, d34):
+            matmul(P, H, out=R)
+            divide(R, d, out=P)
+            add(MS, P, out=MS)
+        matmul(P, H, out=R)
+        divide(R, d44, out=R)
+        add(M, R0, out=M)
+        matmul(S, B, out=SB)
+        multiply(h, SB, out=N)
+        return M, N
+    return series, M, N
 
 
 def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
@@ -247,22 +273,7 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, h
     rounding (same polynomial, different evaluation order). An (m, 1, 1)
     stack ``h`` gives stacks of M and N, bit-identical to m scalar calls.
     """
-    eye = _identity(A.shape[0])
-    # Both series start at their first term hA: I @ hA multiplies by 1 and
-    # adds zeros, so it gives the same M and S.
-    hA = h * A
-    M = eye + hA
-    term = hA
-    for kk in range(2, 5):
-        term = term @ hA / kk
-        M = M + term
-    acc = hA / 2
-    S = eye + acc
-    for kk in range(2, 4):
-        acc = acc @ hA / (kk + 1)
-        S = S + acc
-    N = h * (S @ B)
-    return M, N
+    return _rk4_kernel(A, B, np.broadcast_shapes(np.shape(h), A.shape))[0](h)
 
 
 class _AffinePropagator:
@@ -320,17 +331,30 @@ class _AffinePropagator:
         for a in (A, B, self.Q, self.stack, self.K, self.ST):
             a.flags.writeable = False
 
-    def cross(self, x, u_old, u_new, alpha, widths):
-        """The state after the step from ``x`` split at fraction alpha: RK4
-        under ``u_old``, then under ``u_new`` (`simulate` passes the [:4],
-        [4:6] and [6:8] views of a run-state vector). Both sub-step maps come
-        from one stacked call of the module-level `rk4_affine_maps` on
-        ``widths``, a (2, 1, 1) buffer that the caller makes once per run and
-        this fills with alpha h and (1 - alpha) h."""
-        widths[0, 0, 0] = alpha * self.h
-        widths[1, 0, 0] = (1.0 - alpha) * self.h
-        (Ma, Mb), (Na, Nb) = rk4_affine_maps(self.A, self.B, widths)
-        return Mb @ (Ma @ x + Na @ u_old) + Nb @ u_new
+    def split_kernel(self) -> Callable:
+        """A kernel ``split(x, u_old, u_new, alpha, out)``, with buffers of
+        its own, that writes into ``out`` the state after the step from ``x``
+        split at fraction alpha: RK4 over alpha h under ``u_old``, then over
+        (1 - alpha) h under ``u_new``. It gives the bits of ``Mb @ (Ma @ x +
+        Na @ u_old) + Nb @ u_new`` on the maps of a stacked `rk4_affine_maps`
+        call. ``out`` may be ``x``, which is read before out is written."""
+        h, w = self.h, np.empty(2)
+        widths = w.reshape(2, 1, 1)
+        series, (Ma, Mb), (Na, Nb) = _rk4_kernel(self.A, self.B, (2, *self.A.shape))
+        Ma_dot, Mb_dot, Na_dot, Nb_dot, add = Ma.dot, Mb.dot, Na.dot, Nb.dot, np.add
+        a, b = np.empty(4), np.empty(4)
+
+        def split(x, u_old, u_new, alpha, out):
+            w[0] = alpha * h
+            w[1] = (1.0 - alpha) * h
+            series(widths)
+            Ma_dot(x, out=a)
+            Na_dot(u_old, out=b)
+            add(a, b, out=a)
+            Mb_dot(a, out=b)
+            Nb_dot(u_new, out=out)
+            add(b, out, out=out)
+        return split
 
 
 @functools.lru_cache(maxsize=PROPAGATORS)
@@ -429,7 +453,7 @@ def simulate(params: PlantParams, config: SimConfig,
     start = np.empty(8)
     start[:4] = config.initial_state
     cur, oth = [(v, v[:6], v[:4], v[4:6], v[6:]) for v in (start, np.empty(8))]
-    widths = np.empty((2, 1, 1))  # the collecting split's two sub-step widths
+    split = prop.split_kernel() if collect else None
 
     def diverged(hc: int) -> SimulationDiverged:
         return SimulationDiverged(
@@ -536,7 +560,7 @@ def simulate(params: PlantParams, config: SimConfig,
         if collect:
             if j > 0:  # the state at the start of step j
                 Kdot[j](z6, out=o4)
-            o4[:] = prop.cross(o4 if j else z4, z_old, z_new, alpha, widths)
+            split(o4 if j else z4, z_old, z_new, alpha, o4)
         else:
             # Python floats: the same IEEE operations as numpy, at a
             # fraction of the per-call cost on a few coefficients

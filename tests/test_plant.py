@@ -303,16 +303,6 @@ def test_stacked_rk4_affine_maps_equal_eye_oracle_bit_for_bit():
     assert np.array_equal(N, N_ref)
 
 
-def test_cached_identity_is_read_only():
-    eye = plant._identity(4)
-    assert eye is plant._identity(4)
-    assert np.array_equal(eye, np.eye(4))
-    with pytest.raises(ValueError):
-        eye[0, 0] = 2.0
-    plant.rk4_affine_maps(_A, _B, _H)
-    assert np.array_equal(eye, np.eye(4))
-
-
 def crossing_state(j, z, u_new, alpha):
     """The state after a crossing at fraction ``alpha`` of step j of a
     segment from z = (x, u), as the no-sample loop computes it: Horner's
@@ -352,6 +342,91 @@ def test_crossing_table_equals_two_step_rk4_affine_maps(x, u_old, u_new, j, alph
              + np.abs(Nb) @ np.abs(u_new))
     err = np.abs(crossing_state(j, z, u_new, alpha) - expected)
     assert np.all(err <= 1e-14 * scale + np.finfo(float).tiny)
+
+
+def two_sub_step_split(A, B, h, x, u_old, u_new, alpha):
+    """The state after a step of width h from x split at fraction alpha, as
+    two RK4 sub-steps from one stacked `rk4_affine_maps` call: alpha h under
+    u_old, then (1 - alpha) h under u_new."""
+    widths = np.array((alpha * h, (1.0 - alpha) * h)).reshape(2, 1, 1)
+    (Ma, Mb), (Na, Nb) = plant.rk4_affine_maps(A, B, widths)
+    return Mb @ (Ma @ x + Na @ u_old) + Nb @ u_new
+
+
+def oracle_split_kernel(prop):
+    """A stand-in for ``prop.split_kernel()`` that runs `two_sub_step_split`."""
+    def split(x, u_old, u_new, alpha, out):
+        out[:] = two_sub_step_split(prop.A, prop.B, prop.h, x, u_old, u_new, alpha)
+    return split
+
+
+def check_split_kernel(x, u_old, u_new, alpha, in_place=False, twice=False):
+    """Assert that a split kernel, called as `simulate` calls it, gives the
+    bits of `two_sub_step_split`, signed zeros included. The kernel reads
+    x, u_old and u_new from the slots of one 8-slot vector and writes the
+    first four of another; ``in_place`` puts x in those four slots already,
+    as a crossing after step 0 of its segment does. ``twice`` first runs the
+    kernel on another crossing, which must leave nothing behind."""
+    split = _PROP.split_kernel()
+    z8, o8 = np.full(8, np.nan), np.full(8, np.nan)
+    if twice:
+        z8[:] = (-9.0, 7.0, 1500.0, -40.0, -_V, _V, _V, 0.0)
+        split(z8[:4], z8[4:6], z8[6:], 0.75, o8[:4])
+    z8[:4], z8[4:6], z8[6:] = x, u_old, u_new
+    expected = two_sub_step_split(_A, _B, _H, np.array(x, dtype=float), z8[4:6].copy(),
+                                  z8[6:].copy(), alpha)
+    if in_place:
+        o8[:4] = x
+    split(o8[:4] if in_place else z8[:4], z8[4:6], z8[6:], alpha, o8[:4])
+    assert o8[:4].tobytes() == expected.tobytes()
+    assert np.isnan(o8[4:]).all()
+
+
+_SIGNED_STATE = st.tuples(*(st.one_of(st.just(-0.0), st.floats(-lim, lim))
+                            for lim in (20.0, 20.0, 2000.0, 2000.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_SIGNED_STATE, u_old=_BRIDGE, u_new=_BRIDGE,
+       alpha=st.floats(1e-300, 1.0 - 2.0 ** -53), in_place=st.booleans())
+@example(x=(-0.0, 2.0, -0.0, -900.0), u_old=(_V, 0.0), u_new=(_V, -_V), alpha=1e-300,
+         in_place=False)
+@example(x=(3.0, -0.0, 400.0, -0.0), u_old=(-_V, _V), u_new=(0.0, _V), alpha=1.0 - 2.0 ** -53,
+         in_place=False)
+@example(x=(-0.0, -0.0, -0.0, -0.0), u_old=(0.0, 0.0), u_new=(0.0, -0.0), alpha=0.5,
+         in_place=False)
+@example(x=(3.0, -2.0, 400.0, -900.0), u_old=(_V, _V), u_new=(_V, -_V), alpha=0.3,
+         in_place=True)
+def test_split_kernel_equals_two_sub_step_oracle_bit_for_bit(x, u_old, u_new, alpha, in_place):
+    check_split_kernel(x, u_old, u_new, alpha, in_place)
+
+
+def test_split_kernel_carries_nothing_from_one_crossing_to_the_next():
+    for in_place in (False, True):
+        check_split_kernel((3.0, -2.0, 400.0, -900.0), (_V, -_V), (_V, _V), 1e-300,
+                           in_place, twice=True)
+
+
+@pytest.mark.parametrize("kind", ["first", "tse"])
+@pytest.mark.parametrize("d1, d2", [(0.963, 1.0), (1.0, 0.6)])
+@pytest.mark.parametrize("steps", [64, 256])
+def test_collecting_runs_equal_runs_on_the_two_sub_step_oracle(monkeypatch, kind, d1, d2,
+                                                               steps):
+    # The `simulate --trace/--events` files are compared byte for byte
+    # between versions, so a collecting run must give the bits of one that
+    # splits each crossing with the oracle.
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    cfg = plant.SimConfig(steps_per_half_cycle=steps, duration=1e-3)
+    runs = [plant.simulate(plant.DEFAULT_PARAMS, cfg, *fresh_mods(tf), d1, d2)]
+    monkeypatch.setattr(plant._AffinePropagator, "split_kernel", oracle_split_kernel)
+    runs.append(plant.simulate(plant.DEFAULT_PARAMS, cfg, *fresh_mods(tf), d1, d2))
+    kernel, oracle = runs
+    assert len(kernel.cross_t) > 250
+    for name in ("t", "states", "u", "envelope_i1", "envelope_i2", "s1", "cross_half",
+                 "cross_t", "s2"):
+        got, want = getattr(kernel, name), getattr(oracle, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_propagator_is_built_once_per_params_and_steps_and_read_only():
@@ -734,6 +809,13 @@ lims = np.array([1e3, 1e3, 1e5, 1e5])
 for n in [1, 2, 3, 64, 255, 256] + rng.integers(1, 257, 200).tolist():
     test_plant.check_segment_stack(n, (rng.uniform(-1, 1, 4) * lims).tolist(),
                                    rng.uniform(-1e3, 1e3, 2).tolist())
+bridge = [-test_plant._V, 0.0, test_plant._V]
+for k in range(200):
+    x = rng.uniform(-1, 1, 4) * [20.0, 20.0, 2000.0, 2000.0]
+    x[rng.random(4) < 0.2] = -0.0
+    alpha = [rng.uniform(), 10.0 ** rng.uniform(-300, 0), 1e-300, 1.0 - 2.0 ** -53][k % 4]
+    test_plant.check_split_kernel(x.tolist(), rng.choice(bridge, 2).tolist(),
+                                  rng.choice(bridge, 2).tolist(), alpha, k % 2 == 1)
 print(json.dumps({"core": test_plant.blas_core(), "runs": test_plant.kernel_runs(),
                   "envelope": test_gssa.envelope_bit_identities()}))
 """
@@ -743,9 +825,10 @@ def test_runs_agree_across_blas_kernels():
     # Byte identity holds for the same inputs on the same BLAS kernel. Under
     # another OpenBLAS kernel the segment stack keeps its properties, gate
     # sequences are identical, and event times and envelopes agree to
-    # rounding (measured at most 1.2e-15 and 5.4e-13 relative). The envelope
-    # route's bit identities (complex RK4 against its real form, blocked
-    # Bode rows against per-frequency solves) hold under that kernel too.
+    # rounding (measured at most 1.2e-15 and 5.4e-13 relative). The split
+    # kernel's bits equal the two-sub-step oracle's, and the envelope route's
+    # bit identities (complex RK4 against its real form, blocked Bode rows
+    # against per-frequency solves) hold under that kernel too.
     src = str(Path(plant.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
