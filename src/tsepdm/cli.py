@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (datafiles.ConfigError, ValueError) as exc:
+    except (datafiles.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:

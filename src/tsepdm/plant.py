@@ -26,22 +26,29 @@ are located by linear interpolation and the containing step is split there
 so drive changes always land on (sub)step boundaries, keeping the RK4
 order intact.
 
-Both modes of ``SimConfig.collect_samples`` run one loop of passes: one
-per accepted i2 crossing, or per two half cycles without one. A pass
-starts at the current sample of half cycle hc with z = (x, u), propagates
-the rest of hc, takes ``K[n].dot(z)`` (n the steps left) as hc's end
-state, and from that state propagates all of hc + 1 into the rows that
-follow. One sign scan covers both half cycles. It starts one step before
-the step that holds the end of the blanking window, since a crossing in an
-earlier step is blanked with a full step to spare. The pass splits at the
-first crossing outside the blanking window, or, with none, hands on the end
-of hc + 1. Each product writes its samples in place into one array: all
-four states of every sample in collecting runs, with the row-major stack of
-the maps ``K[j]`` from z to the state j steps on, ``K[0] = [I | 0]``,
-sliced to the rows kept (``np.dot(stack, z, out=...)``); only i1/i2
-otherwise, a whole half cycle from the current sample in one column-major
-product ``np.dot(z, ST, out=...)``, into a window of CHUNK + 1 half cycles
-that moves on by CHUNK once a chunk's envelope peaks are reduced. Rows
+Both modes of ``SimConfig.collect_samples`` run one loop of passes, each
+of which splits at an accepted i2 crossing, ends a half cycle, or both. A
+pass starts at the current sample of half cycle hc with z = (x, u),
+propagates the rest of hc, takes ``K[n].dot(z)`` (n the steps left) as
+hc's end state, and from that state propagates all of hc + 1 into the rows
+that follow. One sign scan covers both half cycles. It starts one step
+before the step that holds the end of the blanking window, since a
+crossing in an earlier step is blanked with a full step to spare. The pass
+splits at the first crossing outside the blanking window. Unless that
+crossing is in hc, the pass ends hc, the one place a half cycle ends; with
+no crossing in either, the next pass starts at hc + 1 from the hand-off
+and propagates hc + 1 again. After a crossing in the last step of hc the
+next pass has no step of hc left: its product writes the state in hc's end
+row (``K[0]`` copies x), and it ends hc. So the product from the hand-off
+state writes the end row of each half cycle but the run's last, and the
+envelope peaks are the same whatever CHUNK is. Each product writes its
+samples in place into one array: all four states of every sample in
+collecting runs, with the row-major stack of the maps ``K[j]`` from z to
+the state j steps on, ``K[0] = [I | 0]``, sliced to the rows kept
+(``np.dot(stack, z, out=...)``); only i1/i2 otherwise, a whole half cycle
+from the current sample in one column-major product ``np.dot(z, ST,
+out=...)``, into a window of CHUNK + 1 half cycles that moves on by CHUNK
+once a chunk's envelope peaks are reduced. Rows
 after a crossing, and the surplus rows of a column-major product, are
 written again by the next product. The run state is two float64 vectors of
 eight slots, (x, u1, u2, u1, u2_new), the column order of ``Q[j]``, made
@@ -73,9 +80,9 @@ constant d1 read once; the secondary ticks a block of crossings ahead at a
 time: CHUNK for a constant d2, one for a callable d2, and is left at its
 state after the last crossing the run used. Propagate: the passes
 only advance the state, check inline that each half cycle they end ends in
-a finite state, call the reduction of the envelope peaks (max |i1|, |i2|
-over the samples of each half cycle) from that array only at the end of
-each CHUNK half cycles, and log each accepted crossing's row, time and
+a finite state, reduce the envelope peaks (max |i1|, |i2| over the samples
+of each half cycle) from that array only at the end of each CHUNK half
+cycles, and log each accepted crossing's row, time and
 secondary gate in flat columns. The kernels are bound once per run: the
 maps' ``dot`` methods as lists, numpy's functions as locals, the split
 kernel, and the crossing polynomial is Horner's rule written out.
@@ -455,30 +462,13 @@ def simulate(params: PlantParams, config: SimConfig,
     cur, oth = [(v, v[:6], v[:4], v[4:6], v[6:]) for v in (start, np.empty(8))]
     split = prop.split_kernel() if collect else None
 
-    def diverged(hc: int) -> SimulationDiverged:
-        return SimulationDiverged(
-            f"non-finite state at t={hc * half + half:.6e}s (half cycle {hc})")
-
-    def reduce_chunk(hc: int) -> None:
-        """Envelope peaks (max |i| over samples 0..steps of each half cycle,
-        the steps rows it starts plus the boundary row it shares) of the
-        chunk of CHUNK half cycles that hc ends."""
-        lo = hc - hc % CHUNK
-        k = hc + 1 - lo
-        r0 = (lo % ring) * steps
-        # one column at a time: a (k, steps, 2) max over axis 1 is ~15x slower
-        for env, col in ((env1, 0), (env2, 1)):
-            w = np.abs(samples[r0: r0 + k * steps + 1, col])
-            env[lo:hc + 1] = np.maximum(w[:-1].reshape(k, steps).max(axis=1),
-                                        w[steps::steps])
-        if not collect:
-            samples[:steps + 1] = samples[CHUNK * steps:]
-
     # Each pass starts at sample pos of half cycle hc in the state ``cur``
     # holds, writes the rest of hc and all of hc + 1, and splits at the first
     # crossing accepted in either; the rows after it are written again by the
-    # next pass. Each half cycle that ends must end in a finite state, and a
-    # chunk's end reduces its envelope peaks.
+    # next pass. A pass whose split is not in hc ends hc, the only place a
+    # half cycle ends: its end state must be finite, and a chunk's end
+    # reduces its envelope peaks. With no split, the next pass starts at
+    # hc + 1 from the hand-off and propagates hc + 1 again.
     hc, pos = 0, 0
     while hc < n_half:
         base = (hc % ring) * steps
@@ -523,23 +513,28 @@ def simulate(params: PlantParams, config: SimConfig,
         if not 0 <= accept < n_rem:  # hc ends without a crossing
             x0, x1, x2, x3 = o4.tolist()
             if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise diverged(hc)
+                raise SimulationDiverged(
+                    f"non-finite state at t={hc * half + half:.6e}s (half cycle {hc})")
             if hc % CHUNK == CHUNK - 1 or hc == last_hc:
-                reduce_chunk(hc)
+                # Envelope peaks of the chunk hc ends: max |i| over samples
+                # 0..steps of each half cycle, the steps rows it starts plus
+                # the boundary row it shares. One column at a time: a (m,
+                # steps, 2) max over axis 1 is ~15x slower.
+                lo = hc - hc % CHUNK
+                m = hc + 1 - lo
+                r0 = (lo % ring) * steps
+                for env, col in ((env1, 0), (env2, 1)):
+                    w = np.abs(samples[r0: r0 + m * steps + 1, col])
+                    env[lo:hc + 1] = np.maximum(w[:-1].reshape(m, steps).max(axis=1),
+                                                w[steps::steps])
+                if not collect:
+                    samples[:steps + 1] = samples[CHUNK * steps:]
             hc, pos = hc + 1, 0
+            cur, oth = oth, cur
             if accept < 0:
-                if hc < n_half:  # and so does hc + 1, into the vector hc started from
-                    Kdot[steps](o6, out=z4)
-                    x0, x1, x2, x3 = z4.tolist()
-                    if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                        raise diverged(hc)
-                    if hc % CHUNK == CHUNK - 1 or hc == last_hc:
-                        reduce_chunk(hc)
-                    hc += 1
                 continue
             # the segment is hc + 1's, from the hand-off
             j, base = accept - n_rem, (hc % ring) * steps
-            cur, oth = oth, cur
             z8, z6, z4, z_old, z_new = cur
             o8, o6, o4, _, _ = oth
         else:
@@ -579,16 +574,9 @@ def simulate(params: PlantParams, config: SimConfig,
                         + c33) * a + c32) * a + c31) * a + c30
         cur, oth = oth, cur
         pos += j + 1
-        # cur holds sample pos; a next pass writes it and the rows after it
+        # cur holds sample pos, hc's end if pos == steps: the next pass
+        # writes it and the rows after it, and ends hc there
         cross_rows.append(hc * steps + pos)
-        if pos == steps:
-            samples[base + steps] = o8[:width]
-            x0, x1, x2, x3 = o4.tolist()
-            if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise diverged(hc)
-            if hc % CHUNK == CHUNK - 1 or hc == last_hc:
-                reduce_chunk(hc)
-            hc, pos = hc + 1, 0
 
     # Assemble. Leave the secondary after the last crossing: tick it again
     # from the start of the last block over the crossings the run used.

@@ -285,6 +285,18 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["modulate", "--d", "0.5", "--ticks", "100"], "--out"),
+    (["ntf", "design"], "--out"),
+    (["simulate", "--duration", "1e-5", "--trace", "t.csv"], "--events")])
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*command, flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_simulate_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("junk\n")

@@ -672,11 +672,13 @@ def test_no_sample_run_matches_sample_run_at_chunk_edges(n_half, x0, kind, d1, d
 @pytest.mark.parametrize("x0, skipped", [((0.0, 1.0, 0.0, 0.0), plant.CHUNK - 1),
                                          ((3.0, -2.0, 400.0, -900.0), plant.CHUNK - 2)])
 def test_no_sample_run_matches_sample_run_across_crossing_gaps(x0, skipped):
-    # Undriven, the 3 MHz clock's ring crosses i2 every ~9 half cycles, so a
-    # pass without a crossing hands on the end of the half cycle after its
-    # own. Passes from the last crossing before the gap skip half cycles in
-    # pairs, here `skipped` and the one after it: a pair across the chunk
-    # edge, where the window moves between the two, or one ending on it.
+    # Undriven, the 3 MHz clock's ring crosses i2 every ~9 half cycles, so
+    # some passes find no crossing in either half cycle they write: each
+    # ends its first, and the next pass propagates the second again. The
+    # last crossing before `skipped` lies an even number of half cycles
+    # before it, and none falls in `skipped` or the one after it: a gap
+    # across the chunk edge, where the window moves between the two, or
+    # one ending on it.
     half = 0.5 / _FAST_CLOCK.fs
     full, fast = [plant.simulate(_FAST_CLOCK, plant.SimConfig(duration=(2 * plant.CHUNK + 3) * half,
                                                               initial_state=x0, collect_samples=c),
@@ -695,8 +697,9 @@ def test_no_sample_run_matches_sample_run_across_crossing_gaps(x0, skipped):
 @pytest.mark.parametrize("collect", [True, False])
 def test_run_is_a_prefix_of_a_longer_run(collect):
     # Bit for bit, also when i2 crosses in the last step of the short run's
-    # last half cycle (half cycle 0 here, where |i1| peaks): no later segment
-    # writes that sample, so the post-crossing state must be written there.
+    # last half cycle (half cycle 0 here, where |i1| peaks): the pass after
+    # the crossing has no step of that half cycle left, writes the state
+    # after the crossing into its end row and ends it.
     params = plant.DEFAULT_PARAMS
     half = 0.5 / params.fs
     short, long = [plant.simulate(params, plant.SimConfig(duration=n * half,

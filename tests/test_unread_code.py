@@ -1,6 +1,7 @@
 """Every public function, class, method and property of the package is read
 by the package or the benchmark, except the oracles listed here, and so is
-every field of its records, except those of records written out whole."""
+every module-level constant, and every field of its records, except those
+of records written out whole."""
 
 import ast
 import functools
@@ -44,14 +45,28 @@ def _records(tree: ast.Module):
                               if isinstance(item, ast.AnnAssign)]
 
 
+def _constants(tree: ast.Module):
+    """Names of the module-level constants: the upper-case names (a leading
+    underscore allowed) that a top-level assignment binds."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            yield from (n.id for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and n.id.lstrip("_").isupper())
+
+
 def _names_read(tree: ast.Module) -> set[str]:
-    """Every identifier the module reads, as a name or an attribute."""
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _attributes_read(tree)
+    """Every identifier the module reads, as a name or an attribute; binding
+    a name, as the assignment of a constant does, is not a read of it."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | _attributes_read(tree)
 
 
 def _attributes_read(tree: ast.Module) -> set[str]:
     """Every identifier the module reads as an attribute."""
-    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 @functools.cache
@@ -75,6 +90,14 @@ def unread_members() -> set[str]:
             for name in _public_members(tree) if name not in read}
 
 
+def unread_constants() -> set[str]:
+    """``module.CONSTANT`` for each module-level constant that no module of
+    the package or the benchmark reads."""
+    read = set().union(*map(_names_read, _readers()))
+    return {f"{module}.{name}" for module, tree in _package().items()
+            for name in _constants(tree) if name not in read}
+
+
 def records() -> dict[str, list[str]]:
     """Field names of each ``module.Record`` of the package."""
     return {f"{module}.{name}": fields for module, tree in _package().items()
@@ -92,6 +115,10 @@ def unread_fields() -> set[str]:
 def test_every_public_member_is_read_or_a_listed_oracle():
     # a listed oracle that gains a reader leaves the list as well
     assert unread_members() == set(TEST_ORACLES)
+
+
+def test_every_module_constant_is_read():
+    assert unread_constants() == set()
 
 
 def test_every_record_field_is_read_or_its_record_written_whole():
