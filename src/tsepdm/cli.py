@@ -28,6 +28,8 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
 _CHANNEL_FLAGS = {name.replace("->", ""): name for name in gssa.CHANNELS}
+# The output-path flags (argparse dests), all checked before a command runs.
+_OUTPUT_FLAGS = ("out", "pz", "spectrum", "trace", "events")
 
 _CONFIG_HELP = ("key-value plant constants file; symbols it does not name keep "
                 "the measured prototype values")
@@ -146,9 +148,9 @@ def cmd_ntf(args) -> int:
     spec = ntf.NtfDesignSpec(notch_ratio=args.rho, pole_radius=args.r)
     tf = ntf.build_first_order() if args.order == 1 else ntf.build_third_order(spec)
 
+    if args.action != "check" and not args.out:
+        raise datafiles.ConfigError(f"ntf {args.action} requires --out")
     if args.action == "design":
-        if not args.out:
-            raise datafiles.ConfigError("ntf design requires --out")
         num = tuple(tf.num) + (0.0,) * (len(tf.den) - len(tf.num))
         datafiles.write_rows(args.out, ["label"] + [f"z{len(tf.den)-1-i}" for i in range(len(tf.den))],
                              zip(["num", *num], ["den", *tf.den], strict=True))
@@ -158,8 +160,6 @@ def cmd_ntf(args) -> int:
             rows += [[pp.real, pp.imag, "pole"] for pp in poles]
             datafiles.write_rows(args.pz, ["re", "im", "kind"], zip(*rows, strict=True))
     elif args.action == "bode":
-        if not args.out:
-            raise datafiles.ConfigError("ntf bode requires --out")
         datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"],
                              ntf.bode_data(tf, args.points).T)
     else:  # check
@@ -244,6 +244,7 @@ def cmd_sweep(args) -> int:
         **dataclasses.asdict(params),
         **{f"preset_{key}": val for key, val in dataclasses.asdict(preset).items()
            if key != "densities"},
+        "blanking_fraction": preset.sim_config.blanking_fraction,
         "grid": args.grid, "n_points": len(reports),
     })
     # A degenerate (zero-mean, NaN) point is neither the worst nor part of
@@ -346,6 +347,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        datafiles.check_output_paths(*(getattr(args, f, None) for f in _OUTPUT_FLAGS))
         return args.func(args)
     except (datafiles.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ columns a chunk at a time with ``str``/``repr``, which give the same text.
 from __future__ import annotations
 
 import dataclasses
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,14 @@ def write_rows(path, header: list[str], columns) -> None:
         for lo in range(0, n_rows, CHUNK_ROWS):
             cells = [fmt(c[lo:lo + CHUNK_ROWS]) for fmt, c in zip(formatters, columns)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def check_output_paths(*paths) -> None:
+    """Raise `open`'s error for a path (None: no path) in a missing directory,
+    so that a command checks all its outputs before it writes the first."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def write_manifest(out_path, resolved: dict) -> Path:

@@ -96,7 +96,6 @@ class ExperimentPreset:
     steps_per_half_cycle: int = SimConfig.steps_per_half_cycle
     settle: float = analysis.SETTLE_S
     window: float = analysis.WINDOW_S
-    blanking_fraction: float = SimConfig.blanking_fraction
 
     def __post_init__(self):
         if self.side not in SIDES:
@@ -104,7 +103,7 @@ class ExperimentPreset:
         for i, d in enumerate(self.densities):
             check_interval(f"densities[{i}]", d, 0.0, 1.0)
         make_ntf(self.ntf_kind, self.rho, self.r)  # validates kind and rho/r
-        self.sim_config  # validates steps, duration and blanking
+        self.sim_config  # validates steps and duration
         check_interval("settle", self.settle, 0.0, math.inf, "[)")
         check_interval("window", self.window, 0.0, math.inf, "()")
         if not self.settle < self.duration:
@@ -115,7 +114,7 @@ class ExperimentPreset:
     def sim_config(self) -> SimConfig:
         """The no-sample simulation of each sweep point."""
         return SimConfig(steps_per_half_cycle=self.steps_per_half_cycle, duration=self.duration,
-                         blanking_fraction=self.blanking_fraction, collect_samples=False)
+                         collect_samples=False)
 
 
 def run_sweep_point(params: PlantParams, preset: ExperimentPreset,

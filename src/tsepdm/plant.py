@@ -48,47 +48,45 @@ the state j steps on, ``K[0] = [I | 0]``, sliced to the rows kept
 (``np.dot(stack, z, out=...)``); only i1/i2 otherwise, a whole half cycle
 from the current sample in one column-major product ``np.dot(z, ST,
 out=...)``, into a window of CHUNK + 1 half cycles that moves on by CHUNK
-once a chunk's envelope peaks are reduced. Rows
-after a crossing, and the surplus rows of a column-major product, are
-written again by the next product. The run state is two float64 vectors of
-eight slots, (x, u1, u2, u1, u2_new), the column order of ``Q[j]``, made
-once per run with their views: a pass sets the drive slots of the one it
-starts from and its products read z, the first six slots; the hand-off
-writes ``K[n].dot(z, out=...)`` and hc + 1's drives into the other, and the
-two swap roles as the run moves on, so no pass builds an array. At a
-crossing in step j, collecting runs write ``K[j].dot(z)``, the same bits as
-the row the product wrote, into the other vector, and the run's split
-kernel writes the state after both RK4 sub-steps over it with the bits of a
-stacked `rk4_affine_maps` call, kept because the ``simulate --trace/--events``
-CSV files are compared byte for byte between versions.
-The others take the state after the crossing in one product of ``Q[j]``
-with all eight slots (z and the new drive): the two sub-steps' degree-4
-polynomials in the split fraction alpha, composed with the segment's first
-j steps into one degree-8 polynomial per state, evaluated by Horner's rule
-in alpha on Python floats and written into the other vector. Either way
-that vector holds the next pass's start. The two modes differ by rounding
-only: on the drives the tests draw, and in every sweep, which holds one
-side at 1, they log the same gate events, with times and envelopes equal to
-rounding; a weakly driven run can part from its twin (README). The maps are
-built once per process for each (PlantParams, steps) pair and shared
-read-only.
+once a chunk's envelope peaks are reduced. Rows after a crossing, and the
+surplus rows of a column-major product, are written again by the next
+product. The run state is two float64 vectors of eight slots, (x, u1, u2,
+u1, u2_new), the column order of ``Q[j]``, made once per run with their
+views: a pass sets the drive slots of the one it starts from and its
+products read z, the first six slots; the hand-off writes ``K[n].dot(z,
+out=...)`` and hc + 1's drives into the other, and the two swap roles as
+the run moves on, so no pass builds an array. At a crossing in step j,
+collecting runs write ``K[j].dot(z)``, the same bits as the row the
+product wrote, into the other vector, and the run's split kernel writes
+the state after both RK4 sub-steps over it with the bits of a stacked
+`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
+files are compared byte for byte between versions. The others take the
+state after the crossing in one product of ``Q[j]`` with all eight slots
+(z and the new drive), the coefficients of a degree-8 polynomial per state
+in the split fraction alpha (the two sub-steps' degree-4 polynomials
+composed with the segment's first j steps), and one product of them with
+alpha^0..alpha^8 into the other vector. Either way that vector holds the
+next pass's start. The two modes differ by rounding only: on the drives
+the tests draw, and in every sweep, which holds one side at 1, they log
+the same gate events, with times and envelopes equal to rounding; a weakly
+driven run can part from its twin (README). The maps are built once per
+process for each (PlantParams, steps) pair and shared read-only.
 
-`simulate` runs in three stages. Schedule: the modulators need nothing from
-the plant, so the primary's pulses, gated by the `modulator.gate_split`
-carrier, and its drives (rail times gate) are one batch before the loop, a
-constant d1 read once; the secondary ticks a block of crossings ahead at a
-time: CHUNK for a constant d2, one for a callable d2, and is left at its
-state after the last crossing the run used. Propagate: the passes
-only advance the state, check inline that each half cycle they end ends in
-a finite state, reduce the envelope peaks (max |i1|, |i2| over the samples
-of each half cycle) from that array only at the end of each CHUNK half
-cycles, and log each accepted crossing's row, time and
-secondary gate in flat columns. The kernels are bound once per run: the
-maps' ``dot`` methods as lists, numpy's functions as locals, the split
-kernel, and the crossing polynomial is Horner's rule written out.
-Assemble: after the loop the starvation diagnostic is read from the
-crossing times, and collecting runs build ``Trace.u`` from the drives and
-crossing rows.
+`simulate` runs in three stages. Schedule: the modulators need nothing
+from the plant, so the primary's pulses, gated by the
+`modulator.gate_split` carrier, and its drives (rail times gate) are one
+batch before the loop, a constant d1 read once; the secondary ticks a
+block of crossings ahead at a time: CHUNK for a constant d2, one for a
+callable d2, and is left at its state after the last crossing the run
+used. Propagate: the passes only advance the state, check inline that each
+half cycle they end ends in a finite state, reduce the envelope peaks (max
+|i1|, |i2| over the samples of each half cycle) from that array only at
+the end of each CHUNK half cycles, and log each accepted crossing's row,
+time and secondary gate in flat columns. The kernels are bound once per
+run: the maps' ``dot`` methods as lists, numpy's functions as locals, the
+split kernel and the buffers of the no-sample split. Assemble: after the
+loop the starvation diagnostic is read from the crossing times, and
+collecting runs build ``Trace.u`` from the drives and crossing rows.
 ``Trace.events`` is built from the gate columns on first read, so sweeps,
 which read only the envelopes, never build it.
 """
@@ -461,6 +459,8 @@ def simulate(params: PlantParams, config: SimConfig,
     start[:4] = config.initial_state
     cur, oth = [(v, v[:6], v[:4], v[4:6], v[6:]) for v in (start, np.empty(8))]
     split = prop.split_kernel() if collect else None
+    coef, powers, exponents, power = np.empty(36), np.empty(9), np.arange(9.0), np.power
+    coef_rows = coef.reshape(4, 9)  # row r: state r's alpha^0..alpha^8 coefficients
 
     # Each pass starts at sample pos of half cycle hc in the state ``cur``
     # holds, writes the rest of hc and all of hc + 1, and splits at the first
@@ -557,21 +557,9 @@ def simulate(params: PlantParams, config: SimConfig,
                 Kdot[j](z6, out=o4)
             split(o4 if j else z4, z_old, z_new, alpha, o4)
         else:
-            # Python floats: the same IEEE operations as numpy, at a
-            # fraction of the per-call cost on a few coefficients
-            (c00, c01, c02, c03, c04, c05, c06, c07, c08,
-             c10, c11, c12, c13, c14, c15, c16, c17, c18,
-             c20, c21, c22, c23, c24, c25, c26, c27, c28,
-             c30, c31, c32, c33, c34, c35, c36, c37, c38) = Qdot[j](z8).tolist()
-            a = alpha
-            o8[0] = (((((((c08 * a + c07) * a + c06) * a + c05) * a + c04) * a
-                        + c03) * a + c02) * a + c01) * a + c00
-            o8[1] = (((((((c18 * a + c17) * a + c16) * a + c15) * a + c14) * a
-                        + c13) * a + c12) * a + c11) * a + c10
-            o8[2] = (((((((c28 * a + c27) * a + c26) * a + c25) * a + c24) * a
-                        + c23) * a + c22) * a + c21) * a + c20
-            o8[3] = (((((((c38 * a + c37) * a + c36) * a + c35) * a + c34) * a
-                        + c33) * a + c32) * a + c31) * a + c30
+            Qdot[j](z8, out=coef)
+            power(alpha, exponents, out=powers)
+            dot(coef_rows, powers, out=o4)
         cur, oth = oth, cur
         pos += j + 1
         # cur holds sample pos, hc's end if pos == steps: the next pass

@@ -288,13 +288,17 @@ def test_simulate_byte_identical_reruns(tmp_path):
 @pytest.mark.parametrize("command, flag", [
     (["modulate", "--d", "0.5", "--ticks", "100"], "--out"),
     (["ntf", "design"], "--out"),
-    (["simulate", "--duration", "1e-5", "--trace", "t.csv"], "--events")])
+    (["simulate", "--duration", "1e-5", "--trace", "t.csv"], "--events"),
+    (["ntf", "design", "--out", "c.csv"], "--pz")])
 def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    # a later output path that cannot be written fails the command before
+    # its first output is written
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "missing" / "x.csv"
     assert main([*command, flag, str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_bad_config_exits_2(tmp_path):
@@ -342,7 +346,8 @@ def test_sweep_rows_ordered_with_manifest_and_summary(tmp_path, capsys):
     header, rows = read_rows(out)
     assert header == ["d", "i_max", "i_min", "i_mean", "fluct_percent"]
     assert [float(r[0]) for r in rows] == [0.4, 0.6, 0.8]
-    assert (tmp_path / "sweep.csv.manifest").exists()
+    manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+    assert f"blanking_fraction = {plant.SimConfig.blanking_fraction!r}" in manifest
     summary = json.loads(capsys.readouterr().out)
     assert summary["n_points"] == 3
     assert 0 <= summary["worst_fluct_pct"] < 200

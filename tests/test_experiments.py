@@ -81,10 +81,7 @@ def test_preset_validation():
         experiments.ExperimentPreset(name="x", side="primary", ntf_kind="first", rho=5.0)
     # the preset's SimConfig is built, and so checked, when the preset is made
     with pytest.raises(ValueError, match=r"^steps_per_half_cycle must be in \[32, inf\)"):
-        experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=16,
-                                     blanking_fraction=0.7)
-    with pytest.raises(ValueError, match="blanking_fraction"):
-        experiments.ExperimentPreset(name="x", side="primary", blanking_fraction=0.7)
+        experiments.ExperimentPreset(name="x", side="primary", steps_per_half_cycle=16)
     # integer settings take integers, numpy's too, and densities real numbers
     for steps in (64.0, True, "64"):
         with pytest.raises(TypeError, match="steps_per_half_cycle must be an integer"):

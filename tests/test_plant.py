@@ -305,16 +305,11 @@ def test_stacked_rk4_affine_maps_equal_eye_oracle_bit_for_bit():
 
 def crossing_state(j, z, u_new, alpha):
     """The state after a crossing at fraction ``alpha`` of step j of a
-    segment from z = (x, u), as the no-sample loop computes it: Horner's
-    rule in alpha on row 9 r + n of ``Q[j]`` applied to (z, u_new)."""
-    c = _PROP.Q[j].dot(np.r_[z, u_new]).tolist()
-    x = []
-    for r in range(0, 36, 9):
-        acc = c[r + 8]
-        for n in range(7, -1, -1):
-            acc = acc * alpha + c[r + n]
-        x.append(acc)
-    return np.array(x)
+    segment from z = (x, u), as the no-sample loop computes it: ``Q[j]``
+    applied to (z, u_new), whose row 9 r + n is the alpha^n coefficient of
+    state r, contracted with the powers alpha^0..alpha^8."""
+    coef = _PROP.Q[j].dot(np.r_[z, u_new]).reshape(4, 9)
+    return coef.dot(alpha ** np.arange(9.0))
 
 
 _STEPS = _PROP.K.shape[0] - 1
