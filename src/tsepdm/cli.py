@@ -2,8 +2,8 @@
 
 Commands write delimiter-separated output files. The plant commands
 (``simulate``, ``sweep``, ``gssa``, ``dynamic``) resolve the plant constants
-from the `plant.PlantParams` defaults, an optional key-value ``--config``
-file, then flags. Every command but ``ntf`` and ``modulate`` also writes a
+from the `plant.PlantParams` defaults and an optional key-value
+``--config`` file. Every command but ``ntf`` and ``modulate`` also writes a
 ``<out>.manifest`` recording the resolved parameters, and every command but
 ``ntf`` can print a machine-readable JSON summary. Identical inputs produce
 byte-identical outputs.
@@ -56,9 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ntf", help="design, check, or sweep a noise transfer function")
     p.add_argument("action", choices=("design", "bode", "check"))
-    p.add_argument("--order", type=int, choices=(1, 3), default=3)
-    p.add_argument("--rho", type=float, default=ntf.NtfDesignSpec.notch_ratio)
-    p.add_argument("--r", type=float, default=ntf.NtfDesignSpec.pole_radius)
+    _add_ntf_flags(p)
     p.add_argument("--points", type=int, default=512)
     p.add_argument("--out", help="output file (design: coefficients; bode: response rows)")
     p.add_argument("--pz", help="pole-zero output file (design only)")
@@ -81,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ntf_flags(p)
     p.add_argument("--duration", type=float, default=plant.SimConfig.duration)
     p.add_argument("--steps", type=int, default=plant.SimConfig.steps_per_half_cycle)
-    p.add_argument("--blanking", type=float, default=plant.SimConfig.blanking_fraction)
     p.add_argument("--trace", required=True, help="sample rows (t,i1,i2,vC1,vC2,u1,u2)")
     p.add_argument("--events", help="gate event rows (tick, side, y, s, t_event)")
     p.add_argument("--json-summary", action="store_true")
@@ -103,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gssa", help="envelope small-signal frequency response")
     p.add_argument("--config", help=_CONFIG_HELP)
-    p.add_argument("--k", type=float, help="override the coupling coefficient")
     p.add_argument("--channel", choices=sorted(_CHANNEL_FLAGS), default="u1i1")
     p.add_argument("--fmin", type=float, default=gssa.BODE_RATIO_MIN,
                    help="low edge, ratio units")
@@ -126,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamic", help="sinusoidal density tracking on the secondary")
     p.add_argument("--config", help=_CONFIG_HELP)
-    p.add_argument("--vg", type=float, default=15.0)
-    p.add_argument("--vo", type=float, default=15.0)
     _add_ntf_flags(p)
     p.add_argument("--duration", type=float, default=experiments.DYNAMIC_DURATION)
     p.add_argument("--freq", type=float, default=experiments.DYNAMIC_FREQ)
@@ -145,8 +139,7 @@ def _emit_summary(args, summary: dict):
 
 
 def cmd_ntf(args) -> int:
-    spec = ntf.NtfDesignSpec(notch_ratio=args.rho, pole_radius=args.r)
-    tf = ntf.build_first_order() if args.order == 1 else ntf.build_third_order(spec)
+    tf = experiments.make_ntf(args.ntf, args.rho, args.r)
 
     if args.action != "check" and not args.out:
         raise datafiles.ConfigError(f"ntf {args.action} requires --out")
@@ -163,7 +156,7 @@ def cmd_ntf(args) -> int:
         datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"],
                              ntf.bode_data(tf, args.points).T)
     else:  # check
-        report = ntf.check_requirements(tf, spec)
+        report = ntf.check_requirements(tf, ntf.NtfDesignSpec(args.rho, args.r))
         print(f"dc_gain_zero: {'pass' if report.dc_gain_zero else 'FAIL'} "
               f"(residual {report.dc_residual:.3e})")
         print(f"realizable:   {'pass' if report.realizable else 'FAIL'} "
@@ -199,8 +192,7 @@ def cmd_modulate(args) -> int:
 def cmd_simulate(args) -> int:
     params = datafiles.params_from_config(args.config)
     tf = experiments.make_ntf(args.ntf, args.rho, args.r)
-    cfg = plant.SimConfig(steps_per_half_cycle=args.steps, duration=args.duration,
-                          blanking_fraction=args.blanking)
+    cfg = plant.SimConfig(steps_per_half_cycle=args.steps, duration=args.duration)
     trace = plant.simulate(params, cfg,
                            modulator.PulseDensityModulator(tf),
                            modulator.PulseDensityModulator(tf),
@@ -214,7 +206,7 @@ def cmd_simulate(args) -> int:
         **dataclasses.asdict(params),
         "d1": args.d1, "d2": args.d2, "ntf": args.ntf, "rho": args.rho, "r": args.r,
         "duration": args.duration, "steps_per_half_cycle": args.steps,
-        "blanking_fraction": args.blanking,
+        "blanking_fraction": cfg.blanking_fraction,
     })
     # Steady values average the half cycles ending in the last 20% of the
     # run; a run too short to have any holds nulls.
@@ -262,8 +254,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gssa(args) -> int:
-    overrides = {"k": args.k} if args.k is not None else {}
-    params = datafiles.params_from_config(args.config, **overrides)
+    params = datafiles.params_from_config(args.config)
     model = gssa.build_envelope_model(params)
     try:
         rows = gssa.bode_grid_rows(model, _CHANNEL_FLAGS[args.channel],
@@ -321,7 +312,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    params = datafiles.params_from_config(args.config, Vg=args.vg, Vo=args.vo)
+    rail = experiments.DYNAMIC_RAIL
+    params = datafiles.params_from_config(args.config, Vg=rail, Vo=rail)
     resp = experiments.run_dynamic_response(params, args.ntf, args.rho, args.r,
                                             duration=args.duration,
                                             mod_freq=args.freq,

@@ -119,12 +119,12 @@ def parse_config_text(text: str) -> dict[str, float]:
     return values
 
 
-def params_from_config(path: str | None = None, **overrides) -> PlantParams:
+def params_from_config(path: str | None = None, **defaults) -> PlantParams:
     """Build plant parameters from an optional key-value config file.
 
-    The file sets the symbols it names; the others keep their `PlantParams`
-    defaults, the measured prototype constants. Keyword overrides are
-    applied on top (e.g. ``k=0.13`` for a detuned sweep).
+    The file sets the symbols it names. The keywords are defaults beneath
+    the file (e.g. ``Vg=15.0`` for the dynamic test's rails), and the other
+    symbols keep their `PlantParams` defaults, the measured prototype constants.
     """
     values = {}
     if path is not None:
@@ -132,7 +132,7 @@ def params_from_config(path: str | None = None, **overrides) -> PlantParams:
             values = parse_config_text(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values.update(overrides)
+    values = {**defaults, **values}
     try:
         return PlantParams(**values)
     except (TypeError, ValueError) as exc:

@@ -26,9 +26,11 @@ from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
 
 NTF_KINDS = ("first", "tse")
 SIDES = ("primary", "secondary")
-# The sinusoidal-tracking run of `run_dynamic_response`: duration (s), frequency (Hz).
+# The sinusoidal-tracking run of `run_dynamic_response`: duration (s), frequency
+# (Hz), and the rail (V) `tsepdm dynamic` sets Vg and Vo to unless --config does.
 DYNAMIC_DURATION = 8e-3
 DYNAMIC_FREQ = 500.0
+DYNAMIC_RAIL = 15.0
 
 
 def dynamic_d2(t: float, mod_freq: float) -> float:

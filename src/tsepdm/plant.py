@@ -534,7 +534,7 @@ def simulate(params: PlantParams, config: SimConfig,
             if accept < 0:
                 continue
             # the segment is hc + 1's, from the hand-off
-            j, base = accept - n_rem, (hc % ring) * steps
+            j = accept - n_rem
             z8, z6, z4, z_old, z_new = cur
             o8, o6, o4, _, _ = oth
         else:

@@ -271,7 +271,8 @@ def test_criterion_09_reason_detuned_notch_passes_the_beat_mode():
 
 
 def test_criterion_10_dynamic_tracking(prototype):
-    p15 = dataclasses.replace(prototype, Vg=15.0, Vo=15.0)
+    rail = experiments.DYNAMIC_RAIL
+    p15 = dataclasses.replace(prototype, Vg=rail, Vo=rail)
     tse = experiments.run_dynamic_response(p15, "tse")
     conv = experiments.run_dynamic_response(p15, "first")
     amp_ok = tse.amplitude_error_pct <= 10.0

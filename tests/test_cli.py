@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -46,6 +47,10 @@ def test_config_file_sets_only_the_symbols_it_names(tmp_path):
     cfg.write_text("k = 0.13\n")
     assert (datafiles.params_from_config(cfg, Vg=15.0)
             == dataclasses.replace(plant.DEFAULT_PARAMS, k=0.13, Vg=15.0))
+    # a keyword is a default beneath the file: a symbol the file names wins
+    cfg.write_text("k = 0.13\nVg = 20\n")
+    assert (datafiles.params_from_config(cfg, Vg=15.0, Vo=15.0)
+            == dataclasses.replace(plant.DEFAULT_PARAMS, k=0.13, Vg=20.0, Vo=15.0))
 
 
 def test_readme_config_block_is_prototype():
@@ -55,6 +60,20 @@ def test_readme_config_block_is_prototype():
     values = datafiles.parse_config_text(block)
     assert tuple(values) == datafiles.CONFIG_KEYS
     assert plant.PlantParams(**values) == plant.DEFAULT_PARAMS
+
+
+def test_readme_commands_parse():
+    # every command example in the README parses: a removed flag left in an
+    # example fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("tsepdm ")]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 # Each command with only its required flags.
@@ -74,11 +93,10 @@ def test_cli_defaults_are_the_library_defaults():
     preset = experiments.ExperimentPreset(name="x", side="primary")
     for cmd in ("ntf", "modulate", "simulate", "sweep", "stability", "dynamic"):
         assert (args[cmd].rho, args[cmd].r) == (spec.notch_ratio, spec.pole_radius), cmd
-    for cmd in ("modulate", "simulate", "sweep", "stability", "dynamic"):
+    for cmd in ("ntf", "modulate", "simulate", "sweep", "stability", "dynamic"):
         assert args[cmd].ntf == preset.ntf_kind, cmd
     a = args["simulate"]
-    assert (a.duration, a.steps, a.blanking) == (
-        sim.duration, sim.steps_per_half_cycle, sim.blanking_fraction)
+    assert (a.duration, a.steps) == (sim.duration, sim.steps_per_half_cycle)
     a = args["sweep"]
     assert (a.rho, a.r, a.duration, a.steps, a.settle, a.window) == (
         preset.rho, preset.r, preset.duration, preset.steps_per_half_cycle,
@@ -110,7 +128,7 @@ def test_cli_choice_lists_are_the_library_lists():
     assert choices[("modulate", "window")] == tuple(analysis.WINDOWS)
     assert sorted(cli._CHANNEL_FLAGS[c] for c in choices[("gssa", "channel")]) == sorted(
         gssa.CHANNELS)
-    for cmd in ("modulate", "simulate", "sweep", "stability", "dynamic"):
+    for cmd in ("ntf", "modulate", "simulate", "sweep", "stability", "dynamic"):
         assert choices[(cmd, "ntf")] == experiments.NTF_KINDS, cmd
 
 
@@ -145,7 +163,7 @@ def test_simulate_duplicate_config_symbol_exits_2(tmp_path, capsys):
 def test_ntf_design_writes_expected_coefficients(tmp_path):
     out = tmp_path / "coeffs.csv"
     pz = tmp_path / "pz.csv"
-    assert main(["ntf", "design", "--order", "3", "--rho", "0.075",
+    assert main(["ntf", "design", "--ntf", "tse", "--rho", "0.075",
                  "--r", "0.9", "--out", str(out), "--pz", str(pz)]) == 0
     header, rows = read_rows(out)
     assert rows[0][0] == "num" and rows[1][0] == "den"
@@ -164,7 +182,7 @@ def test_ntf_design_rejects_bad_rho(tmp_path):
 
 def test_ntf_bode_rows(tmp_path):
     out = tmp_path / "bode.csv"
-    assert main(["ntf", "bode", "--order", "1", "--points", "200",
+    assert main(["ntf", "bode", "--ntf", "first", "--points", "200",
                  "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert len(rows) == 200
@@ -174,7 +192,7 @@ def test_ntf_bode_rows(tmp_path):
 
 
 def test_ntf_check_reports_notch_failure(capsys):
-    assert main(["ntf", "check", "--order", "1", "--rho", "0.075"]) == 0
+    assert main(["ntf", "check", "--ntf", "first", "--rho", "0.075"]) == 0
     out = capsys.readouterr().out
     assert "notch_zero:   FAIL" in out
     assert "dc_gain_zero: pass" in out
@@ -256,6 +274,7 @@ def test_simulate_writes_trace_events_manifest(tmp_path, capsys):
     manifest = (tmp_path / "tr.csv.manifest").read_text()
     assert "fs = 300000.0" in manifest
     assert "d1 = 1.0" in manifest
+    assert f"blanking_fraction = {plant.SimConfig.blanking_fraction!r}" in manifest.splitlines()
     summary = json.loads(capsys.readouterr().out)
     assert summary["i1_steady"] > 1.0
 
@@ -522,6 +541,27 @@ def test_dynamic_summary(tmp_path, capsys):
     assert summary["corr_i1"] > 0.9
     header, _ = read_rows(out)
     assert header == ["t", "d2", "i1_envelope", "i2_envelope"]
+
+
+@pytest.mark.parametrize("config, rails", [
+    (None, (experiments.DYNAMIC_RAIL, experiments.DYNAMIC_RAIL)),
+    ("Vg = 20\nVo = 25\n", (20.0, 25.0))], ids=["no-config", "config"])
+def test_dynamic_runs_at_the_config_rails_else_the_dynamic_rail(tmp_path, config, rails):
+    out = tmp_path / "dyn.csv"
+    argv = ["dynamic", "--duration", "4.1e-3", "--steps", "32", "--out", str(out)]
+    if config is not None:
+        (tmp_path / "c.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    assert main(argv) == 0
+    manifest = (tmp_path / "dyn.csv.manifest").read_text().splitlines()
+    assert [f"Vg = {rails[0]!r}", f"Vo = {rails[1]!r}"] == [
+        line for line in manifest if line.startswith(("Vg ", "Vo "))]
+    params = dataclasses.replace(plant.DEFAULT_PARAMS, Vg=rails[0], Vo=rails[1])
+    resp = experiments.run_dynamic_response(params, "tse", duration=4.1e-3,
+                                            steps_per_half_cycle=32)
+    _, rows = read_rows(out)
+    assert [row[2:] for row in rows] == [[repr(i1), repr(i2)] for i1, i2 in zip(
+        resp.env_i1.tolist(), resp.env_i2.tolist(), strict=True)]
 
 
 def run_alone(argv, cwd=None):

@@ -229,7 +229,8 @@ def test_dynamic_response_tracks_command(prototype, monkeypatch):
         return traces[-1]
 
     monkeypatch.setattr(experiments, "simulate", recording_simulate)
-    p15 = dataclasses.replace(prototype, Vg=15.0, Vo=15.0)
+    rail = experiments.DYNAMIC_RAIL
+    p15 = dataclasses.replace(prototype, Vg=rail, Vo=rail)
     resp = experiments.run_dynamic_response(p15, "tse")
     assert resp.amplitude_error_pct <= 10.0
     assert resp.corr_i1 > 0.9
