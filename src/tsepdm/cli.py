@@ -35,13 +35,14 @@ _CONFIG_HELP = ("key-value plant constants file; symbols it does not name keep "
                 "the measured prototype values")
 
 
-def _add_ntf_flags(p: argparse.ArgumentParser):
+def _add_ntf_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--ntf", choices=experiments.NTF_KINDS, default="tse",
                    help="noise transfer function (default %(default)s)")
     p.add_argument("--rho", type=float, default=ntf.NtfDesignSpec.notch_ratio,
                    help="notch frequency ratio omega_e/omega_s (default %(default)s)")
     p.add_argument("--r", type=float, default=ntf.NtfDesignSpec.pole_radius,
                    help="notch pole radius (default %(default)s)")
+    return p
 
 
 @functools.cache
@@ -54,13 +55,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "SS-compensated wireless power link.")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ntf", help="design, check, or sweep a noise transfer function")
-    p.add_argument("action", choices=("design", "bode", "check"))
-    _add_ntf_flags(p)
+    ntf_actions = sub.add_parser("ntf", help="design, check, or sweep a noise transfer function"
+                                 ).add_subparsers(dest="action", required=True)
+    p = _add_ntf_flags(ntf_actions.add_parser("design", help="write the coefficients"))
+    p.add_argument("--out", required=True, help="(label, z^n ...) coefficient rows")
+    p.add_argument("--pz", help="optional pole-zero file (re, im, kind)")
+    p.set_defaults(func=cmd_ntf_design)
+    p = _add_ntf_flags(ntf_actions.add_parser("bode", help="write the frequency response"))
     p.add_argument("--points", type=int, default=512)
-    p.add_argument("--out", help="output file (design: coefficients; bode: response rows)")
-    p.add_argument("--pz", help="pole-zero output file (design only)")
-    p.set_defaults(func=cmd_ntf)
+    p.add_argument("--out", required=True, help="(ratio, mag_db, phase_rad) rows")
+    p.set_defaults(func=cmd_ntf_bode)
+    _add_ntf_flags(ntf_actions.add_parser("check", help="print the requirement checks")
+                   ).set_defaults(func=cmd_ntf_check)
 
     p = sub.add_parser("modulate", help="run the modulator at a constant density")
     p.add_argument("--d", type=float, required=True)
@@ -134,36 +140,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_summary(args, summary: dict):
-    if getattr(args, "json_summary", False):
+    if args.json_summary:
         print(json.dumps(summary, sort_keys=True))
 
 
-def cmd_ntf(args) -> int:
+def cmd_ntf_design(args) -> int:
     tf = experiments.make_ntf(args.ntf, args.rho, args.r)
+    num = tuple(tf.num) + (0.0,) * (len(tf.den) - len(tf.num))
+    datafiles.write_rows(args.out, ["label"] + [f"z{len(tf.den)-1-i}" for i in range(len(tf.den))],
+                         zip(["num", *num], ["den", *tf.den], strict=True))
+    if args.pz:
+        zeros, poles = ntf.zeros_poles(tf)
+        rows = [[z.real, z.imag, "zero"] for z in zeros]
+        rows += [[pp.real, pp.imag, "pole"] for pp in poles]
+        datafiles.write_rows(args.pz, ["re", "im", "kind"], zip(*rows, strict=True))
+    return 0
 
-    if args.action != "check" and not args.out:
-        raise datafiles.ConfigError(f"ntf {args.action} requires --out")
-    if args.action == "design":
-        num = tuple(tf.num) + (0.0,) * (len(tf.den) - len(tf.num))
-        datafiles.write_rows(args.out, ["label"] + [f"z{len(tf.den)-1-i}" for i in range(len(tf.den))],
-                             zip(["num", *num], ["den", *tf.den], strict=True))
-        if args.pz:
-            zeros, poles = ntf.zeros_poles(tf)
-            rows = [[z.real, z.imag, "zero"] for z in zeros]
-            rows += [[pp.real, pp.imag, "pole"] for pp in poles]
-            datafiles.write_rows(args.pz, ["re", "im", "kind"], zip(*rows, strict=True))
-    elif args.action == "bode":
-        datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"],
-                             ntf.bode_data(tf, args.points).T)
-    else:  # check
-        report = ntf.check_requirements(tf, ntf.NtfDesignSpec(args.rho, args.r))
-        print(f"dc_gain_zero: {'pass' if report.dc_gain_zero else 'FAIL'} "
-              f"(residual {report.dc_residual:.3e})")
-        print(f"realizable:   {'pass' if report.realizable else 'FAIL'} "
-              f"(residual {report.realizability_residual:.3e})")
-        print(f"notch_zero:   {'pass' if report.notch_ok else 'FAIL'} "
-              f"(gain {report.notch_gain:.6f} at ratio {report.notch_ratio})")
-        print(f"notes: {report.notes}")
+
+def cmd_ntf_bode(args) -> int:
+    check_integer("--points", args.points, 2)
+    rows = ntf.bode_data(experiments.make_ntf(args.ntf, args.rho, args.r), args.points)
+    datafiles.write_rows(args.out, ["ratio", "mag_db", "phase_rad"], rows.T)
+    return 0
+
+
+def cmd_ntf_check(args) -> int:
+    tf = experiments.make_ntf(args.ntf, args.rho, args.r)
+    report = ntf.check_requirements(tf, ntf.NtfDesignSpec(args.rho, args.r))
+    print(f"dc_gain_zero: {'pass' if report.dc_gain_zero else 'FAIL'} "
+          f"(residual {report.dc_residual:.3e})")
+    print(f"realizable:   {'pass' if report.realizable else 'FAIL'} "
+          f"(residual {report.realizability_residual:.3e})")
+    print(f"notch_zero:   {'pass' if report.notch_ok else 'FAIL'} "
+          f"(gain {report.notch_gain:.6f} at ratio {report.notch_ratio})")
+    print(f"notes: {report.notes}")
     return 0
 
 

@@ -50,39 +50,35 @@ from the current sample in one column-major product ``np.dot(z, ST,
 out=...)``, into a window of CHUNK + 1 half cycles that moves on by CHUNK
 once a chunk's envelope peaks are reduced. Rows after a crossing, and the
 surplus rows of a column-major product, are written again by the next
-product. The run state is two float64 vectors of eight slots, (x, u1, u2,
-u1, u2_new), the column order of ``Q[j]``, made once per run with their
-views: a pass sets the drive slots of the one it starts from and its
-products read z, the first six slots; the hand-off writes ``K[n].dot(z,
-out=...)`` and hc + 1's drives into the other, and the two swap roles as
-the run moves on, so no pass builds an array. At a crossing in step j,
-collecting runs write ``K[j].dot(z)``, the same bits as the row the
-product wrote, into the other vector, and the run's split kernel writes
-the state after both RK4 sub-steps over it with the bits of a stacked
-`rk4_affine_maps` call, kept because the ``simulate --trace/--events`` CSV
-files are compared byte for byte between versions. The others take the
-state after the crossing in one product of ``Q[j]`` with all eight slots
-(z and the new drive), the coefficients of a degree-8 polynomial per state
-in the split fraction alpha (the two sub-steps' degree-4 polynomials
-composed with the segment's first j steps), and one product of them with
-alpha^0..alpha^8 into the other vector. Either way that vector holds the
-next pass's start. The two modes differ by rounding only: on the drives
-the tests draw, and in every sweep, which holds one side at 1, they log
-the same gate events, with times and envelopes equal to rounding; a weakly
-driven run can part from its twin (README). The maps are built once per
-process for each (PlantParams, steps) pair and shared read-only.
+product. The run state is two vectors of eight slots (`simulate` names
+them): a pass reads one, and the hand-off and the split write the other.
+At a crossing in step j, collecting runs write ``K[j].dot(z)``, the same
+bits as the row the product wrote, into the other vector, and the run's
+split kernel writes the state after both RK4 sub-steps over it with the
+bits of a stacked `rk4_affine_maps` call, kept because the
+``simulate --trace/--events`` CSV files are compared byte for byte between
+versions. The others take the state after the crossing in one product of
+``Q[j]`` with all eight slots (z and the new drive), the coefficients of a
+degree-8 polynomial per state in the split fraction alpha (the two
+sub-steps' degree-4 polynomials composed with the segment's first j
+steps), and one product of them with alpha^0..alpha^8 into the other
+vector. Either way that vector holds the next pass's start. The two modes
+differ by rounding only: on the drives the tests draw, and in every sweep,
+which holds one side at 1, they log the same gate events, with times and
+envelopes equal to rounding; a weakly driven run can part from its twin
+(README).
 
-`simulate` runs in three stages. Schedule: the modulators need nothing
-from the plant, so the primary's pulses, gated by the
-`modulator.gate_split` carrier, and its drives (rail times gate) are one
-batch before the loop, a constant d1 read once; the secondary ticks a
-block of crossings ahead at a time: CHUNK for a constant d2, one for a
-callable d2, and is left at its state after the last crossing the run
-used. Propagate: the passes only advance the state, check inline that each
-half cycle they end ends in a finite state, reduce the envelope peaks (max
-|i1|, |i2| over the samples of each half cycle) from that array only at
-the end of each CHUNK half cycles, and log each accepted crossing's row,
-time and secondary gate in flat columns. The kernels are bound once per
+`simulate` runs in three stages. Schedule: the modulators need nothing from
+the plant, so the primary's pulses, gated by the `modulator.gate_split`
+carrier, and its drives (rail times gate) are one batch before the loop,
+from d1 and the rail, one value per half cycle; the secondary ticks a block
+of crossings ahead at a time: CHUNK for a constant d2, one for a callable
+d2, read at each crossing, and is left at its state after the last crossing
+the run used. Propagate: the passes only advance the state, check inline
+that each half cycle they end ends in a finite state, reduce the envelope
+peaks (max |i1|, |i2| over the samples of each half cycle) from that array
+only at the end of each CHUNK half cycles, and log each accepted crossing's
+row, time and secondary gate in flat columns. The kernels are bound once per
 run: the maps' ``dot`` methods as lists, numpy's functions as locals, the
 split kernel and the buffers of the no-sample split. Assemble: after the
 loop the starvation diagnostic is read from the crossing times, and
@@ -370,15 +366,6 @@ def _propagator(params: PlantParams, steps: int) -> _AffinePropagator:
     return _AffinePropagator(A, B, 0.5 / params.fs / steps, steps)
 
 
-def _checked_reader(f, name: str, lo: float, hi: float,
-                    ends: str = "[]") -> Callable[[float], float]:
-    """Reader of ``f`` (a value or callable of time): its value at t, checked
-    by `check_interval` and named ``name(t)`` when it raises."""
-    def read(t: float) -> float:
-        return check_interval(name, f(t) if callable(f) else f, lo, hi, ends, t)
-    return read
-
-
 def half_cycle_ends(params: PlantParams, duration: float) -> np.ndarray:
     """End time of each half cycle a run of ``duration`` simulates, the
     ``Trace.envelope_t`` axis: ``round(duration / half)`` half cycles."""
@@ -386,17 +373,29 @@ def half_cycle_ends(params: PlantParams, duration: float) -> np.ndarray:
     return np.arange(1, int(round(duration / half)) + 1) * half
 
 
+def _per_half_cycle(name: str, value, n_half: int, half: float, lo: float, hi: float,
+                    ends: str = "[]") -> list[float]:
+    """``value``, one number or ``n_half``, as one float per half cycle, entry
+    hc checked by `check_interval` as ``name(t)``, t = hc half its start."""
+    if np.ndim(value) == 0:
+        return [check_interval(name, value, lo, hi, ends, 0.0)] * n_half
+    if len(value) != n_half:
+        raise ValueError(f"{name} must hold {n_half} values, got {len(value)}")
+    return [check_interval(name, v, lo, hi, ends, hc * half) for hc, v in enumerate(value)]
+
+
 def simulate(params: PlantParams, config: SimConfig,
              primary_modulator: PulseDensityModulator,
              secondary_modulator: PulseDensityModulator,
-             d1, d2,
-             vg_of_t: Callable[[float], float] | None = None) -> Trace:
+             d1, d2, vg=None) -> Trace:
     """Co-simulate the tank with PDM bridges on both sides.
 
-    ``d1``/``d2`` are pulse densities in [0, 1], constants or callables of
-    time. ``vg_of_t`` optionally modulates the primary dc rail (sampled at
-    the primary modulator ticks, finite and positive, else ValueError); by
-    default it is the constant ``params.Vg``. The secondary rail is ``params.Vo``.
+    ``d1``/``d2`` are pulse densities in [0, 1]. ``d1``, a number or one per
+    half cycle (entry hc for the one that starts at hc half, ``len(
+    half_cycle_ends(params, config.duration))`` in all), and ``vg``, the
+    primary rail (> 0; ``params.Vg`` if None, else one per half cycle), are
+    read at each primary tick. ``d2`` is a number or a callable of time,
+    read at each crossing. The secondary rail is ``params.Vo``.
     """
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
@@ -407,9 +406,6 @@ def simulate(params: PlantParams, config: SimConfig,
         raise ValueError("duration shorter than one half cycle")
     prop = _propagator(params, steps)
     K, Q, stack, ST = prop.K, prop.Q, prop.stack, prop.ST
-    read_d1 = _checked_reader(d1, "d1", 0.0, 1.0)
-    read_d2 = _checked_reader(d2, "d2", 0.0, 1.0)
-    read_vg = _checked_reader(vg_of_t, "vg_of_t", 0.0, math.inf, "()")
 
     collect = config.collect_samples
     # Sample rows: all states of the whole run, or i1/i2 of a window of
@@ -423,26 +419,23 @@ def simulate(params: PlantParams, config: SimConfig,
     samples = np.empty(((n_half if collect else CHUNK + 1) * steps + 1, width))
     flat = samples.reshape(-1)
 
-    # Schedule. The modulators need nothing from the plant: the primary ticks
-    # at every half-cycle start, so its drives are known before the loop, and
-    # the secondary ticks ``ahead`` crossings at a time: one for a callable
-    # d2, read at each crossing. The readers check every density, so the
+    # Schedule. The modulators need nothing from the plant: the primary's
+    # drives are known before the loop, the secondary ticks ``ahead``
+    # crossings at a time. Each density is checked where it is read, so the
     # modulators take them unchecked.
-    ds1 = ([read_d1(hc * half) for hc in range(n_half)] if callable(d1)
-           else [read_d1(0.0)] * n_half)
-    s1 = gate_split(primary_modulator._advance(ds1))
-    rail1 = params.Vg if vg_of_t is None else [read_vg(hc * half) for hc in range(n_half)]
+    s1 = gate_split(primary_modulator._advance(_per_half_cycle("d1", d1, n_half, half, 0.0, 1.0)))
+    if vg is not None and np.ndim(vg) == 0:
+        raise TypeError(f"vg must be one rail per half cycle (a constant rail is Vg), got {vg!r}")
+    rail1 = (params.Vg if vg is None
+             else _per_half_cycle("vg", vg, n_half, half, 0.0, math.inf, "()"))
     u1_log = np.multiply(rail1, s1)  # each half cycle's primary drive
     u1s = u1_log.tolist()
     ahead = 1 if callable(d2) else CHUNK
 
     # Propagate. Each accepted crossing is logged: its first row under the
     # new drive, its time and its signed secondary gate.
-    cross_rows = array("q")
-    cross_t = array("d")
-    cross_s = array("b")
-    env1 = np.empty(n_half)
-    env2 = np.empty(n_half)
+    cross_rows, cross_t, cross_s = array("q"), array("d"), array("b")
+    env1, env2 = np.empty(n_half), np.empty(n_half)
     blanking = config.blanking_fraction * half
     blanking_until = 0.0  # every crossing time is >= 0: none before the first is blanked
     u2 = 0.0  # rectifier idles shorted until the first crossing locks c2
@@ -454,7 +447,8 @@ def simulate(params: PlantParams, config: SimConfig,
     # The run state: two vectors of slots (x0, x1, x2, x3, u1, u2, u1, u2_new),
     # the column order of Q[j], each with its views z = [:6], x = [:4] and
     # the split's drives [4:6], [6:8]. A pass reads ``cur``; the hand-off and
-    # the split write ``oth``, and the two swap roles as the run moves on.
+    # the split write ``oth``, and the two swap roles as the run moves on, so
+    # no pass builds an array.
     start = np.empty(8)
     start[:4] = config.initial_state
     cur, oth = [(v, v[:6], v[:4], v[4:6], v[6:]) for v in (start, np.empty(8))]
@@ -462,13 +456,8 @@ def simulate(params: PlantParams, config: SimConfig,
     coef, powers, exponents, power = np.empty(36), np.empty(9), np.arange(9.0), np.power
     coef_rows = coef.reshape(4, 9)  # row r: state r's alpha^0..alpha^8 coefficients
 
-    # Each pass starts at sample pos of half cycle hc in the state ``cur``
-    # holds, writes the rest of hc and all of hc + 1, and splits at the first
-    # crossing accepted in either; the rows after it are written again by the
-    # next pass. A pass whose split is not in hc ends hc, the only place a
-    # half cycle ends: its end state must be finite, and a chunk's end
-    # reduces its envelope peaks. With no split, the next pass starts at
-    # hc + 1 from the hand-off and propagates hc + 1 again.
+    # The passes of the module docstring: each starts at sample pos of half
+    # cycle hc in the state ``cur`` holds.
     hc, pos = 0, 0
     while hc < n_half:
         base = (hc % ring) * steps
@@ -546,7 +535,8 @@ def simulate(params: PlantParams, config: SimConfig,
         blanking_until = t_x + blanking
         n_cross = len(cross_rows)
         if n_cross % ahead == 0:
-            block_state, ds2 = secondary_modulator.state, [read_d2(t_x)] * ahead
+            d2_x = check_interval("d2", d2(t_x) if callable(d2) else d2, 0.0, 1.0, "[]", t_x)
+            block_state, ds2 = secondary_modulator.state, [d2_x] * ahead
             y2_ahead = secondary_modulator._advance(ds2)
         s2 = y2_ahead[n_cross % ahead] * c2
         z8[7] = u2 = params.Vo * s2
@@ -575,8 +565,8 @@ def simulate(params: PlantParams, config: SimConfig,
     # after the latest crossing at or before it, or after t = 0, where d2 < 1.
     cross_half = (np.array(cross_rows) - 1) // steps
     last = np.array([0.0, *cross_t])[np.searchsorted(cross_half, np.arange(n_half), "right")]
-    starved = next((t_end for t_end in env_t[env_t - last > 6.0 * half].tolist()
-                    if read_d2(t_end) < 1.0), None)
+    starved = next((t for t in env_t[env_t - last > 6.0 * half].tolist() if check_interval(
+        "d2", d2(t) if callable(d2) else d2, 0.0, 1.0, "[]", t) < 1.0), None)
     diagnostics = [] if starved is None else [
         f"secondary sync starved: no i2 crossing in 3 switching periods before "
         f"t={starved:.6e}s; c2 frozen"]

@@ -227,9 +227,11 @@ def test_criterion_08_reason_a_single_skip_rings_down_at_the_envelope_time_const
 
     half = 0.5 / prototype.fs
     cfg = plant.SimConfig(duration=4e-3, collect_samples=False)
+    d1_skip = np.ones(len(plant.half_cycle_ends(prototype, cfg.duration)))
+    d1_skip[900] = 0.0
     ref, skip = (plant.simulate(prototype, cfg, PulseDensityModulator(NTF3),
                                 PulseDensityModulator(NTF3), d1, 1.0)
-                 for d1 in (1.0, lambda t: 0.0 if round(t / half) == 900 else 1.0))
+                 for d1 in (1.0, d1_skip))
     assert np.flatnonzero(skip.s1 == 0).tolist() == [900]
     after = ref.envelope_t > 900 * half
     t = ref.envelope_t[after]

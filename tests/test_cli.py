@@ -1,5 +1,7 @@
 """Command-line interface: files, manifests, exit codes, reproducibility."""
 
+import argparse
+import ast
 import dataclasses
 import inspect
 import json
@@ -78,7 +80,7 @@ def test_readme_commands_parse():
 
 # Each command with only its required flags.
 REQUIRED_FLAGS = {
-    "ntf": ["design"], "modulate": ["--d", "0.5", "--out", "o"], "simulate": ["--trace", "o"],
+    "ntf": ["design", "--out", "o"], "modulate": ["--d", "0.5", "--out", "o"], "simulate": ["--trace", "o"],
     "sweep": ["--side", "primary", "--out", "o"], "gssa": ["--out", "o"],
     "stability": ["--out", "o"], "dynamic": ["--out", "o"],
 }
@@ -120,16 +122,93 @@ def test_cli_defaults_are_the_library_defaults():
                                        "steps_per_half_cycle"))
 
 
+def _commands(parser, path=()):
+    """``(command, parser)`` for each parser that ends a command line: every
+    subcommand, and each action of ``ntf`` (command ``"ntf design"``)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, (*path, name))
+
+
 def test_cli_choice_lists_are_the_library_lists():
-    commands = cli._build_parser()._subparsers._group_actions[0].choices
     choices = {(cmd, action.dest): tuple(action.choices)
-               for cmd, sub in commands.items() for action in sub._actions if action.choices}
+               for cmd, sub in _commands(cli._build_parser()) for action in sub._actions
+               if action.choices}
     assert choices[("sweep", "side")] == experiments.SIDES
     assert choices[("modulate", "window")] == tuple(analysis.WINDOWS)
     assert sorted(cli._CHANNEL_FLAGS[c] for c in choices[("gssa", "channel")]) == sorted(
         gssa.CHANNELS)
-    for cmd in ("ntf", "modulate", "simulate", "sweep", "stability", "dynamic"):
+    for cmd in ("ntf design", "ntf bode", "ntf check", "modulate", "simulate", "sweep",
+                "stability", "dynamic"):
         assert choices[(cmd, "ntf")] == experiments.NTF_KINDS, cmd
+
+
+def unread_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """``"<command> <flag>"`` for each option a command declares that its
+    function never reads as ``args.<dest>``, the functions of the cli module
+    it calls included; only a load of the attribute counts, as in
+    tests/test_unread_code.py."""
+    funcs = {node.name: node for node in ast.parse(Path(cli.__file__).read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        seen.add(name)
+        read = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in funcs and node.func.id not in seen):
+                read |= reads(node.func.id, seen)
+        return read
+
+    unread = set()
+    for cmd, sub in _commands(parser):
+        read = reads(sub.get_default("func").__name__, set())
+        unread |= {f"{cmd} {action.option_strings[-1]}" for action in sub._actions
+                   if action.option_strings and action.dest != "help" and action.dest not in read}
+    return unread
+
+
+def test_every_flag_is_read_by_its_command():
+    assert unread_flags(cli._build_parser()) == set()
+
+
+def test_flag_guard_names_a_flag_its_command_does_not_read():
+    parser = cli._build_parser.__wrapped__()  # a fresh parser, not the shared one
+    commands = dict(_commands(parser))
+    commands["ntf check"].add_argument("--out")
+    commands["modulate"].add_argument("--seed", type=int)
+    assert unread_flags(parser) == {"ntf check --out", "modulate --seed"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ntf", "check", "--out", "x.csv"], ["ntf", "check", "--pz", "y.csv"],
+    ["ntf", "check", "--points", "64"], ["ntf", "bode", "--out", "b.csv", "--pz", "p.csv"],
+    ["ntf", "design", "--out", "c.csv", "--points", "64"],
+    ["ntf", "design", "--pz", "p.csv"], ["ntf", "bode", "--points", "64"],
+], ids=["check-out", "check-pz", "check-points", "bode-pz", "design-points",
+        "design-without-out", "bode-without-out"])
+def test_ntf_rejects_a_flag_its_action_does_not_read(tmp_path, monkeypatch, argv):
+    # each action declares only the flags it reads: a misplaced one, or a
+    # missing --out, is a usage error that writes nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_ntf_bode_rejects_too_few_points_before_writing(tmp_path, capsys, points):
+    out = tmp_path / "b.csv"
+    assert main(["ntf", "bode", "--points", points, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --points must be in [2, inf), got {points}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_rejects_unknown_symbol(tmp_path):

@@ -156,12 +156,14 @@ def test_rail_modulation_ripple_peaks_at_beat_frequency(prototype):
     for factor in factors:
         dw = factor * beat
         cfg = plant.SimConfig(duration=3e-3, collect_samples=False)
+        half = 0.5 / prototype.fs  # the rail of each half cycle, read at its start
+        vg = [prototype.Vg * (1.0 + 0.05 * math.cos(dw * (hc * half)))
+              for hc in range(len(plant.half_cycle_ends(prototype, cfg.duration)))]
         trace = plant.simulate(
             prototype, cfg,
             PulseDensityModulator(build_first_order()),
             PulseDensityModulator(build_first_order()),
-            1.0, 1.0,
-            vg_of_t=lambda t: prototype.Vg * (1.0 + 0.05 * math.cos(dw * t)))
+            1.0, 1.0, vg=vg)
         mask = trace.envelope_t > 1.5e-3
         env = trace.envelope_i1[mask]
         ripples.append(env.max() - env.min())

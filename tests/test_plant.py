@@ -30,6 +30,13 @@ def fresh_mods(tf=None):
     return PulseDensityModulator(tf), PulseDensityModulator(tf)
 
 
+def per_half_cycle(f, params, duration):
+    """``f`` read at the start hc half of each half cycle of a run of
+    ``duration``, the one value per half cycle `simulate` takes for d1 and vg."""
+    half = 0.5 / params.fs
+    return [f(hc * half) for hc in range(len(plant.half_cycle_ends(params, duration)))]
+
+
 def test_prototype_defaults_and_mutual_inductance(prototype):
     assert prototype.L1 == 31.7e-6 and prototype.L2 == 29.7e-6
     assert prototype.C1 == 8.88e-9 and prototype.C2 == 9.47e-9
@@ -540,7 +547,7 @@ def _d2_drops(t):
 
 
 @pytest.mark.parametrize("kind", ["first", "tse"])
-@pytest.mark.parametrize("x0, d1, d2, vg_of_t, params", [
+@pytest.mark.parametrize("x0, d1, d2, rail, params", [
     ((0.0, 0.0, 0.0, 0.0), 0.963, 1.0, None, plant.DEFAULT_PARAMS),
     ((3.0, -2.0, 400.0, -900.0), 0.7, 0.6, None, plant.DEFAULT_PARAMS),
     # i2 crosses in the last step of half cycle 0
@@ -550,7 +557,7 @@ def _d2_drops(t):
     ((3.0, -2.0, 400.0, -900.0), 0.0, _d2_drops, None, _FAST_CLOCK),
 ], ids=["x00-0.963-1.0", "x01-0.7-0.6", "x02-1.0-1.0", "step-0-crossing", "rippled-rail",
         "sync-gaps-d2-drops"])
-def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_of_t, params):
+def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, rail, params):
     # Segments are written in place and the rows after an accepted crossing
     # are overwritten by the next segment. No stale row may survive: every
     # step without a crossing inside is one RK4 map of the row before under
@@ -560,7 +567,8 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_
     half = 0.5 / params.fs
     # 70 half cycles of the 300 kHz clock
     cfg = plant.SimConfig(duration=70 * 0.5 / plant.DEFAULT_PARAMS.fs, initial_state=x0)
-    tr = plant.simulate(params, cfg, *fresh_mods(tf), d1, d2, vg_of_t=vg_of_t)
+    vg = rail and per_half_cycle(rail, params, cfg.duration)
+    tr = plant.simulate(params, cfg, *fresh_mods(tf), d1, d2, vg=vg)
     steps, x, u = cfg.steps_per_half_cycle, tr.states, tr.u
     h = half / steps
     assert np.array_equal(x[0], x0)
@@ -585,9 +593,8 @@ def test_sample_rows_follow_one_step_maps_and_event_drives(kind, x0, d1, d2, vg_
 
     # drive rows: u1 from the half cycle's primary tick, u2 from the last
     # crossing at or before the step (the split step takes the new drive)
-    rail = vg_of_t or (lambda t: params.Vg)
-    u1 = np.array([float(rail(ev.t)) * ev.s for ev in primary])
-    if vg_of_t:
+    u1 = np.array([float(rail(ev.t) if rail else params.Vg) * ev.s for ev in primary])
+    if rail:
         assert len(set(np.abs(u1[u1 != 0.0]))) > 1
     assert u[0, 0] == u1[0] and u[0, 1] == 0.0
     np.testing.assert_array_equal(u[1:, 0], np.repeat(u1, steps))
@@ -855,7 +862,8 @@ def test_divergence_names_the_first_non_finite_half_cycle(prototype, collect, k)
 
     with np.errstate(all="ignore"), pytest.raises(
             plant.SimulationDiverged, match=rf"\(half cycle {k}\)$"):
-        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg_of_t=rail)
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
+                       vg=per_half_cycle(rail, prototype, cfg.duration))
 
 
 def test_zero_state_zero_drive_stays_zero(prototype):
@@ -1065,9 +1073,20 @@ def test_resonance_report_unit_values():
     assert resonance_report(p)["f01"] == pytest.approx(1.0 / (2 * math.pi))
 
 
-def test_undriven_energy_non_increasing(prototype):
-    cfg = plant.SimConfig(duration=0.5e-3, collect_samples=True,
-                          initial_state=(4.0, -2.0, 150.0, -80.0))
+@settings(max_examples=20, deadline=None)
+@given(direction=st.tuples(*(st.floats(-1.0, 1.0) for _ in range(4))).filter(
+           lambda v: max(map(abs, v)) >= 0.1),
+       decade=st.floats(-2.0, 2.0), steps=st.sampled_from([32, 64, 256]),
+       blanking=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(direction=(0.8, -0.4, 0.3, -0.16), decade=0.0, steps=256, blanking=0.25)
+def test_undriven_energy_non_increasing(direction, decade, steps, blanking):
+    # undriven, the tank only loses energy, whatever state it starts from
+    # (currents to 5 A and voltages to 500 V at decade 0, over four decades)
+    # and however its crossings are blanked and split
+    prototype = plant.DEFAULT_PARAMS
+    x0 = tuple(v * lim * 10.0 ** decade for v, lim in zip(direction, (5.0, 5.0, 500.0, 500.0)))
+    cfg = plant.SimConfig(steps_per_half_cycle=steps, duration=0.5e-3, blanking_fraction=blanking,
+                          initial_state=x0)
     trace = plant.simulate(prototype, cfg, *fresh_mods(), 0.0, 0.0)
     s = trace.states
     energy = 0.5 * (prototype.L1 * s[:, 0] ** 2 + 2 * prototype.M * s[:, 0] * s[:, 1]
@@ -1075,6 +1094,38 @@ def test_undriven_energy_non_increasing(prototype):
                     + prototype.C1 * s[:, 2] ** 2 + prototype.C2 * s[:, 3] ** 2)
     growth = np.diff(energy) / energy[0]
     assert growth.max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["first", "tse"]), collect=st.booleans(),
+       steps=st.sampled_from([32, 64]),
+       d=st.sampled_from([(0.963, 1.0), (1.0, 0.963), (0.7, 0.6), (0.5, 1.0)]),
+       x0=st.tuples(*(st.floats(-lim, lim).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+                      for lim in (20.0, 20.0, 2000.0, 2000.0))),
+       rippled=st.booleans(), k=st.integers(-8, 8))
+def test_runs_scale_exactly_with_rails_and_initial_state(kind, collect, steps, d, x0, rippled, k):
+    # Scaling Vg, Vo, the rail and the initial state by c = 2^k leaves every
+    # gate and crossing the same bytes and scales states, drives and
+    # envelopes by c, bit for bit: the maps do not depend on the rails, a
+    # crossing's fraction is a ratio of currents, and a product with a power
+    # of two is exact. An absolute threshold in the switching logic breaks it.
+    tf = (build_first_order() if kind == "first"
+          else build_third_order(NtfDesignSpec(0.075, 0.9)))
+    params = plant.DEFAULT_PARAMS
+    c = 2.0 ** k
+    cfg = plant.SimConfig(steps_per_half_cycle=steps, duration=0.3e-3, initial_state=x0,
+                          collect_samples=collect)
+    rail = per_half_cycle(_rippled_rail, params, cfg.duration) if rippled else None
+    base = plant.simulate(params, cfg, *fresh_mods(tf), *d, vg=rail)
+    scaled = plant.simulate(dataclasses.replace(params, Vg=c * params.Vg, Vo=c * params.Vo),
+                            dataclasses.replace(cfg, initial_state=tuple(c * v for v in x0)),
+                            *fresh_mods(tf), *d, vg=rail and [c * v for v in rail])
+    assert len(base.cross_t) > 0
+    for name in ("s1", "cross_half", "cross_t", "s2"):
+        assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), name
+    for name in ("states", "u", "envelope_i1", "envelope_i2"):
+        assert getattr(scaled, name).tobytes() == (c * getattr(base, name)).tobytes(), name
+    assert scaled.diagnostics == base.diagnostics
 
 
 def test_envelope_mean_converges_with_step_refinement(prototype):
@@ -1187,28 +1238,48 @@ def test_density_outside_range_rejected(prototype):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.2, 1.0)
 
 
-@pytest.mark.parametrize("form", ["constant", "callable"])
+@pytest.mark.parametrize("form", ["constant", "callable", "per-half-cycle"])
 @pytest.mark.parametrize("name, value", [
     ("d1", "0.5"), ("d1", True), ("d1", 0.5j), ("d2", "0.5"), ("d2", False),
-    ("d2", np.True_), ("vg_of_t", "50"), ("vg_of_t", True),
+    ("d2", np.True_), ("vg", "50"), ("vg", True),
 ])
 def test_non_real_drives_are_rejected(prototype, name, value, form):
-    # like PlantParams(Vg="50"): a str or bool drive is an error, not a number
+    # like PlantParams(Vg="50"): a str or bool drive is an error, not a number.
+    # d1 is read once per half cycle, so it takes no callable of time (not a
+    # real number, at any value it returns); d2, read at crossings, takes no
+    # sequence; the rail takes neither a callable nor one number, since the
+    # constant rail is PlantParams.Vg
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
-    drives = {"d1": 1.0, "d2": 1.0, "vg_of_t": None,
-              name: (lambda t: value) if form == "callable" else value}
-    with pytest.raises(TypeError, match=rf"{name}\(.*\) must be a real number"):
+    n_half = len(plant.half_cycle_ends(prototype, cfg.duration))
+    drive = {"constant": value, "callable": lambda t: value, "per-half-cycle": [value] * n_half}
+    drives = {"d1": 1.0, "d2": 1.0, "vg": None, name: drive[form]}
+    match = (r"^vg must be one rail per half cycle" if name == "vg" and form != "per-half-cycle"
+             else rf"^{name}\(.*\) must be a real number")
+    with pytest.raises(TypeError, match=match):
+        plant.simulate(prototype, cfg, *fresh_mods(), **drives)
+
+
+@pytest.mark.parametrize("name", ["d1", "vg"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_per_half_cycle_drive_of_another_length_is_rejected(prototype, name, extra):
+    cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
+    n_half = len(plant.half_cycle_ends(prototype, cfg.duration))
+    drives = {"d1": 1.0, "d2": 1.0, name: [1.0] * (n_half + extra)}
+    with pytest.raises(ValueError, match=rf"^{name} must hold {n_half} values, "
+                                         rf"got {n_half + extra}$"):
         plant.simulate(prototype, cfg, *fresh_mods(), **drives)
 
 
 def test_int_and_numpy_drives_run_as_floats(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
-    ref = plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 0.5, vg_of_t=lambda t: 50.0)
-    alt = plant.simulate(prototype, cfg, *fresh_mods(), 1, np.float64(0.5),
-                         vg_of_t=lambda t: np.float32(50.0))
-    assert alt.events == ref.events
-    assert np.array_equal(alt.envelope_i1, ref.envelope_i1)
-    assert np.array_equal(alt.envelope_i2, ref.envelope_i2)
+    n_half = len(plant.half_cycle_ends(prototype, cfg.duration))
+    ref = plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 0.5, vg=[50.0] * n_half)
+    for d1, vg in ((1, np.full(n_half, 50.0, dtype=np.float32)),
+                   (np.ones(n_half, dtype=int), [50] * n_half)):
+        alt = plant.simulate(prototype, cfg, *fresh_mods(), d1, np.float64(0.5), vg=vg)
+        assert alt.events == ref.events
+        assert np.array_equal(alt.envelope_i1, ref.envelope_i1)
+        assert np.array_equal(alt.envelope_i2, ref.envelope_i2)
 
 
 @pytest.mark.slow
@@ -1303,8 +1374,8 @@ def test_rail_modulation_hook(prototype):
     # a modulated primary rail changes the drive samples accordingly
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=True)
     dw = 2 * math.pi * 20e3
-    trace = plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
-                           vg_of_t=lambda t: 50.0 * (1.0 + 0.05 * math.cos(dw * t)))
+    vg = per_half_cycle(lambda t: 50.0 * (1.0 + 0.05 * math.cos(dw * t)), prototype, cfg.duration)
+    trace = plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg=vg)
     u1 = np.abs(trace.u[trace.u[:, 0] != 0.0, 0])
     assert u1.max() > 50.0
     assert u1.min() < 50.0 * 1.0 + 1e-9
@@ -1315,17 +1386,17 @@ def test_rail_modulation_hook(prototype):
 def test_rail_must_be_finite_and_positive(prototype, rail, collect):
     # the rail obeys PlantParams' rule for Vg, read like the densities
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
-    with pytest.raises(ValueError, match=r"^vg_of_t\(0\.0\) must be in \(0, inf\), got"):
-        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg_of_t=lambda t: rail)
+    with pytest.raises(ValueError, match=r"^vg\(0\.0\) must be in \(0, inf\), got"):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
+                       vg=per_half_cycle(lambda t: rail, prototype, cfg.duration))
 
 
 def test_rail_turning_bad_mid_run_is_rejected_at_its_tick(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
-    with pytest.raises(ValueError, match=re.escape(f"vg_of_t({t_bad}) must be in (0, inf), "
-                                                   "got nan")):
-        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
-                       vg_of_t=lambda t: 50.0 if t < t_bad else math.nan)
+    vg = per_half_cycle(lambda t: 50.0 if t < t_bad else math.nan, prototype, cfg.duration)
+    with pytest.raises(ValueError, match=re.escape(f"vg({t_bad}) must be in (0, inf), got nan")):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg=vg)
 
 
 @pytest.mark.parametrize("collect", [True, False])
@@ -1334,5 +1405,6 @@ def test_density_turning_bad_mid_run_is_rejected_at_its_tick(prototype, collect,
     # the primary pulses are computed before the loop, from every tick's d1
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
+    d1 = per_half_cycle(lambda t: 0.9 if t < t_bad else bad, prototype, cfg.duration)
     with pytest.raises(ValueError, match=re.escape(f"d1({t_bad}) must be in [0, 1], got {bad}")):
-        plant.simulate(prototype, cfg, *fresh_mods(), lambda t: 0.9 if t < t_bad else bad, 1.0)
+        plant.simulate(prototype, cfg, *fresh_mods(), d1, 1.0)

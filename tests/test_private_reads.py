@@ -9,7 +9,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tsepdm"
 
 # ``reader -> name`` for each allowed read, with its reason.
 ALLOWED = {
-    "plant -> _advance": "simulate ticks the modulators on densities its readers already checked",
+    "plant -> _advance": "simulate ticks the modulators on densities it checked where it read "
+                         "them: d1 once per half cycle before the loop, d2 at each crossing",
 }
 
 
