@@ -25,8 +25,10 @@ nonlinear integration (`simulate_envelope`) carries the complex state z
 itself through RK4, with the terms -j ws z, A z and B u kept apart: folding
 them or switching to a real 8x8 form changes the rounding, and near the
 rectifier's phase singularity (k ~ 0.17) a last-bit change grows to 1e-4.
-The frequency response (`amplitude_bode`) solves its resolvent systems in
-stacked blocks of ``BODE_BLOCK`` frequencies and takes each block's gains
+Its per-stage operands (step factors, stage weights, jws) are complex arrays
+bound once per integration, and a drive is read once per distinct stage
+time. The frequency response (`amplitude_bode`) solves its resolvent systems
+in stacked blocks of ``BODE_BLOCK`` frequencies and takes each block's gains
 in one product.
 """
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_integer, check_interval, check_real
+from .checks import check_integer, check_interval
 from .plant import PlantParams, SimulationDiverged, system_matrices
 
 # Relative step for the central-difference linearization.
@@ -85,9 +87,10 @@ def _rates(A: np.ndarray, B: np.ndarray, jws: complex):
     Below a vanishing current envelope the rectifier has no phase reference
     and idles (u2 contribution zero), mirroring the switching model's
     unsynced startup. The drive u and the terms A z, B u and jws z live in
-    buffers made once per kernel, so a call allocates no array.
+    buffers made once per kernel, so a call allocates no array; jws is a 0-d
+    complex array, so no call converts a Python scalar.
     """
-    A, B = A.astype(complex), B.astype(complex)
+    A, B, jws = A.astype(complex), B.astype(complex), np.array(jws, dtype=complex)
     u = np.empty(2, dtype=complex)
     az, bu, jz = np.empty((3, 4), dtype=complex)
     dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
@@ -244,7 +247,9 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     """Integrate the nonlinear envelope system (fixed-step RK4).
 
     ``a1``/``a2`` are drive amplitudes, constants or callables of time;
-    a callable is evaluated at the four stage times of every step.
+    a callable is evaluated once at each distinct stage time of every step,
+    t, t + dt/2 and t + dt (the two midpoint stages share one value), and a
+    constant is checked and converted to float once.
     ``initial`` is the stacked real state (Re z, Im z), 8 entries, zero by
     default. Returns (t, z) with z complex of shape (n + 1, 4); peak
     amplitudes are 2 |z|. The step must resolve the fast counter-rotating
@@ -255,13 +260,14 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     operation per real and imaginary part as the stacked real 8-state form,
     so the result is bit-identical to it. Raises TypeError on a constant
     amplitude, ``dt`` or ``duration`` that is a str, bool or other non-real
-    value; ValueError on a ``dt`` or ``duration`` outside (0, inf), a
-    ``duration`` shorter than one step and a malformed ``initial``;
+    value; ValueError, before any step, on a constant amplitude that is NaN
+    or infinite, a ``dt`` or ``duration`` outside (0, inf), a ``duration``
+    shorter than one step and a malformed ``initial``;
     `plant.SimulationDiverged` when the result is not finite.
     """
-    for name, amp in (("a1", a1), ("a2", a2)):
-        if not callable(amp):
-            check_real(name, amp)
+    f1, f2 = callable(a1), callable(a2)  # a constant is checked and read once, here
+    a1_t = a1_h = a1_dt = a1 if f1 else check_interval("a1", a1, -math.inf, math.inf, "()")
+    a2_t = a2_h = a2_dt = a2 if f2 else check_interval("a2", a2, -math.inf, math.inf, "()")
     check_interval("dt", dt, 0.0, math.inf, "()")
     check_interval("duration", duration, 0.0, math.inf, "()")
     n = int(round(duration / dt))
@@ -272,26 +278,31 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
         raise ValueError("initial must be 8 finite entries (Re z, Im z)")
     A, B = system_matrices(params)
     rates = _rates(A, B, 1j * params.ws)
-    a1_fn = a1 if callable(a1) else (lambda t, v=float(a1): v)
-    a2_fn = a2 if callable(a2) else (lambda t, v=float(a2): v)
     out = np.empty((n + 1, 4), dtype=complex)
     out[0] = x[:4] + 1j * x[4:]
-    # classical RK4 with the drive sampled at stage times; the stages k1..k4
-    # are the rows of k, summed as k1 + 2 k2 + 2 k3 + k4 left to right
+    # classical RK4 with the drive read at t, t + h and t + dt (t + dt is not
+    # the next step's t to the bit); the stages k1..k4 are the rows of k,
+    # summed as k1 + 2 k2 + 2 k3 + k4 left to right. The factors and weights
+    # are complex arrays: numpy casts a Python float to the same value per call
     k1, k2, k3, k4 = k = np.empty((4, 4), dtype=complex)
-    weights = np.array([[1.0], [2.0], [2.0], [1.0]])
+    weights = np.array([[1.0], [2.0], [2.0], [1.0]], dtype=complex)
     zs = np.empty(4, dtype=complex)
     h = 0.5 * dt
+    h_c, dt_c, dt6_c = (np.array(c, dtype=complex) for c in (h, dt, dt / 6.0))
     add, multiply, reduce = np.add, np.multiply, np.add.reduce
     for i in range(n):
         t = i * dt
+        if f1:
+            a1_t, a1_h, a1_dt = a1(t), a1(t + h), a1(t + dt)
+        if f2:
+            a2_t, a2_h, a2_dt = a2(t), a2(t + h), a2(t + dt)
         z = out[i]
-        rates(z, a1_fn(t), a2_fn(t), k1)
-        rates(add(z, multiply(h, k1, zs), zs), a1_fn(t + h), a2_fn(t + h), k2)
-        rates(add(z, multiply(h, k2, zs), zs), a1_fn(t + h), a2_fn(t + h), k3)
-        rates(add(z, multiply(dt, k3, zs), zs), a1_fn(t + dt), a2_fn(t + dt), k4)
+        rates(z, a1_t, a2_t, k1)
+        rates(add(z, multiply(h_c, k1, zs), zs), a1_h, a2_h, k2)
+        rates(add(z, multiply(h_c, k2, zs), zs), a1_h, a2_h, k3)
+        rates(add(z, multiply(dt_c, k3, zs), zs), a1_dt, a2_dt, k4)
         reduce(multiply(k, weights, k), axis=0, out=zs)
-        add(z, multiply(dt / 6.0, zs, zs), out[i + 1])
+        add(z, multiply(dt6_c, zs, zs), out[i + 1])
     if not np.isfinite(out).all():
         raise SimulationDiverged("non-finite envelope state")
     t_axis = np.arange(n + 1) * dt

@@ -394,8 +394,9 @@ def simulate(params: PlantParams, config: SimConfig,
     half cycle (entry hc for the one that starts at hc half, ``len(
     half_cycle_ends(params, config.duration))`` in all), and ``vg``, the
     primary rail (> 0; ``params.Vg`` if None, else one per half cycle), are
-    read at each primary tick. ``d2`` is a number or a callable of time,
-    read at each crossing. The secondary rail is ``params.Vo``.
+    read at each primary tick. ``d2`` is a number, checked before the loop,
+    or a callable of time, read at each crossing. The secondary rail is
+    ``params.Vo``.
     """
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
@@ -431,6 +432,8 @@ def simulate(params: PlantParams, config: SimConfig,
     u1_log = np.multiply(rail1, s1)  # each half cycle's primary drive
     u1s = u1_log.tolist()
     ahead = 1 if callable(d2) else CHUNK
+    if not callable(d2):  # checked once here; a callable d2 at each read
+        d2 = check_interval("d2", d2, 0.0, 1.0, "[]", 0.0)
 
     # Propagate. Each accepted crossing is logged: its first row under the
     # new drive, its time and its signed secondary gate.
@@ -535,7 +538,7 @@ def simulate(params: PlantParams, config: SimConfig,
         blanking_until = t_x + blanking
         n_cross = len(cross_rows)
         if n_cross % ahead == 0:
-            d2_x = check_interval("d2", d2(t_x) if callable(d2) else d2, 0.0, 1.0, "[]", t_x)
+            d2_x = check_interval("d2", d2(t_x), 0.0, 1.0, "[]", t_x) if callable(d2) else d2
             block_state, ds2 = secondary_modulator.state, [d2_x] * ahead
             y2_ahead = secondary_modulator._advance(ds2)
         s2 = y2_ahead[n_cross % ahead] * c2
@@ -565,8 +568,8 @@ def simulate(params: PlantParams, config: SimConfig,
     # after the latest crossing at or before it, or after t = 0, where d2 < 1.
     cross_half = (np.array(cross_rows) - 1) // steps
     last = np.array([0.0, *cross_t])[np.searchsorted(cross_half, np.arange(n_half), "right")]
-    starved = next((t for t in env_t[env_t - last > 6.0 * half].tolist() if check_interval(
-        "d2", d2(t) if callable(d2) else d2, 0.0, 1.0, "[]", t) < 1.0), None)
+    starved = next((t for t in env_t[env_t - last > 6.0 * half].tolist() if (check_interval(
+        "d2", d2(t), 0.0, 1.0, "[]", t) if callable(d2) else d2) < 1.0), None)
     diagnostics = [] if starved is None else [
         f"secondary sync starved: no i2 crossing in 3 switching periods before "
         f"t={starved:.6e}s; c2 frozen"]

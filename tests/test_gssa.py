@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -245,15 +246,37 @@ def test_envelope_model_equals_central_difference_oracle(prototype, k):
         assert g.tobytes() == w.tobytes()
 
 
-def test_envelope_drive_sampled_at_stage_times(prototype):
-    times = []
+class _CountedAmplitude:
+    """A real constant that counts its conversions to float and takes part
+    in no arithmetic, so a run that used it past its conversion would fail."""
 
-    def a1(t):
-        times.append(t)
-        return 1.0
-    gssa.simulate_envelope(prototype, a1, 1.0, 3e-7, dt=1e-7)
-    assert times == [t for i in range(3) for t in
-                     (i * 1e-7, i * 1e-7 + 0.5e-7, i * 1e-7 + 0.5e-7, i * 1e-7 + 1e-7)]
+    def __init__(self, value):
+        self.value, self.conversions = value, 0
+
+    def __float__(self):
+        self.conversions += 1
+        return self.value
+
+
+numbers.Real.register(_CountedAmplitude)
+
+
+def test_envelope_drive_sampled_at_stage_times(prototype):
+    # a callable drive is read once per distinct stage time, t, t + dt/2 and
+    # t + dt of each step (k2 and k3 share the midpoint value); a constant
+    # one is converted to float once and never called
+    for name in ("a1", "a2"):
+        times = []
+
+        def drive(t):
+            times.append(t)
+            return 1.0
+        const = _CountedAmplitude(1.0)
+        amps = {"a1": const, "a2": const, name: drive}
+        gssa.simulate_envelope(prototype, duration=3e-7, dt=1e-7, **amps)
+        assert times == [t for i in range(3) for t in
+                         (i * 1e-7, i * 1e-7 + 0.5e-7, i * 1e-7 + 1e-7)]
+        assert const.conversions == 1
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -264,11 +287,19 @@ def test_envelope_drive_sampled_at_stage_times(prototype):
     ({"initial": np.zeros(7)}, "initial"), ({"initial": np.zeros((2, 4))}, "initial"),
     ({"initial": np.r_[np.zeros(7), math.nan]}, "initial"),
     ({"initial": np.r_[np.zeros(7), math.inf]}, "initial"),
+    ({"a1": math.nan}, "a1"), ({"a1": math.inf}, "a1"), ({"a1": -math.inf}, "a1"),
+    ({"a2": math.nan}, "a2"), ({"a2": math.inf}, "a2"), ({"a2": -math.inf}, "a2"),
 ])
 def test_simulate_envelope_rejects_bad_input(prototype, kwargs, name):
-    args = {"duration": 1e-6, "dt": 1e-7} | kwargs
-    with pytest.raises(ValueError, match=name):
-        gssa.simulate_envelope(prototype, 1.0, 1.0, **args)
+    # a non-finite constant amplitude is named before any step runs
+    args = {"a1": 1.0, "a2": 1.0, "duration": 1e-6, "dt": 1e-7} | kwargs
+    with pytest.raises(ValueError, match=f"^{name} "):
+        gssa.simulate_envelope(prototype, **args)
+
+
+def test_simulate_envelope_runs_negative_amplitudes(prototype):
+    t, z = gssa.simulate_envelope(prototype, -5.0, -5.0, 1e-6, dt=1e-7)
+    assert np.isfinite(z).all() and z.any()
 
 
 @pytest.mark.parametrize("name, value", [

@@ -1236,6 +1236,14 @@ def test_density_outside_range_rejected(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     with pytest.raises(ValueError):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.2, 1.0)
+    # an undriven run (d1 = 0 from the zero state) accepts no crossing, so no
+    # crossing reads d2: a constant d2 is checked before the loop
+    cfg = plant.SimConfig(duration=4 * 0.5 / prototype.fs, collect_samples=False)
+    for d2, error, message in [(2.0, ValueError, "must be in [0, 1], got 2.0"),
+                               (math.nan, ValueError, "must be in [0, 1], got nan"),
+                               ("x", TypeError, "must be a real number, got 'x'")]:
+        with pytest.raises(error, match=re.escape(f"d2(0.0) {message}")):
+            plant.simulate(prototype, cfg, *fresh_mods(), 0.0, d2)
 
 
 @pytest.mark.parametrize("form", ["constant", "callable", "per-half-cycle"])
