@@ -79,11 +79,19 @@ def write_rows(path, header: list[str], columns) -> None:
 
 
 def check_output_paths(*paths) -> None:
-    """Raise `open`'s error for a path (None: no path) in a missing directory,
-    so that a command checks all its outputs before it writes the first."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+    """Raise `open`'s error for a path (None: no path) in a missing directory
+    or naming a directory, and ValueError for two naming one file, so that a
+    command checks all its outputs before it writes the first."""
+    given = [path for path in paths if path is not None]
+    resolved = [Path(path).resolve() for path in given]
+    for i, path in enumerate(given):
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if resolved[i] in resolved[:i]:
+            first = given[resolved.index(resolved[i])]
+            raise ValueError(f"output paths {first!r} and {path!r} name one file")
 
 
 def write_manifest(out_path, resolved: dict) -> Path:

@@ -19,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from . import analysis
-from .checks import check_integer, check_interval
+from .checks import check_integer, check_interval, check_reals
 from .modulator import PulseDensityModulator
 from .ntf import NtfDesignSpec, RationalTransferFunction, build_first_order, build_third_order
 from .plant import PlantParams, SimConfig, half_cycle_ends, simulate
@@ -59,7 +59,8 @@ def standard_density_grid() -> tuple[float, ...]:
 
 
 def parse_density_grid(spec: str) -> tuple[float, ...]:
-    """Parse ``standard`` or an inclusive ``start:step:stop`` grid spec."""
+    """Parse ``standard`` or an inclusive ``start:step:stop`` grid spec; its
+    consumers check that the densities lie in [0, 1]."""
     if spec == "standard":
         return standard_density_grid()
     try:
@@ -76,8 +77,6 @@ def parse_density_grid(spec: str) -> tuple[float, ...]:
         raise ValueError(f"grid spec {spec!r} has more than 1001 points")
     n = int(math.floor(count)) + 1
     grid = tuple(round(start + i * step, 3) for i in range(n))
-    if any(not (0.0 <= d <= 1.0) for d in grid):
-        raise ValueError("grid values must lie in [0, 1]")
     if len(set(grid)) < n:
         raise ValueError(f"grid spec {spec!r} repeats densities after rounding "
                          "to 3 decimals")
@@ -102,8 +101,7 @@ class ExperimentPreset:
     def __post_init__(self):
         if self.side not in SIDES:
             raise ValueError("side must be primary or secondary")
-        for i, d in enumerate(self.densities):
-            check_interval(f"densities[{i}]", d, 0.0, 1.0)
+        check_reals("densities", self.densities, 0.0, 1.0, "[]")
         make_ntf(self.ntf_kind, self.rho, self.r)  # validates kind and rho/r
         self.sim_config  # validates steps and duration
         check_interval("settle", self.settle, 0.0, math.inf, "[)")

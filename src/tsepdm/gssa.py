@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_integer, check_interval
+from .checks import check_integer, check_interval, check_reals
 from .plant import PlantParams, SimulationDiverged, system_matrices
 
 # Relative step for the central-difference linearization.
@@ -121,7 +121,7 @@ def _solve_equilibrium(A, B, ws, a1, a2) -> np.ndarray:
     phase = float(np.angle(z[1]))
     residual = np.abs(shift @ z + B @ np.array(
         [0.5 * a1, 0.5 * a2 * np.exp(1j * phase)])).max()
-    if residual > 1e-6 * max(1.0, float(np.abs(z).max())):
+    if not residual <= 1e-6 * max(1.0, float(np.abs(z).max())):  # NaN fails too
         raise ArithmeticError(f"envelope equilibrium did not converge "
                               f"(residual {residual:.3e})")
     return np.concatenate([z.real, z.imag])
@@ -132,14 +132,18 @@ def build_envelope_model(params: PlantParams,
                          a2: float | None = None) -> EnvelopeModel:
     """Construct and linearize the envelope model at the given drive amps.
 
-    Defaults to full-power fundamentals a = 4 V / pi on both sides. The
-    linearization uses central finite differences with relative step
-    ``FD_RELATIVE_STEP`` on both states and inputs.
+    Defaults to full-power fundamentals a = 4 V / pi on both sides; each
+    must be a finite real, and an equilibrium residual above 1e-6 of the
+    state's scale, or NaN, raises ArithmeticError. The linearization uses
+    central finite differences with relative step ``FD_RELATIVE_STEP`` on
+    both states and inputs.
     """
     A, B = system_matrices(params)
     ws = params.ws
-    a1 = 4.0 * params.Vg / math.pi if a1 is None else a1
-    a2 = 4.0 * params.Vo / math.pi if a2 is None else a2
+    a1 = check_interval("a1", 4.0 * params.Vg / math.pi if a1 is None else a1,
+                        -math.inf, math.inf, "()")
+    a2 = check_interval("a2", 4.0 * params.Vo / math.pi if a2 is None else a2,
+                        -math.inf, math.inf, "()")
     x0 = _solve_equilibrium(A, B, ws, a1, a2)
     rates = _rates(A, B, 1j * ws)
 
@@ -184,14 +188,12 @@ def amplitude_bode(model: EnvelopeModel, which: str,
     (delta_omega / ws, magnitude dB). The resolvent systems are solved
     ``BODE_BLOCK`` frequencies per stacked `np.linalg.solve` call, and each
     block's gains are one `np.matmul`; each frequency gets the same LAPACK
-    solve and dot product as a call of its own. ValueError when
-    ``delta_omega`` is not one-dimensional or not finite.
+    solve and dot product as a call of its own. ``delta_omega`` obeys
+    `check_reals`: finite reals, in one dimension.
     """
     if which not in CHANNELS:
         raise ValueError(f"unknown channel {which!r}; choose from {sorted(CHANNELS)}")
-    dw = np.asarray(delta_omega, dtype=float)
-    if dw.ndim != 1 or not np.isfinite(dw).all():
-        raise ValueError("delta_omega must be a one-dimensional array of finite frequencies")
+    dw = check_reals("delta_omega", delta_omega)
     in_idx, out_idx = CHANNELS[which]
     a_mat = model.state_matrix
     b_col = model.input_matrix[:, in_idx]
@@ -259,11 +261,12 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     RK4 runs on the complex state z itself: every stage is the same IEEE
     operation per real and imaginary part as the stacked real 8-state form,
     so the result is bit-identical to it. Raises TypeError on a constant
-    amplitude, ``dt`` or ``duration`` that is a str, bool or other non-real
-    value; ValueError, before any step, on a constant amplitude that is NaN
-    or infinite, a ``dt`` or ``duration`` outside (0, inf), a ``duration``
-    shorter than one step and a malformed ``initial``;
-    `plant.SimulationDiverged` when the result is not finite.
+    amplitude, ``dt``, ``duration`` or ``initial`` entry i (``initial[i]``,
+    by `check_reals`) that is a str, bool or other non-real value;
+    ValueError, before any step, on any of them out of range (amplitudes and
+    ``initial`` finite), an ``initial`` not of shape (8,) and a ``duration``
+    shorter than one step; `plant.SimulationDiverged` when the result is not
+    finite.
     """
     f1, f2 = callable(a1), callable(a2)  # a constant is checked and read once, here
     a1_t = a1_h = a1_dt = a1 if f1 else check_interval("a1", a1, -math.inf, math.inf, "()")
@@ -273,9 +276,7 @@ def simulate_envelope(params: PlantParams, a1, a2, duration: float,
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError(f"duration {duration!r} is shorter than one step of {dt!r}")
-    x = np.zeros(8) if initial is None else np.asarray(initial, dtype=float)
-    if x.shape != (8,) or not np.isfinite(x).all():
-        raise ValueError("initial must be 8 finite entries (Re z, Im z)")
+    x = np.zeros(8) if initial is None else check_reals("initial", initial, length=8)
     A, B = system_matrices(params)
     rates = _rates(A, B, 1j * params.ws)
     out = np.empty((n + 1, 4), dtype=complex)

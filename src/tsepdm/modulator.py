@@ -21,11 +21,12 @@ straight-line code on float locals. Its one caller is
 `PulseDensityModulator._advance`, which ticks one modulator over a list of
 densities already checked in one call: `step` checks one density and
 advances through it, `run` and a one-lane `run_const_grid` tick a fresh
-modulator over a checked waveform, and the co-simulation computes its
-pulses ahead of the plant with it. `run_const_grid` runs two or more lanes,
-one per constant density, in its own lane kernel, `_run_lanes`: each tick
-is five numpy calls on (m,) lanes at any filter order, with the feedback
-sum in the float kernel's order, so every lane is bit-identical to `run`.
+modulator over a waveform `check_reals` checked (entry i named
+``densities[i]``), and the co-simulation computes its pulses ahead of the
+plant with it. `run_const_grid` runs two or more lanes, one per constant
+density, in its own lane kernel, `_run_lanes`: each tick is five numpy
+calls on (m,) lanes at any filter order, with the feedback sum in the float
+kernel's order, so every lane is bit-identical to `run`.
 
 The quantizer output gates a free-running +/-1 carrier that alternates every
 half cycle: `gate_split` turns a y sequence into the signed samples
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_integer, check_interval
+from .checks import check_integer, check_interval, check_reals
 from .ntf import RationalTransferFunction, to_error_filter
 
 # Tolerance on the stability band e in [-1, 0]: excursions beyond this are
@@ -142,36 +143,19 @@ class PulseDensityModulator:
         return y_out
 
 
-def _waveform(d, n_ticks: int | None) -> np.ndarray:
-    """The checked densities: a scalar ``d`` replicated over ``n_ticks``, or
-    a one-dimensional sequence, which takes no ``n_ticks``. Densities that
-    are not integers or floats (str, bool) raise TypeError."""
-    d_arr = np.asarray(d)
-    if d_arr.dtype.kind not in "iuf":
-        raise TypeError(f"densities must be real numbers, got {d_arr.dtype} values")
-    if np.isscalar(d) != (n_ticks is not None):
-        raise ValueError("n_ticks is required for a scalar density and refused for a sequence")
-    if n_ticks is not None:
-        d_arr = np.full(check_integer("n_ticks", n_ticks, 0), float(d))
-    d_arr = d_arr.astype(float, copy=False)
-    if d_arr.ndim != 1:
-        raise ValueError(f"densities must be one-dimensional, got shape {d_arr.shape}")
-    if not np.all(np.isfinite(d_arr)):
-        raise ValueError("density waveform contains non-finite values")
-    if d_arr.size and (d_arr.min() < 0.0 or d_arr.max() > 1.0):
-        raise ValueError("density waveform must lie in [0, 1]")
-    return d_arr
-
-
 def run(ntf: RationalTransferFunction, d_waveform, n_ticks: int | None = None
         ) -> tuple[np.ndarray, np.ndarray]:
     """Run a fresh modulator over a waveform.
 
-    ``d_waveform`` is a one-dimensional sequence of densities, or a scalar
-    replicated over ``n_ticks``. Returns the (y, e) sequences; deterministic
-    given inputs.
+    ``d_waveform`` is a one-dimensional sequence of densities, checked by
+    `check_reals`, or a scalar replicated over ``n_ticks``. Returns the
+    (y, e) sequences; deterministic given inputs.
     """
-    ds = _waveform(d_waveform, n_ticks).tolist()
+    if (np.ndim(d_waveform) == 0) != (n_ticks is not None):
+        raise ValueError("n_ticks is required for a scalar density and refused for a sequence")
+    ds = (check_reals("densities", d_waveform, 0.0, 1.0, "[]").tolist() if n_ticks is None
+          else check_integer("n_ticks", n_ticks, 0) * [
+              check_interval("pulse density", d_waveform, 0.0, 1.0)])
     e = [0.0] * len(ds)
     y = PulseDensityModulator(ntf)._advance(ds, e)
     return np.array(y, np.int8), np.array(e)
@@ -231,8 +215,7 @@ def run_const_grid(ntf: RationalTransferFunction, d_values,
     `run` per density; used for the long stability and reconstruction
     sweeps where per-tick Python costs dominate.
     """
-    # an array, so that a scalar is refused as 0-d instead of replicated
-    d_arr = _waveform(np.asarray(d_values), None)
+    d_arr = check_reals("densities", d_values, 0.0, 1.0, "[]")
     check_integer("n_ticks", n_ticks, 0)
     if d_arr.shape[0] != 1:
         return _run_lanes(*_coefficients(ntf), d_arr, n_ticks)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer, check_interval
+from .checks import check_integer, check_interval, check_reals
 
 # Magnitude tolerances for the static design checks: DC zero, notch zero,
 # and realizability |NTF(inf) - 1|.
@@ -45,21 +45,20 @@ class RationalTransferFunction:
     """Rational function of z with real coefficients, descending powers.
 
     ``num`` may be shorter than ``den`` (strictly proper numerator); the
-    denominator is always monic and its degree defines ``order``.
+    denominator is always monic and its degree defines ``order``. The
+    coefficients obey `check_reals` (finite reals) and are stored as floats.
     """
 
     num: tuple[float, ...]
     den: tuple[float, ...]
 
     def __post_init__(self):
-        num = tuple(float(c) for c in self.num)
-        den = tuple(float(c) for c in self.den)
+        num = tuple(check_reals("num", self.num).tolist())
+        den = tuple(check_reals("den", self.den).tolist())
         if not den:
             raise ValueError("denominator must be non-empty")
         if not num:
             raise ValueError("numerator must be non-empty")
-        if not all(math.isfinite(c) for c in num + den):
-            raise ValueError("coefficients must be finite")
         if den[0] != 1.0:
             raise ValueError("denominator must be monic")
         if len(num) > len(den):

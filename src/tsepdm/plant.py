@@ -97,7 +97,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checks import check_integer, check_interval, check_real
+from .checks import check_integer, check_interval, check_reals
 from .modulator import PulseDensityModulator, gate_split
 
 
@@ -160,12 +160,7 @@ class SimConfig:
         check_integer("steps_per_half_cycle", self.steps_per_half_cycle, 32)
         check_interval("blanking_fraction", self.blanking_fraction, 0.0, 0.5, "()")
         check_interval("duration", self.duration, 0.0, math.inf, "()")
-        for i, value in enumerate(self.initial_state):
-            check_real(f"initial_state[{i}]", value)
-        state = np.asarray(self.initial_state, dtype=float)
-        if state.shape != (4,) or not np.isfinite(state).all():
-            raise ValueError("initial_state must be 4 finite numbers, "
-                             f"got {self.initial_state!r}")
+        check_reals("initial_state", self.initial_state, length=4)
 
 
 class GateEvent(NamedTuple):
@@ -373,17 +368,6 @@ def half_cycle_ends(params: PlantParams, duration: float) -> np.ndarray:
     return np.arange(1, int(round(duration / half)) + 1) * half
 
 
-def _per_half_cycle(name: str, value, n_half: int, half: float, lo: float, hi: float,
-                    ends: str = "[]") -> list[float]:
-    """``value``, one number or ``n_half``, as one float per half cycle, entry
-    hc checked by `check_interval` as ``name(t)``, t = hc half its start."""
-    if np.ndim(value) == 0:
-        return [check_interval(name, value, lo, hi, ends, 0.0)] * n_half
-    if len(value) != n_half:
-        raise ValueError(f"{name} must hold {n_half} values, got {len(value)}")
-    return [check_interval(name, v, lo, hi, ends, hc * half) for hc, v in enumerate(value)]
-
-
 def simulate(params: PlantParams, config: SimConfig,
              primary_modulator: PulseDensityModulator,
              secondary_modulator: PulseDensityModulator,
@@ -394,9 +378,10 @@ def simulate(params: PlantParams, config: SimConfig,
     half cycle (entry hc for the one that starts at hc half, ``len(
     half_cycle_ends(params, config.duration))`` in all), and ``vg``, the
     primary rail (> 0; ``params.Vg`` if None, else one per half cycle), are
-    read at each primary tick. ``d2`` is a number, checked before the loop,
-    or a callable of time, read at each crossing. The secondary rail is
-    ``params.Vo``.
+    read at each primary tick; a number ``d1`` is checked as ``d1(0.0)``, a
+    sequence by `check_reals`, entry hc named ``d1[hc]`` or ``vg[hc]``.
+    ``d2`` is a number, checked before the loop, or a callable of time, read
+    at each crossing. The secondary rail is ``params.Vo``.
     """
     half = 0.5 / params.fs
     steps = config.steps_per_half_cycle
@@ -424,11 +409,12 @@ def simulate(params: PlantParams, config: SimConfig,
     # drives are known before the loop, the secondary ticks ``ahead``
     # crossings at a time. Each density is checked where it is read, so the
     # modulators take them unchecked.
-    s1 = gate_split(primary_modulator._advance(_per_half_cycle("d1", d1, n_half, half, 0.0, 1.0)))
+    d1s = ([check_interval("d1", d1, 0.0, 1.0, "[]", 0.0)] * n_half if np.ndim(d1) == 0
+           else check_reals("d1", d1, 0.0, 1.0, "[]", n_half).tolist())
+    s1 = gate_split(primary_modulator._advance(d1s))
     if vg is not None and np.ndim(vg) == 0:
         raise TypeError(f"vg must be one rail per half cycle (a constant rail is Vg), got {vg!r}")
-    rail1 = (params.Vg if vg is None
-             else _per_half_cycle("vg", vg, n_half, half, 0.0, math.inf, "()"))
+    rail1 = params.Vg if vg is None else check_reals("vg", vg, 0.0, math.inf, "()", n_half)
     u1_log = np.multiply(rail1, s1)  # each half cycle's primary drive
     u1s = u1_log.tolist()
     ahead = 1 if callable(d2) else CHUNK

@@ -129,7 +129,7 @@ def test_criterion_04_density_conservation():
     ok = all(w <= bound for w in worsts.values())
     record(4, ok, f"|mean(y)-d| worst: NTF1={worsts['NTF1']*n:.2f}, "
                   f"NTF3={worsts['NTF3']*n:.2f} pulses (bound 4); the notch "
-                  f"NTF's IIR error filter holds O(sum k|h_k|)~15 pulses of "
+                  f"NTF's IIR error filter holds up to G(1) = 9.25 pulses of "
                   f"boundary charge, so the stated bound is unattainable")
     assert worsts["NTF1"] <= bound
     assert worsts["NTF3"] <= bound  # known spec defect: fails honestly

@@ -399,6 +399,36 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--duration", "5e-5", "--trace", "same.csv", "--events", "same.csv"],
+    ["simulate", "--duration", "5e-5", "--trace", "same.csv", "--events", "./same.csv"],
+    ["modulate", "--d", "0.5", "--ticks", "2048", "--out", "same.csv", "--spectrum", "same.csv"],
+], ids=["simulate", "simulate-dot", "modulate"])
+def test_two_outputs_naming_one_file_exit_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                           command):
+    # the second output would overwrite the first
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert capsys.readouterr().err == (f"error: output paths 'same.csv' and {command[-1]!r} "
+                                       "name one file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_naming_a_directory_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main(["simulate", "--duration", "5e-5", "--trace", "t.csv", "--events", "adir"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'adir'\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "adir"]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("junk\n")
@@ -607,6 +637,15 @@ def test_stability_csv_matches_direct_probe_reports(tmp_path):
 def test_stability_rejects_nonpositive_ticks(tmp_path, capsys, ticks):
     assert main(["stability", "--ticks", ticks, "--out", str(tmp_path / "stab.csv")]) == 2
     assert "--ticks" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["sweep", "--side", "primary"],
+                                     ["stability", "--probe", "grid"]])
+def test_grid_leaving_the_unit_interval_exits_2_before_writing(tmp_path, capsys, command):
+    # parse_density_grid leaves the range to the grid's consumers
+    assert main([*command, "--grid", "0.8:0.2:1.4", "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: densities[2] must be in [0, 1], got 1.2\n"
     assert list(tmp_path.iterdir()) == []
 
 

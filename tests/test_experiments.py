@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsepdm import analysis, experiments, plant
+from tsepdm import analysis, experiments, modulator, plant
 
 
 def test_standard_density_grid():
@@ -28,8 +28,8 @@ def test_parse_density_grid():
         experiments.parse_density_grid("0.5:0:0.6")
     with pytest.raises(ValueError):
         experiments.parse_density_grid("nonsense")
-    with pytest.raises(ValueError):
-        experiments.parse_density_grid("0.8:0.2:1.4")
+    # the range is its consumers' rule: a grid that leaves [0, 1] parses
+    assert experiments.parse_density_grid("0.8:0.2:1.4") == (0.8, 1.0, 1.2, 1.4)
 
 
 def test_parse_density_grid_rejects_points_merged_by_rounding():
@@ -50,8 +50,14 @@ def test_parse_density_grid_is_unique_sorted_in_range_or_raises(spec):
         grid = experiments.parse_density_grid(spec)
     except ValueError:
         return
-    assert all(0.0 <= d <= 1.0 for d in grid)
     assert all(b > a for a, b in zip(grid, grid[1:]))
+    # both consumers, the sweep preset and the stability lanes, refuse a
+    # grid that leaves [0, 1]
+    if not all(0.0 <= d <= 1.0 for d in grid):
+        for consume in (lambda: experiments.ExperimentPreset("x", "primary", densities=grid),
+                        lambda: modulator.run_const_grid(experiments.make_ntf("first"), grid, 1)):
+            with pytest.raises(ValueError, match=r"^densities\[\d+\] must be in \[0, 1\], got"):
+                consume()
 
 
 def test_parse_density_grid_rejects_unbounded_point_counts():

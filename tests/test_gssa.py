@@ -291,9 +291,10 @@ def test_envelope_drive_sampled_at_stage_times(prototype):
     ({"a2": math.nan}, "a2"), ({"a2": math.inf}, "a2"), ({"a2": -math.inf}, "a2"),
 ])
 def test_simulate_envelope_rejects_bad_input(prototype, kwargs, name):
-    # a non-finite constant amplitude is named before any step runs
+    # a non-finite constant amplitude is named before any step runs, and a
+    # non-finite initial entry i as initial[i]
     args = {"a1": 1.0, "a2": 1.0, "duration": 1e-6, "dt": 1e-7} | kwargs
-    with pytest.raises(ValueError, match=f"^{name} "):
+    with pytest.raises(ValueError, match=rf"^{name}(\[\d\])? "):
         gssa.simulate_envelope(prototype, **args)
 
 
@@ -309,6 +310,29 @@ def test_simulate_envelope_rejects_non_real_amplitudes(prototype, name, value):
     amps = {"a1": 1.0, "a2": 1.0, name: value}
     with pytest.raises(TypeError, match=f"^{name} must be a real number"):
         gssa.simulate_envelope(prototype, duration=1e-6, **amps)
+
+
+@pytest.mark.parametrize("name, value, error, message", [
+    ("a1", math.nan, ValueError, r"must be in \(-inf, inf\), got nan"),
+    ("a1", math.inf, ValueError, r"must be in \(-inf, inf\), got inf"),
+    ("a2", -math.inf, ValueError, r"must be in \(-inf, inf\), got -inf"),
+    ("a1", True, TypeError, "must be a real number, got True"),
+    ("a2", "1.0", TypeError, "must be a real number, got '1.0'"),
+])
+def test_envelope_model_rejects_bad_amplitudes(prototype, name, value, error, message):
+    # rejected before the equilibrium solve, which a NaN amplitude passes
+    # through to an all-NaN model
+    with pytest.raises(error, match=f"^{name} {message}$"):
+        gssa.build_envelope_model(prototype, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["a1", "a2"])
+def test_envelope_model_refuses_an_equilibrium_that_overflows(prototype, name):
+    # a finite amplitude whose equilibrium overflows leaves a NaN residual,
+    # which fails the convergence test as a large one does
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError, match=r"^envelope equilibrium did not converge \(residual nan\)$"):
+        gssa.build_envelope_model(prototype, **{name: 1e308})
 
 
 def test_simulate_envelope_reports_divergence(prototype):

@@ -330,19 +330,24 @@ def test_bad_tick_counts_and_shapes_are_rejected(call, message):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: mod.run(NTF1, "0.5", n_ticks=2),
-    lambda: mod.run(NTF1, "0.5"),
-    lambda: mod.run(NTF1, True, n_ticks=2),
-    lambda: mod.run(NTF1, [True, False]),
-    lambda: mod.run(NTF1, ["0.5", "0.9"]),
-    lambda: mod.run_const_grid(NTF1, ["0.5", "0.9"], 3),
-    lambda: mod.run_const_grid(NTF1, [True, False], 3),
-    lambda: mod.StabilityReport.of(*mod.run(NTF1, "0.5", n_ticks=2), 0.5),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mod.run(NTF1, "0.5", n_ticks=2), TypeError, "pulse density must be a real"),
+    (lambda: mod.run(NTF1, "0.5"), ValueError, "n_ticks is required for a scalar density"),
+    (lambda: mod.run(NTF1, True, n_ticks=2), TypeError, "pulse density must be a real"),
+    (lambda: mod.run(NTF1, [True, False]), TypeError, r"densities\[0\] must be a real"),
+    (lambda: mod.run(NTF1, ["0.5", "0.9"]), TypeError, r"densities\[0\] must be a real"),
+    (lambda: mod.run_const_grid(NTF1, ["0.5", "0.9"], 3), TypeError,
+     r"densities\[0\] must be a real"),
+    (lambda: mod.run_const_grid(NTF1, [True, False], 3), TypeError,
+     r"densities\[0\] must be a real"),
+    (lambda: mod.StabilityReport.of(*mod.run(NTF1, "0.5", n_ticks=2), 0.5), TypeError,
+     "pulse density must be a real"),
 ], ids=["run-str", "run-str-no-ticks", "run-bool", "run-bool-list", "run-str-list",
         "grid-str", "grid-bool", "probe-str"])
-def test_non_real_densities_are_rejected(call):
-    with pytest.raises(TypeError, match="densities must be real numbers"):
+def test_non_real_densities_are_rejected(call, error, message):
+    # one density is named as `step` names it, entry i of a sequence
+    # densities[i]; a scalar takes n_ticks, whatever its kind
+    with pytest.raises(error, match=f"^{message}"):
         call()
 
 

@@ -238,3 +238,10 @@ def test_transfer_function_invariants_enforced():
         ntf.RationalTransferFunction(num=(1.0, 0.0, 0.0), den=(1.0, 0.0))  # degree
     with pytest.raises(ValueError):
         ntf.RationalTransferFunction(num=(float("nan"),), den=(1.0,))
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ((1.0,), (), "denominator must be non-empty"), ((), (1.0,), "numerator must be non-empty")])
+def test_transfer_function_refuses_empty_coefficients(num, den, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ntf.RationalTransferFunction(num=num, den=den)

@@ -139,12 +139,20 @@ def test_sim_config_rejects_bad_duration(duration):
         plant.SimConfig(duration=duration)
 
 
+def test_simulate_refuses_a_run_shorter_than_one_half_cycle(prototype):
+    # 0.4 half cycles round to none: no half cycle would end
+    cfg = plant.SimConfig(duration=0.4 * 0.5 / prototype.fs)
+    with pytest.raises(ValueError, match="^duration shorter than one half cycle$"):
+        plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0)
+
+
 @pytest.mark.parametrize("state", [
     (math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0), (0.0, 0.0, 0.0, -math.inf),
     (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)])
 def test_sim_config_rejects_bad_initial_state(state):
     # rejected before anything runs, not after a diverged half cycle
-    with pytest.raises(ValueError, match="initial_state must be 4 finite numbers"):
+    with pytest.raises(ValueError, match=r"^initial_state(\[\d\] must be in \(-inf, inf\)"
+                                         r"| must be of shape \(4,\)), got"):
         plant.SimConfig(initial_state=state)
 
 
@@ -1261,7 +1269,10 @@ def test_non_real_drives_are_rejected(prototype, name, value, form):
     n_half = len(plant.half_cycle_ends(prototype, cfg.duration))
     drive = {"constant": value, "callable": lambda t: value, "per-half-cycle": [value] * n_half}
     drives = {"d1": 1.0, "d2": 1.0, "vg": None, name: drive[form]}
+    # a number or a callable's value is named name(t), entry hc of a
+    # sequence name[hc]
     match = (r"^vg must be one rail per half cycle" if name == "vg" and form != "per-half-cycle"
+             else rf"^{name}\[0\] must be a real number" if form == "per-half-cycle" and name != "d2"
              else rf"^{name}\(.*\) must be a real number")
     with pytest.raises(TypeError, match=match):
         plant.simulate(prototype, cfg, *fresh_mods(), **drives)
@@ -1273,8 +1284,8 @@ def test_per_half_cycle_drive_of_another_length_is_rejected(prototype, name, ext
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     n_half = len(plant.half_cycle_ends(prototype, cfg.duration))
     drives = {"d1": 1.0, "d2": 1.0, name: [1.0] * (n_half + extra)}
-    with pytest.raises(ValueError, match=rf"^{name} must hold {n_half} values, "
-                                         rf"got {n_half + extra}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be of shape \({n_half},\), "
+                                         rf"got shape \({n_half + extra},\)$"):
         plant.simulate(prototype, cfg, *fresh_mods(), **drives)
 
 
@@ -1394,7 +1405,7 @@ def test_rail_modulation_hook(prototype):
 def test_rail_must_be_finite_and_positive(prototype, rail, collect):
     # the rail obeys PlantParams' rule for Vg, read like the densities
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
-    with pytest.raises(ValueError, match=r"^vg\(0\.0\) must be in \(0, inf\), got"):
+    with pytest.raises(ValueError, match=r"^vg\[0\] must be in \(0, inf\), got"):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0,
                        vg=per_half_cycle(lambda t: rail, prototype, cfg.duration))
 
@@ -1403,7 +1414,7 @@ def test_rail_turning_bad_mid_run_is_rejected_at_its_tick(prototype):
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=False)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
     vg = per_half_cycle(lambda t: 50.0 if t < t_bad else math.nan, prototype, cfg.duration)
-    with pytest.raises(ValueError, match=re.escape(f"vg({t_bad}) must be in (0, inf), got nan")):
+    with pytest.raises(ValueError, match=re.escape("vg[10] must be in (0, inf), got nan")):
         plant.simulate(prototype, cfg, *fresh_mods(), 1.0, 1.0, vg=vg)
 
 
@@ -1414,5 +1425,5 @@ def test_density_turning_bad_mid_run_is_rejected_at_its_tick(prototype, collect,
     cfg = plant.SimConfig(duration=0.1e-3, collect_samples=collect)
     t_bad = 10 * (0.5 / prototype.fs)   # the tick of half cycle 10
     d1 = per_half_cycle(lambda t: 0.9 if t < t_bad else bad, prototype, cfg.duration)
-    with pytest.raises(ValueError, match=re.escape(f"d1({t_bad}) must be in [0, 1], got {bad}")):
+    with pytest.raises(ValueError, match=re.escape(f"d1[10] must be in [0, 1], got {bad}")):
         plant.simulate(prototype, cfg, *fresh_mods(), d1, 1.0)
